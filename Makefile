@@ -1,7 +1,9 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-fast bench bench-trajectory bench-schema serve serve-multiproc serving-trajectory docs-check api-surface examples batch fuzz clean
+SMOKES := smoke-server smoke-multiproc smoke-streaming smoke-trace
+
+.PHONY: test test-fast bench bench-trajectory bench-schema serve serve-multiproc $(SMOKES) serving-trajectory docs-check api-surface examples batch fuzz clean
 
 ## Tier-1 verification: the full unit/property/integration/benchmark suite.
 test:
@@ -35,6 +37,12 @@ serve:
 serve-multiproc:
 	$(PYTHON) -m repro.evaluation serve --port 7070 --topology multiproc --backends 4
 
+## The serving smoke scenarios CI runs (tools/smoke.py): serve on an
+## ephemeral port, drive it (load / chaos kill / v6 stream / v7 traces),
+## SIGINT, and require a zero exit and the "shut down cleanly" line.
+$(SMOKES): smoke-%:
+	$(PYTHON) tools/smoke.py $*
+
 ## Regenerate the committed BENCH_serving.json trajectory point (the
 ## sharded-vs-shared pool A/B at three concurrency levels, plus the
 ## multiproc front-tier A/B with its zipf hot-shard run).
@@ -45,7 +53,8 @@ serving-trajectory:
 docs-check:
 	$(PYTHON) tools/check_doc_links.py
 
-## Verify repro.api.__all__ matches the committed docs/api_surface.txt.
+## Verify repro.api.__all__ matches the committed docs/api_surface.txt
+## and docs/API.md's type table matches the declared message fields.
 api-surface:
 	$(PYTHON) tools/check_api_surface.py
 

@@ -17,13 +17,21 @@ of every document; a reader must reject documents whose version it does
 not understand rather than guess.  The transient ``cached`` flag is
 deliberately *not* part of the wire schema (it describes how this
 process obtained the document, not the document itself).
+
+Each message is declared **once**: a dataclass whose fields carry
+their wire codec (:func:`wire`), from which :class:`Message` derives
+``to_json`` / ``from_json`` / ``canonical_text`` and fills the tables
+behind :func:`request_from_json` / :func:`response_from_json`.  Adding
+a field is one line (defaulted, so older documents keep reading); adding
+a verb is one class.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Optional, Union
+import sys
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Callable, Dict, NamedTuple, Optional
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -127,118 +135,223 @@ def wire_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _check_version(payload: dict, what: str) -> None:
-    version = payload.get("version")
-    if version != PROTOCOL_VERSION:
-        raise ValueError(
-            f"{what}: unsupported protocol version {version!r} "
-            f"(this reader speaks {PROTOCOL_VERSION})"
-        )
+# -- codecs: how one field's value crosses the wire ---------------------------
 
 
-def _check_str(payload: dict, field_name: str, what: str) -> str:
-    value = payload[field_name]
-    if not isinstance(value, str):
-        raise ValueError(
-            f"{what}: {field_name!r} must be a string "
-            f"(got {type(value).__name__})"
-        )
-    return value
+class Codec(NamedTuple):
+    """``decode(value, label, what)`` validates an incoming JSON value
+    (its ``ValueError`` names the message *what* and the field *label*);
+    ``encode(value)`` copies the outgoing one, so mutating a document
+    never reaches the message.  ``None`` = pass through."""
+
+    decode: Optional[Callable] = None
+    encode: Optional[Callable] = None
 
 
-def _check_number(payload: dict, field_name: str, what: str, default):
-    value = payload.get(field_name, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(
-            f"{what}: {field_name!r} must be a number "
-            f"(got {type(value).__name__})"
-        )
-    return value
+def _bad(what: str, label: str, expected: str, got) -> ValueError:
+    return ValueError(f"{what}: {label} must be {expected} (got {got})")
 
 
-def _check_count(payload: dict, field_name: str, what: str, default: int) -> int:
-    value = payload.get(field_name, default)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValueError(
-            f"{what}: {field_name!r} must be a non-negative integer "
-            f"(got {value!r})"
-        )
-    return value
+def _checked(types, expected: str, also: Optional[Callable] = None, *,
+             got: Callable = lambda value: type(value).__name__,
+             copy=None, null: str = "reject") -> Codec:
+    """An instance of *types* (a bool is never a number) that *also*
+    approves, copied with *copy* in both directions.  JSON ``null`` is
+    judged like any value (``null="reject"``), reads as None
+    (``"keep"``), or as the empty container ``copy()`` (``"empty"``)."""
+
+    def decode(value, label, what):
+        if value is None and null != "reject":
+            return None if null == "keep" else copy()
+        # the accepting path calls no helper and never evaluates *got*:
+        # measured on serve_warm, that alone is several % of a request
+        if not isinstance(value, types) or isinstance(value, bool) or (
+                also is not None and not also(value)):
+            raise _bad(what, label, expected, got(value))
+        return value if copy is None else copy(value)
+
+    def encode(value):
+        return None if value is None else copy(value)
+
+    # a field that cannot hold None is copied by the builtin itself
+    return Codec(decode, encode if copy and null == "keep" else copy)
 
 
-def _check_obj(payload: dict, field_name: str, what: str) -> dict:
-    value = payload.get(field_name)
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise ValueError(
-            f"{what}: {field_name!r} must be a JSON object "
-            f"(got {type(value).__name__})"
-        )
-    return value
+def _number(positive: bool = False) -> Codec:
+    """A finite JSON number: ``json.loads`` accepts ``NaN``/``Infinity``
+    (and integers beyond float range), and every comparison against NaN
+    is false, so a range check alone would wave them through."""
+    plain = _checked((int, float), "a number").decode
+
+    def decode(value, label, what):
+        plain(value, label, what)
+        if not abs(value) <= sys.float_info.max:
+            raise _bad(what, label, "a finite number", repr(value))
+        if positive and not value > 0:
+            raise _bad(what, label, "> 0", repr(value))
+        return value
+
+    return Codec(decode)
+
+
+def _object_of(item: Codec, noun: str, sort: bool = False) -> Codec:
+    """A JSON object (``null`` reads as empty) whose values each cross
+    through *item*; a bad value is reported as ``<noun> '<key>'``."""
+    item_encode = item.encode or (lambda value: value)
+
+    def decode(value, label, what):
+        return {
+            key: item.decode(entry, f"{noun} {key!r}", what)
+            for key, entry in OBJECT.decode(value, label, what).items()
+        }
+
+    def encode(value):
+        items = sorted(value.items()) if sort else value.items()
+        return {key: item_encode(entry) for key, entry in items}
+
+    return Codec(decode, encode)
+
+
+def _list_of(part) -> Codec:
+    """A list of nested *part* messages."""
+
+    def decode(value, label, what):
+        return [part.from_json(doc) for doc in LIST.decode(value, label, what)]
+
+    return Codec(decode, lambda value: [entry.to_json() for entry in value])
+
+
+#: passes through unchecked (response fields, which only servers write)
+ANY = Codec()
+#: any JSON value, read as its truthiness
+FLAG = Codec(lambda value, label, what: bool(value))
+STRING = _checked(str, "a string")
+OPT_STRING = _checked(str, "a string or null", null="keep")
+INTEGER = _checked(int, "an integer")
+COUNT = _checked(int, "a non-negative integer", lambda v: v >= 0, got=repr)
+#: a worker-count selector: ``null`` defers to the engine default
+OPT_POSITIVE = _checked(
+    int, "a positive integer or null", lambda v: v > 0, got=repr, null="keep")
+OBJECT = _checked(dict, "a JSON object", copy=dict, null="empty")
+OPT_OBJECT = _checked(dict, "a JSON object or null", copy=dict, null="keep")
+LIST = _checked(list, "a list", copy=list)
+
+
+def wire(codec: Codec, default=MISSING, *, factory=MISSING):
+    """Declare a dataclass field that crosses the wire through *codec*.
+    A field without a default is required on decode; one with a default
+    may be absent from the document (the default-tolerance contract)."""
+    return field(default=default, default_factory=factory,
+                 metadata={"codec": codec})
+
+
+#: ``kind`` tag -> class, per direction.  The request table is the verb
+#: table: the serving layer derives its per-verb counters from it.
+REQUEST_KINDS: Dict[str, type] = {}
+RESPONSE_KINDS: Dict[str, type] = {}
+
+
+class Message:
+    """Wire behaviour shared by every protocol message.
+
+    Subclassing declares a message: the subclass becomes a dataclass,
+    its encode/decode plan is computed from its :func:`wire` fields
+    (once, here, never per call) and it is filed under *kind* in
+    *table*.  A field declared without :func:`wire` (the ``cached``
+    flag) is process-local: never serialized, but settable through
+    ``from_json(payload, cached=...)``.  ``check_version=False`` is the
+    one declared exception to "readers reject unknown versions".
+    """
+
+    #: the document's ``kind`` tag; None for a nested part, which
+    #: carries neither a tag nor a version of its own
+    KIND: Optional[str] = None
+
+    def __init_subclass__(cls, kind: Optional[str] = None,
+                          table: Optional[dict] = None, frozen: bool = True,
+                          check_version: bool = True):
+        dataclass(frozen=frozen)(cls)
+        wired = [(f, f.metadata["codec"]) for f in fields(cls)
+                 if "codec" in f.metadata]
+        cls.KIND = kind
+        cls._CHECK_VERSION = kind is not None and check_version
+        cls._ENCODE = tuple((f.name, codec.encode) for f, codec in wired)
+        cls._DECODE = tuple(  # (name, its error label, decode, required)
+            (f.name, repr(f.name), codec.decode,
+             f.default is MISSING and f.default_factory is MISSING)
+            for f, codec in wired)
+        if table is not None:
+            table[kind] = cls
+
+    def to_json(self) -> dict:
+        doc = {"kind": self.KIND, "version": self.version} if self.KIND else {}
+        for name, encode in self._ENCODE:
+            value = getattr(self, name)
+            doc[name] = value if encode is None else encode(value)
+        return doc
+
+    @classmethod
+    def from_json(cls, payload: dict, **local):
+        what, version = cls.__name__, payload.get("version")
+        if cls._CHECK_VERSION and version != PROTOCOL_VERSION:
+            raise ValueError(
+                f"{what}: unsupported protocol version {version!r} "
+                f"(this reader speaks {PROTOCOL_VERSION})")
+        for name, label, decode, required in cls._DECODE:
+            if name in payload:
+                value = payload[name]
+                local[name] = (
+                    value if decode is None else decode(value, label, what))
+            elif required:
+                raise ValueError(f"{what}: missing required field {name!r}")
+        return cls(**local)
+
+    def canonical_text(self) -> str:
+        return canonical_json(self.to_json())
+
+
+def _from_table(table: dict, role: str, payload: dict) -> Message:
+    kind = payload.get("kind")
+    # a non-string tag (valid JSON from outside) is unknown, not a crash
+    cls = table.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValueError(f"unknown {role} kind {kind!r}")
+    return cls.from_json(payload)
+
+
+def request_from_json(payload: dict) -> Message:
+    """Dispatch a request document on its ``kind`` tag."""
+    return _from_table(REQUEST_KINDS, "request", payload)
+
+
+def response_from_json(payload: dict) -> Message:
+    """Dispatch a response document on its ``kind`` tag."""
+    return _from_table(RESPONSE_KINDS, "response", payload)
 
 
 # -- requests ----------------------------------------------------------------
 
 
-def _check_trace(payload: dict, what: str) -> Optional[dict]:
-    """The additive v7 trace context: absent/null reads as untraced;
-    anything else must be a JSON object (shape is the tracing layer's
-    concern, not the protocol's)."""
-    trace = payload.get("trace")
-    if trace is None:
-        return None
-    if not isinstance(trace, dict):
-        raise ValueError(
-            f"{what}: 'trace' must be a JSON object or null "
-            f"(got {type(trace).__name__})"
-        )
-    return dict(trace)
-
-
-@dataclass(frozen=True)
-class AnalyzeRequest:
+class AnalyzeRequest(Message, kind="analyze", table=REQUEST_KINDS):
     """Compile *source* and plan the loop labelled *loop*.
 
     *options* may override the engine's analyzer knobs per request
     (``use_monotonicity``, ``use_reshaping``, ``use_civagg``,
     ``interprocedural``, ``size_cap``, ``work_cap``).  ``trace`` is the
     optional v7 trace context (``trace_id`` / ``parent_span_id`` /
-    ``sampled``) propagated by a tracing-aware caller.
+    ``sampled``) propagated by a tracing-aware caller: absent/null
+    reads as untraced; its shape is the tracing layer's concern, not
+    the protocol's.
     """
 
-    source: str
-    loop: str
-    options: dict = field(default_factory=dict)
-    trace: Optional[dict] = None
+    source: str = wire(STRING)
+    loop: str = wire(STRING)
+    options: dict = wire(OBJECT, factory=dict)
+    trace: Optional[dict] = wire(OPT_OBJECT, None)
     version: int = PROTOCOL_VERSION
 
-    def to_json(self) -> dict:
-        return {
-            "kind": "analyze",
-            "version": self.version,
-            "source": self.source,
-            "loop": self.loop,
-            "options": dict(self.options),
-            "trace": dict(self.trace) if self.trace is not None else None,
-        }
 
-    @classmethod
-    def from_json(cls, payload: dict) -> "AnalyzeRequest":
-        _check_version(payload, "AnalyzeRequest")
-        return cls(
-            source=_check_str(payload, "source", "AnalyzeRequest"),
-            loop=_check_str(payload, "loop", "AnalyzeRequest"),
-            options=dict(_check_obj(payload, "options", "AnalyzeRequest")),
-            trace=_check_trace(payload, "AnalyzeRequest"),
-        )
-
-    def canonical_text(self) -> str:
-        return canonical_json(self.to_json())
-
-
-@dataclass(frozen=True)
-class ExecuteRequest:
+class ExecuteRequest(Message, kind="execute", table=REQUEST_KINDS):
     """Plan *loop* and execute it against concrete inputs.
 
     *params* maps parameter names to integers; *arrays* maps array names
@@ -249,78 +362,27 @@ class ExecuteRequest:
     ``trace`` is the optional v7 trace context.
     """
 
-    source: str
-    loop: str
-    params: dict = field(default_factory=dict)
-    arrays: dict = field(default_factory=dict)
+    source: str = wire(STRING)
+    loop: str = wire(STRING)
+    params: dict = wire(_object_of(INTEGER, "param"), factory=dict)
+    arrays: dict = wire(_object_of(LIST, "array"), factory=dict)
     #: exact-test fallback: 'inspector' (hoistable USR evaluation) or
     #: 'tls' (LRPD speculation)
-    exact_strategy: str = "inspector"
+    exact_strategy: str = wire(STRING, "inspector")
     #: execution backend ('sequential' | 'thread' | 'process' | 'numpy'
     #: | 'speculative'; None = engine default)
-    backend: Optional[str] = None
+    backend: Optional[str] = wire(OPT_STRING, None)
     #: worker count for parallel backends (None = engine default)
-    jobs: Optional[int] = None
+    jobs: Optional[int] = wire(OPT_POSITIVE, None)
     #: chunk-scheduler spec document (None = engine default)
-    chunk: Optional[dict] = None
-    options: dict = field(default_factory=dict)
+    chunk: Optional[dict] = wire(OPT_OBJECT, None)
+    options: dict = wire(OBJECT, factory=dict)
     #: optional v7 trace context
-    trace: Optional[dict] = None
+    trace: Optional[dict] = wire(OPT_OBJECT, None)
     version: int = PROTOCOL_VERSION
 
-    def to_json(self) -> dict:
-        return {
-            "kind": "execute",
-            "version": self.version,
-            "source": self.source,
-            "loop": self.loop,
-            "params": dict(self.params),
-            "arrays": {k: list(v) for k, v in self.arrays.items()},
-            "exact_strategy": self.exact_strategy,
-            "backend": self.backend,
-            "jobs": self.jobs,
-            "chunk": dict(self.chunk) if self.chunk is not None else None,
-            "options": dict(self.options),
-            "trace": dict(self.trace) if self.trace is not None else None,
-        }
 
-    @classmethod
-    def from_json(cls, payload: dict) -> "ExecuteRequest":
-        _check_version(payload, "ExecuteRequest")
-        what = "ExecuteRequest"
-        arrays = {}
-        for name, values in _check_obj(payload, "arrays", what).items():
-            if not isinstance(values, list):
-                raise ValueError(
-                    f"{what}: array {name!r} must be a list "
-                    f"(got {type(values).__name__})"
-                )
-            arrays[name] = list(values)
-        chunk = payload.get("chunk")
-        if chunk is not None and not isinstance(chunk, dict):
-            raise ValueError(
-                f"{what}: 'chunk' must be a JSON object or null "
-                f"(got {type(chunk).__name__})"
-            )
-        return cls(
-            source=_check_str(payload, "source", what),
-            loop=_check_str(payload, "loop", what),
-            params=dict(_check_obj(payload, "params", what)),
-            arrays=arrays,
-            exact_strategy=payload.get("exact_strategy", "inspector"),
-            backend=payload.get("backend"),
-            jobs=payload.get("jobs"),
-            chunk=dict(chunk) if chunk is not None else None,
-            options=dict(_check_obj(payload, "options", what)),
-            trace=_check_trace(payload, what),
-        )
-
-    def canonical_text(self) -> str:
-        return canonical_json(self.to_json())
-
-
-@dataclass(frozen=True)
-class StatsRequest:
+class StatsRequest(Message, kind="stats", table=REQUEST_KINDS):
     """Ask a serving endpoint for its observability snapshot.
 
     Engines themselves hold no counters; the server
@@ -329,20 +391,8 @@ class StatsRequest:
 
     version: int = PROTOCOL_VERSION
 
-    def to_json(self) -> dict:
-        return {"kind": "stats", "version": self.version}
 
-    @classmethod
-    def from_json(cls, payload: dict) -> "StatsRequest":
-        _check_version(payload, "StatsRequest")
-        return cls()
-
-    def canonical_text(self) -> str:
-        return canonical_json(self.to_json())
-
-
-@dataclass(frozen=True)
-class SubscribeRequest:
+class SubscribeRequest(Message, kind="subscribe", table=REQUEST_KINDS):
     """Open a live metrics stream on this connection (protocol v6).
 
     The server answers with :class:`MetricsFrame` documents at
@@ -355,41 +405,15 @@ class SubscribeRequest:
     One subscription may be active per connection at a time.
     """
 
-    interval_s: float = 1.0
+    interval_s: float = wire(_number(positive=True), 1.0)
     #: total frames to stream; 0 = until unsubscribe
-    frames: int = 0
+    frames: int = wire(COUNT, 0)
     #: recent ring samples to include in the first frame
-    history: int = 0
+    history: int = wire(COUNT, 0)
     version: int = PROTOCOL_VERSION
 
-    def to_json(self) -> dict:
-        return {
-            "kind": "subscribe",
-            "version": self.version,
-            "interval_s": self.interval_s,
-            "frames": self.frames,
-            "history": self.history,
-        }
 
-    @classmethod
-    def from_json(cls, payload: dict) -> "SubscribeRequest":
-        what = "SubscribeRequest"
-        _check_version(payload, what)
-        interval_s = _check_number(payload, "interval_s", what, 1.0)
-        if interval_s <= 0:
-            raise ValueError(f"{what}: 'interval_s' must be > 0 (got {interval_s!r})")
-        return cls(
-            interval_s=interval_s,
-            frames=_check_count(payload, "frames", what, 0),
-            history=_check_count(payload, "history", what, 0),
-        )
-
-    def canonical_text(self) -> str:
-        return canonical_json(self.to_json())
-
-
-@dataclass(frozen=True)
-class UnsubscribeRequest:
+class UnsubscribeRequest(Message, kind="unsubscribe", table=REQUEST_KINDS):
     """End this connection's active metrics stream (protocol v6).
 
     The server finishes the stream (one last ``final``
@@ -400,20 +424,8 @@ class UnsubscribeRequest:
 
     version: int = PROTOCOL_VERSION
 
-    def to_json(self) -> dict:
-        return {"kind": "unsubscribe", "version": self.version}
 
-    @classmethod
-    def from_json(cls, payload: dict) -> "UnsubscribeRequest":
-        _check_version(payload, "UnsubscribeRequest")
-        return cls()
-
-    def canonical_text(self) -> str:
-        return canonical_json(self.to_json())
-
-
-@dataclass(frozen=True)
-class TraceRequest:
+class TraceRequest(Message, kind="trace", table=REQUEST_KINDS):
     """Fetch stored traces from a serving tier (protocol v7).
 
     ``trace_id`` fetches one trace by id; when absent the server
@@ -421,95 +433,35 @@ class TraceRequest:
     filtered to one root ``status`` (``ok`` / ``error``).
     """
 
-    trace_id: Optional[str] = None
-    limit: int = 10
-    status: Optional[str] = None
+    trace_id: Optional[str] = wire(OPT_STRING, None)
+    limit: int = wire(COUNT, 10)
+    status: Optional[str] = wire(OPT_STRING, None)
     version: int = PROTOCOL_VERSION
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "trace",
-            "version": self.version,
-            "trace_id": self.trace_id,
-            "limit": self.limit,
-            "status": self.status,
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "TraceRequest":
-        what = "TraceRequest"
-        _check_version(payload, what)
-        trace_id = payload.get("trace_id")
-        if trace_id is not None and not isinstance(trace_id, str):
-            raise ValueError(
-                f"{what}: 'trace_id' must be a string or null "
-                f"(got {type(trace_id).__name__})"
-            )
-        status = payload.get("status")
-        if status is not None and not isinstance(status, str):
-            raise ValueError(
-                f"{what}: 'status' must be a string or null "
-                f"(got {type(status).__name__})"
-            )
-        return cls(
-            trace_id=trace_id,
-            limit=_check_count(payload, "limit", what, 10),
-            status=status,
-        )
-
-    def canonical_text(self) -> str:
-        return canonical_json(self.to_json())
-
-
-#: Either request type (what :meth:`repro.api.Engine.serve` accepts,
-#: plus the serving layer's ``stats``, streaming and ``trace`` verbs).
-Request = Union[
-    AnalyzeRequest, ExecuteRequest, StatsRequest,
-    SubscribeRequest, UnsubscribeRequest, TraceRequest,
-]
-
-
-def request_from_json(payload: dict) -> Request:
-    """Dispatch a request document on its ``kind`` tag."""
-    kind = payload.get("kind")
-    if kind == "analyze":
-        return AnalyzeRequest.from_json(payload)
-    if kind == "execute":
-        return ExecuteRequest.from_json(payload)
-    if kind == "stats":
-        return StatsRequest.from_json(payload)
-    if kind == "subscribe":
-        return SubscribeRequest.from_json(payload)
-    if kind == "unsubscribe":
-        return UnsubscribeRequest.from_json(payload)
-    if kind == "trace":
-        return TraceRequest.from_json(payload)
-    raise ValueError(f"unknown request kind {kind!r}")
 
 
 # -- responses ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ArrayPlanSummary:
-    """Wire form of one :class:`~repro.core.analyzer.ArrayPlan`.
+class ArrayPlanSummary(Message):
+    """Wire form of one :class:`~repro.core.analyzer.ArrayPlan` (a
+    nested part of :class:`AnalyzeResponse`).
 
     Cascade fields hold the ordered stage labels of the runtime cascade,
     or ``None`` when no runtime test of that kind is needed.
     """
 
-    array: str
+    array: str = wire(ANY)
     #: 'shared' | 'private' | 'reduction'
-    transform: str
-    flow: Optional[list] = None
-    output: Optional[list] = None
-    slv: Optional[list] = None
-    rred: Optional[list] = None
-    needs_exact: bool = False
-    needs_bounds_comp: bool = False
-    extended_reduction: bool = False
-    reduction_additive: bool = True
-    static_parallel: bool = False
+    transform: str = wire(ANY)
+    flow: Optional[list] = wire(ANY, None)
+    output: Optional[list] = wire(ANY, None)
+    slv: Optional[list] = wire(ANY, None)
+    rred: Optional[list] = wire(ANY, None)
+    needs_exact: bool = wire(ANY, False)
+    needs_bounds_comp: bool = wire(ANY, False)
+    extended_reduction: bool = wire(ANY, False)
+    reduction_additive: bool = wire(ANY, True)
+    static_parallel: bool = wire(ANY, False)
 
     @classmethod
     def from_plan(cls, plan) -> "ArrayPlanSummary":
@@ -532,62 +484,33 @@ class ArrayPlanSummary:
             static_parallel=plan.static_parallel(),
         )
 
-    def to_json(self) -> dict:
-        return {
-            "array": self.array,
-            "transform": self.transform,
-            "flow": self.flow,
-            "output": self.output,
-            "slv": self.slv,
-            "rred": self.rred,
-            "needs_exact": self.needs_exact,
-            "needs_bounds_comp": self.needs_bounds_comp,
-            "extended_reduction": self.extended_reduction,
-            "reduction_additive": self.reduction_additive,
-            "static_parallel": self.static_parallel,
-        }
 
-    @classmethod
-    def from_json(cls, payload: dict) -> "ArrayPlanSummary":
-        return cls(
-            array=payload["array"],
-            transform=payload["transform"],
-            flow=payload.get("flow"),
-            output=payload.get("output"),
-            slv=payload.get("slv"),
-            rred=payload.get("rred"),
-            needs_exact=payload.get("needs_exact", False),
-            needs_bounds_comp=payload.get("needs_bounds_comp", False),
-            extended_reduction=payload.get("extended_reduction", False),
-            reduction_additive=payload.get("reduction_additive", True),
-            static_parallel=payload.get("static_parallel", False),
-        )
-
-
-@dataclass
-class AnalyzeResponse:
+class AnalyzeResponse(Message, kind="analyze", table=RESPONSE_KINDS,
+                      frozen=False):
     """The plan for one loop, in wire form."""
 
-    digest: str
-    loop: str
-    classification: str
-    techniques: list = field(default_factory=list)
-    static_parallel: bool = False
-    runtime_tested: bool = False
-    needs_exact_fallback: bool = False
-    has_scalar_dependence: bool = False
-    approximate: bool = False
-    is_while: bool = False
-    civs: list = field(default_factory=list)
-    arrays: list = field(default_factory=list)
+    digest: str = wire(ANY)
+    loop: str = wire(ANY)
+    classification: str = wire(ANY)
+    techniques: list = wire(LIST, factory=list)
+    static_parallel: bool = wire(ANY, False)
+    runtime_tested: bool = wire(ANY, False)
+    needs_exact_fallback: bool = wire(ANY, False)
+    has_scalar_dependence: bool = wire(ANY, False)
+    approximate: bool = wire(ANY, False)
+    is_while: bool = wire(ANY, False)
+    civs: list = wire(LIST, factory=list)
+    arrays: list = wire(_list_of(ArrayPlanSummary), factory=list)
     #: v5 tier provenance: 'tier0' = every independence equation was
     #: resolved by the screening pass (no USR cascade construction),
     #: 'tier1' = the full FACTOR pipeline ran for at least one equation.
-    tier_used: str = "tier1"
+    #: Absent tier fields (a pre-v5 document) read as an untired
+    #: tier1/off answer.
+    tier_used: str = wire(ANY, "tier1")
     #: screening verdict: 'resolved' | 'escalated' | 'off'
-    screening: str = "off"
+    screening: str = wire(ANY, "off")
     #: 'array:equation' of the first inconclusive screening query
-    escalation_reason: str = ""
+    escalation_reason: str = wire(ANY, "")
     version: int = PROTOCOL_VERSION
     #: served from a cache (process-local; never serialized)
     cached: bool = False
@@ -615,60 +538,9 @@ class AnalyzeResponse:
             escalation_reason=plan.escalation_reason,
         )
 
-    def to_json(self) -> dict:
-        return {
-            "kind": "analyze",
-            "version": self.version,
-            "digest": self.digest,
-            "loop": self.loop,
-            "classification": self.classification,
-            "techniques": list(self.techniques),
-            "static_parallel": self.static_parallel,
-            "runtime_tested": self.runtime_tested,
-            "needs_exact_fallback": self.needs_exact_fallback,
-            "has_scalar_dependence": self.has_scalar_dependence,
-            "approximate": self.approximate,
-            "is_while": self.is_while,
-            "civs": list(self.civs),
-            "arrays": [a.to_json() for a in self.arrays],
-            "tier_used": self.tier_used,
-            "screening": self.screening,
-            "escalation_reason": self.escalation_reason,
-        }
 
-    @classmethod
-    def from_json(cls, payload: dict, cached: bool = False) -> "AnalyzeResponse":
-        _check_version(payload, "AnalyzeResponse")
-        return cls(
-            digest=payload["digest"],
-            loop=payload["loop"],
-            classification=payload["classification"],
-            techniques=list(payload.get("techniques", [])),
-            static_parallel=payload.get("static_parallel", False),
-            runtime_tested=payload.get("runtime_tested", False),
-            needs_exact_fallback=payload.get("needs_exact_fallback", False),
-            has_scalar_dependence=payload.get("has_scalar_dependence", False),
-            approximate=payload.get("approximate", False),
-            is_while=payload.get("is_while", False),
-            civs=list(payload.get("civs", [])),
-            arrays=[
-                ArrayPlanSummary.from_json(a)
-                for a in payload.get("arrays", [])
-            ],
-            # Absent tier fields (a pre-v5 document) read as an untired
-            # tier1/off answer -- the default-tolerance contract.
-            tier_used=payload.get("tier_used", "tier1"),
-            screening=payload.get("screening", "off"),
-            escalation_reason=payload.get("escalation_reason", ""),
-            cached=cached,
-        )
-
-    def canonical_text(self) -> str:
-        return canonical_json(self.to_json())
-
-
-@dataclass
-class ExecuteResponse:
+class ExecuteResponse(Message, kind="execute", table=RESPONSE_KINDS,
+                      frozen=False):
     """The outcome of one planned execution, in wire form.
 
     Per-iteration cost vectors are intentionally summarized (``trips``)
@@ -676,37 +548,39 @@ class ExecuteResponse:
     :class:`~repro.runtime.ExecutionReport`.
     """
 
-    digest: str
-    loop: str
-    classification: str
-    parallel: bool
-    correct: bool
-    #: array -> {'strategy', 'via', 'passed_stage'}
-    decisions: dict = field(default_factory=dict)
-    trips: int = 0
-    seq_work: float = 0.0
-    test_overhead: float = 0.0
-    test_leaf_overhead: float = 0.0
-    civ_overhead: float = 0.0
-    bounds_overhead: float = 0.0
-    inspector_overhead: float = 0.0
-    speculation_overhead: float = 0.0
-    used_speculation: bool = False
-    misspeculated: bool = False
+    digest: str = wire(ANY)
+    loop: str = wire(ANY)
+    classification: str = wire(ANY)
+    parallel: bool = wire(ANY)
+    correct: bool = wire(ANY)
+    #: array -> {'strategy', 'via', 'passed_stage'}; name-sorted on the
+    #: wire
+    decisions: dict = wire(
+        _object_of(OBJECT, "decision", sort=True), factory=dict)
+    trips: int = wire(ANY, 0)
+    seq_work: float = wire(ANY, 0.0)
+    test_overhead: float = wire(ANY, 0.0)
+    test_leaf_overhead: float = wire(ANY, 0.0)
+    civ_overhead: float = wire(ANY, 0.0)
+    bounds_overhead: float = wire(ANY, 0.0)
+    inspector_overhead: float = wire(ANY, 0.0)
+    speculation_overhead: float = wire(ANY, 0.0)
+    used_speculation: bool = wire(ANY, False)
+    misspeculated: bool = wire(ANY, False)
     #: committed speculative-backend runs (LRPD validation passed)
-    speculation_commits: int = 0
+    speculation_commits: int = wire(ANY, 0)
     #: rolled-back speculative-backend runs (conflict -> sequential)
-    speculation_rollbacks: int = 0
+    speculation_rollbacks: int = wire(ANY, 0)
     #: arrays the LRPD test privatized during a committed run
-    speculation_privatized: list = field(default_factory=list)
+    speculation_privatized: list = wire(LIST, factory=list)
     #: backend the caller requested
-    backend: str = "sequential"
+    backend: str = wire(ANY, "sequential")
     #: backend that actually ran the loop ('' for sequential outcomes)
-    backend_used: str = ""
+    backend_used: str = wire(ANY, "")
     #: workers that participated in the real parallel execution
-    jobs: int = 1
+    jobs: int = wire(ANY, 1)
     #: chunks the iteration space was carved into
-    chunks: int = 0
+    chunks: int = wire(ANY, 0)
     version: int = PROTOCOL_VERSION
     #: served from a cache (process-local; never serialized)
     cached: bool = False
@@ -748,78 +622,9 @@ class ExecuteResponse:
             chunks=report.chunks,
         )
 
-    def to_json(self) -> dict:
-        return {
-            "kind": "execute",
-            "version": self.version,
-            "digest": self.digest,
-            "loop": self.loop,
-            "classification": self.classification,
-            "parallel": self.parallel,
-            "correct": self.correct,
-            "decisions": {
-                name: dict(d) for name, d in sorted(self.decisions.items())
-            },
-            "trips": self.trips,
-            "seq_work": self.seq_work,
-            "test_overhead": self.test_overhead,
-            "test_leaf_overhead": self.test_leaf_overhead,
-            "civ_overhead": self.civ_overhead,
-            "bounds_overhead": self.bounds_overhead,
-            "inspector_overhead": self.inspector_overhead,
-            "speculation_overhead": self.speculation_overhead,
-            "used_speculation": self.used_speculation,
-            "misspeculated": self.misspeculated,
-            "speculation_commits": self.speculation_commits,
-            "speculation_rollbacks": self.speculation_rollbacks,
-            "speculation_privatized": list(self.speculation_privatized),
-            "backend": self.backend,
-            "backend_used": self.backend_used,
-            "jobs": self.jobs,
-            "chunks": self.chunks,
-        }
 
-    @classmethod
-    def from_json(cls, payload: dict, cached: bool = False) -> "ExecuteResponse":
-        _check_version(payload, "ExecuteResponse")
-        return cls(
-            digest=payload["digest"],
-            loop=payload["loop"],
-            classification=payload["classification"],
-            parallel=payload["parallel"],
-            correct=payload["correct"],
-            decisions={
-                name: dict(d)
-                for name, d in payload.get("decisions", {}).items()
-            },
-            trips=payload.get("trips", 0),
-            seq_work=payload.get("seq_work", 0.0),
-            test_overhead=payload.get("test_overhead", 0.0),
-            test_leaf_overhead=payload.get("test_leaf_overhead", 0.0),
-            civ_overhead=payload.get("civ_overhead", 0.0),
-            bounds_overhead=payload.get("bounds_overhead", 0.0),
-            inspector_overhead=payload.get("inspector_overhead", 0.0),
-            speculation_overhead=payload.get("speculation_overhead", 0.0),
-            used_speculation=payload.get("used_speculation", False),
-            misspeculated=payload.get("misspeculated", False),
-            speculation_commits=payload.get("speculation_commits", 0),
-            speculation_rollbacks=payload.get("speculation_rollbacks", 0),
-            speculation_privatized=list(
-                payload.get("speculation_privatized", [])
-            ),
-            backend=payload.get("backend", "sequential"),
-            backend_used=payload.get("backend_used", ""),
-            jobs=payload.get("jobs", 1),
-            chunks=payload.get("chunks", 0),
-            cached=cached,
-        )
-
-    def canonical_text(self) -> str:
-        return canonical_json(self.to_json())
-
-
-@dataclass(frozen=True)
-class ErrorResponse:
+class ErrorResponse(Message, kind="error", table=RESPONSE_KINDS,
+                    check_version=False):
     """A structured failure document: the serving layer's answer to any
     request it cannot serve (never a traceback, never a silently closed
     connection).
@@ -831,12 +636,17 @@ class ErrorResponse:
     whether the identical request may succeed later (true exactly for
     load-shedding).  ``message`` is human-oriented detail and makes no
     stability promise beyond being a string.
+
+    Deliberately NOT version-checked (a version-skewed client must be
+    able to decode the very error document telling it about the skew);
+    ``version`` is a wire field instead, so the foreign version is
+    preserved and re-serialization stays byte-identical.
     """
 
-    code: str
-    message: str = ""
-    retryable: bool = False
-    version: int = PROTOCOL_VERSION
+    code: str = wire(ANY)
+    message: str = wire(ANY, "")
+    retryable: bool = wire(ANY, False)
+    version: int = wire(ANY, PROTOCOL_VERSION)
 
     def __post_init__(self):
         # only shape is enforced here -- the closed set would make a
@@ -846,34 +656,8 @@ class ErrorResponse:
                 f"error code must be a non-empty string (got {self.code!r})"
             )
 
-    def to_json(self) -> dict:
-        return {
-            "kind": "error",
-            "version": self.version,
-            "code": self.code,
-            "message": self.message,
-            "retryable": self.retryable,
-        }
 
-    @classmethod
-    def from_json(cls, payload: dict) -> "ErrorResponse":
-        # deliberately NO version check: a version-skewed client must be
-        # able to decode the very error document telling it about the
-        # skew.  The foreign version is preserved so re-serialization
-        # stays byte-identical.
-        return cls(
-            code=payload["code"],
-            message=payload.get("message", ""),
-            retryable=payload.get("retryable", False),
-            version=payload.get("version", PROTOCOL_VERSION),
-        )
-
-    def canonical_text(self) -> str:
-        return canonical_json(self.to_json())
-
-
-@dataclass(frozen=True)
-class StatsResponse:
+class StatsResponse(Message, kind="stats", table=RESPONSE_KINDS):
     """A serving endpoint's observability snapshot.
 
     ``stats`` is the metrics document of
@@ -882,27 +666,11 @@ class StatsResponse:
     promises a JSON object.
     """
 
-    stats: dict
+    stats: dict = wire(OBJECT)
     version: int = PROTOCOL_VERSION
 
-    def to_json(self) -> dict:
-        return {
-            "kind": "stats",
-            "version": self.version,
-            "stats": dict(self.stats),
-        }
 
-    @classmethod
-    def from_json(cls, payload: dict) -> "StatsResponse":
-        _check_version(payload, "StatsResponse")
-        return cls(stats=dict(payload.get("stats", {})))
-
-    def canonical_text(self) -> str:
-        return canonical_json(self.to_json())
-
-
-@dataclass(frozen=True)
-class TraceResponse:
+class TraceResponse(Message, kind="trace", table=RESPONSE_KINDS):
     """Stored traces answering a :class:`TraceRequest` (protocol v7).
 
     ``traces`` is a list of trace documents as built by
@@ -913,39 +681,12 @@ class TraceResponse:
     here -- the protocol only promises a list and an object.
     """
 
-    traces: list = field(default_factory=list)
-    store: dict = field(default_factory=dict)
+    traces: list = wire(LIST, factory=list)
+    store: dict = wire(OBJECT, factory=dict)
     version: int = PROTOCOL_VERSION
 
-    def to_json(self) -> dict:
-        return {
-            "kind": "trace",
-            "version": self.version,
-            "traces": list(self.traces),
-            "store": dict(self.store),
-        }
 
-    @classmethod
-    def from_json(cls, payload: dict) -> "TraceResponse":
-        what = "TraceResponse"
-        _check_version(payload, what)
-        traces = payload.get("traces", [])
-        if not isinstance(traces, list):
-            raise ValueError(
-                f"{what}: 'traces' must be a list "
-                f"(got {type(traces).__name__})"
-            )
-        return cls(
-            traces=list(traces),
-            store=dict(_check_obj(payload, "store", what)),
-        )
-
-    def canonical_text(self) -> str:
-        return canonical_json(self.to_json())
-
-
-@dataclass(frozen=True)
-class MetricsFrame:
+class MetricsFrame(Message, kind="metrics", table=RESPONSE_KINDS):
     """One incremental metrics frame of a live stream (protocol v6).
 
     ``seq`` counts frames within the subscription, monotone from 0.
@@ -960,91 +701,20 @@ class MetricsFrame:
     defaults -- the default-tolerance contract.
     """
 
-    seq: int
-    stream: dict = field(default_factory=dict)
-    elapsed_s: float = 0.0
-    final: bool = False
-    history: list = field(default_factory=list)
+    seq: int = wire(COUNT)
+    stream: dict = wire(OBJECT, factory=dict)
+    elapsed_s: float = wire(_number(), 0.0)
+    final: bool = wire(FLAG, False)
+    history: list = wire(LIST, factory=list)
     version: int = PROTOCOL_VERSION
 
-    def to_json(self) -> dict:
-        return {
-            "kind": "metrics",
-            "version": self.version,
-            "seq": self.seq,
-            "elapsed_s": self.elapsed_s,
-            "stream": dict(self.stream),
-            "final": self.final,
-            "history": list(self.history),
-        }
 
-    @classmethod
-    def from_json(cls, payload: dict) -> "MetricsFrame":
-        what = "MetricsFrame"
-        _check_version(payload, what)
-        return cls(
-            seq=_check_count(payload, "seq", what, 0),
-            stream=dict(_check_obj(payload, "stream", what)),
-            elapsed_s=_check_number(payload, "elapsed_s", what, 0.0),
-            final=bool(payload.get("final", False)),
-            history=list(payload.get("history", [])),
-        )
-
-    def canonical_text(self) -> str:
-        return canonical_json(self.to_json())
-
-
-@dataclass(frozen=True)
-class UnsubscribeResponse:
+class UnsubscribeResponse(Message, kind="unsubscribed", table=RESPONSE_KINDS):
     """Acknowledgement ending a metrics stream (protocol v6).
 
     Arrives after the stream's ``final`` frame; ``frames`` is the exact
     number of frames the subscription delivered.
     """
 
-    frames: int = 0
+    frames: int = wire(COUNT, 0)
     version: int = PROTOCOL_VERSION
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "unsubscribed",
-            "version": self.version,
-            "frames": self.frames,
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "UnsubscribeResponse":
-        _check_version(payload, "UnsubscribeResponse")
-        return cls(frames=_check_count(payload, "frames", "UnsubscribeResponse", 0))
-
-    def canonical_text(self) -> str:
-        return canonical_json(self.to_json())
-
-
-#: Either response type (what :meth:`repro.api.Engine.serve` returns,
-#: plus the serving layer's ``stats``, ``error`` and streaming
-#: documents).
-Response = Union[
-    AnalyzeResponse, ExecuteResponse, StatsResponse, ErrorResponse,
-    MetricsFrame, UnsubscribeResponse, TraceResponse,
-]
-
-
-def response_from_json(payload: dict) -> Response:
-    """Dispatch a response document on its ``kind`` tag."""
-    kind = payload.get("kind")
-    if kind == "analyze":
-        return AnalyzeResponse.from_json(payload)
-    if kind == "execute":
-        return ExecuteResponse.from_json(payload)
-    if kind == "stats":
-        return StatsResponse.from_json(payload)
-    if kind == "error":
-        return ErrorResponse.from_json(payload)
-    if kind == "metrics":
-        return MetricsFrame.from_json(payload)
-    if kind == "unsubscribed":
-        return UnsubscribeResponse.from_json(payload)
-    if kind == "trace":
-        return TraceResponse.from_json(payload)
-    raise ValueError(f"unknown response kind {kind!r}")

@@ -10,13 +10,26 @@ concurrently -- so the transport lives here once:
 * :class:`FrontTier <repro.server.proxy.FrontTier>` (the multi-process
   front tier)
 
-both subclass :class:`LineServer` and implement only the *admission*
-half: ``_admit(line, oversized, context)`` returns an awaitable
-resolving to a response payload (or a
-:class:`~repro.server.stream.ResponseStream` whose frames are written
-as individual lines), and the lifecycle hooks ``_on_start`` /
-``_on_stop`` own whatever backs the admission (an engine pool, a
-backend fleet).
+both subclass :class:`LineServer`, which owns -- once, for every tier
+-- the front door as well as the transport:
+
+* the **admission ladder** (:meth:`LineServer._admit`): oversized ->
+  JSON -> object -> version -> verb -> decode, each rung answering a
+  typed :class:`~repro.api.protocol.ErrorResponse` on the same
+  connection, so a hostile line gets the same bytes from either tier;
+* the **verb table** (:attr:`LineServer.verbs`): ``kind`` -> handler,
+  over exactly the request kinds the protocol declares;
+* everything about a verb that does not depend on the tier:
+  ``subscribe`` / ``unsubscribe``, trace-context adoption with head
+  sampling, the stored-trace lookup, the sampler task that fills the
+  metrics ring, and the connection gauges.
+
+A tier fills in only what truly differs: how ``stats`` is assembled,
+how ``trace`` is fetched (local vs stitched across backends), how
+analyze/execute is submitted (dispatcher vs forward), its gauges
+(``_stream_sample``), its labels, and the ``_on_start`` / ``_on_stop``
+hooks owning whatever backs the admission (an engine pool, a backend
+fleet).
 
 The transport guarantees are the protocol's hard promises and are
 enforced here for every tier: bounded line framing (oversized lines
@@ -29,11 +42,14 @@ drains every admitted request, and flushes the responses.
 from __future__ import annotations
 
 import asyncio
+import json
+import random
 import threading
 from typing import Optional
 
-from ..api import wire_json
-from .stream import ResponseStream
+from ..api import PROTOCOL_VERSION, ErrorResponse, request_from_json, wire_json
+from .stream import ResponseStream, Subscription
+from .tracing import RequestTrace, TraceContext, TraceStore
 
 __all__ = ["ConnectionContext", "LineServer", "ServerThread"]
 
@@ -123,51 +139,208 @@ class ConnectionContext:
 
 
 class LineServer:
-    """One JSON-lines serving endpoint: listener + per-connection pump.
+    """One JSON-lines serving endpoint: listener, per-connection pump,
+    admission ladder and verb table (see the module docstring).
 
-    Subclasses implement ``_admit(line, oversized, context)`` (cheap,
-    on the event loop; returns an awaitable resolving to a response
-    document object with ``to_json()``, or a
-    :class:`~repro.server.stream.ResponseStream`) and the ``_on_start``
-    / ``_on_stop`` lifecycle hooks; ``connection_opened`` /
-    ``connection_closed`` metric hooks are optional overrides.
+    A tier subclass provides the ``_stats`` / ``_trace`` / ``_submit``
+    handlers, ``_stream_sample`` and the ``_on_start`` / ``_on_stop``
+    lifecycle hooks; every handler runs on the event loop, must stay
+    cheap, and returns an awaitable resolving to a response document
+    (or raw response bytes), or a
+    :class:`~repro.server.stream.ResponseStream`.
     """
+
+    #: the tier's label in metrics-stream frames (``stream.topology``)
+    topology = ""
+    #: ... and on the root span of the traces it records (``tier``)
+    trace_tier = ""
 
     def __init__(
         self,
         host: str = "127.0.0.1",
         port: int = 0,
         max_request_bytes: int = 1024 * 1024,
+        *,
+        metrics,
+        sample_interval_s: float = 0.5,
+        trace_sample: float = 0.0,
+        trace_store: Optional[TraceStore] = None,
     ):
+        if sample_interval_s <= 0:
+            raise ValueError(
+                f"sample_interval_s must be > 0 (got {sample_interval_s})"
+            )
+        if not 0.0 <= trace_sample <= 1.0:
+            raise ValueError(
+                f"trace_sample must be in [0, 1] (got {trace_sample})"
+            )
         self.host = host
         self.port = port  # 0 = ephemeral; the bound port replaces it on start
         self.max_request_bytes = max_request_bytes
+        self.metrics = metrics
+        self.sample_interval_s = sample_interval_s
+        #: head-sampling probability: a request arriving without a wire
+        #: trace context (or with an unsampled one) is force-sampled at
+        #: this rate, which turns on phase attribution and guaranteed
+        #: retention for it; the flag rides the per-hop context to any
+        #: downstream tier, so one decision covers the whole request
+        self.trace_sample = trace_sample
+        self.trace_store = trace_store if trace_store is not None else TraceStore()
+        self._trace_rng = random.Random()
+        #: ``kind`` -> ``handler(request, payload, context)``
+        self.verbs = {
+            "analyze": self._work,
+            "execute": self._work,
+            "stats": self._stats,
+            "subscribe": self._subscribe,
+            "trace": self._trace,
+            "unsubscribe": self._unsubscribe,
+        }
+        self._sampler_task: Optional[asyncio.Task] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._stop_event: Optional[asyncio.Event] = None
         self._stopped: Optional[asyncio.Event] = None
         self._conn_tasks: set = set()
 
-    # -- subclass surface -----------------------------------------------
+    # -- tier surface ---------------------------------------------------
     async def _on_start(self) -> None:
         """Bring up whatever backs admission (pool, backend fleet)."""
 
     async def _on_stop(self) -> None:
         """Tear the backing down; runs after every connection drained."""
 
-    def _admit(self, line, oversized, context):
+    def _stream_sample(self) -> dict:
+        """One metrics ring sample with this tier's gauges attached."""
         raise NotImplementedError
 
-    def _connection_opened(self) -> None:
-        pass
+    def _on_sample(self, sample: dict) -> None:
+        """Sampler-tick hook (the admission control loop feeds here)."""
 
-    def _connection_closed(self) -> None:
-        pass
+    def _stats(self, request, payload, context):
+        raise NotImplementedError
+
+    def _trace(self, request, payload, context):
+        raise NotImplementedError
+
+    def _submit(self, request, payload, trace: RequestTrace):
+        """Start one analyze/execute on whatever backs this tier."""
+        raise NotImplementedError
+
+    # -- admission ------------------------------------------------------
+    def _reject(self, code: str, message: str):
+        self.metrics.error(code)
+        return ready(ErrorResponse(code, message))
+
+    def _admit(self, line, oversized, context):
+        """The admission ladder: cheap per-request validation and
+        routing.  Everything that can be wrong with a line is answered
+        here, typed, without a queue slot or a backend round trip."""
+        if oversized:
+            return self._reject(
+                "too_large", f"request exceeds {self.max_request_bytes} bytes")
+        try:
+            payload = json.loads(line)
+        except ValueError:
+            return self._reject("malformed", "request is not valid JSON")
+        if not isinstance(payload, dict):
+            return self._reject("malformed", "request must be a JSON object")
+        version = payload.get("version")
+        if version != PROTOCOL_VERSION:
+            return self._reject(
+                "unsupported_version",
+                f"unsupported protocol version {version!r} "
+                f"(this server speaks {PROTOCOL_VERSION})",
+            )
+        kind = payload.get("kind")
+        # a non-string tag (a list is valid JSON) is unknown, not a
+        # TypeError out of the table lookup
+        handler = self.verbs.get(kind) if isinstance(kind, str) else None
+        if handler is None:
+            return self._reject("unknown_verb", f"unknown request kind {kind!r}")
+        self.metrics.request_received(kind)
+        try:
+            request = request_from_json(payload)
+        except Exception as exc:  # noqa: BLE001 -- any decode failure is the
+            # request's fault, and the contract is a typed response, never
+            # a dropped connection
+            return self._reject(
+                "bad_request", str(exc.args[0] if exc.args else exc))
+        return handler(request, payload, context)
+
+    def _work(self, request, payload, context):
+        """analyze / execute: adopt the request's wire trace context
+        (or mint a fresh one), apply head sampling, hand to the tier."""
+        trace = RequestTrace.adopt(
+            TraceContext.from_wire(request.trace), store=self.trace_store,
+            verb=request.KIND, tier=self.trace_tier,
+        )
+        if (not trace.sampled and self.trace_sample > 0.0
+                and self._trace_rng.random() < self.trace_sample):
+            trace.sampled = True
+        return self._submit(request, payload, trace)
+
+    def _stored_traces(self, request) -> list:
+        """This tier's own answer to a :class:`TraceRequest`."""
+        if request.trace_id:
+            doc = self.trace_store.get(request.trace_id)
+            return [doc] if doc is not None else []
+        return self.trace_store.recent(
+            limit=request.limit, status=request.status)
+
+    def _subscribe(self, request, payload, context):
+        """Start this connection's metrics stream over the tier's own
+        registry (one live stream per connection; re-subscribing is
+        fine once the previous finished)."""
+        active = context.subscription
+        if active is not None and not active.finished:
+            return self._reject(
+                "bad_request",
+                "a metrics stream is already active on this connection")
+        context.subscription = Subscription(
+            self._stream_sample,
+            self.topology,
+            interval_s=request.interval_s,
+            frames=request.frames,
+            history=request.history,
+            recent_fn=self.metrics.recent_samples,
+        )
+        return context.subscription
+
+    def _unsubscribe(self, request, payload, context):
+        """Stop the connection's stream; the ack (with the exact frame
+        count) resolves once the final frame is out, which keeps the
+        in-order response contract: frames..., final frame, ack."""
+        subscription = context.subscription
+        if subscription is None:
+            return self._reject(
+                "bad_request", "no metrics stream on this connection")
+        subscription.stop()
+        return subscription.ack()
+
+    # -- sampling -------------------------------------------------------
+    async def _sample_loop(self) -> None:
+        """Fill the metrics ring (the history a late ``subscribe``
+        sees) and tick the tier's control loop, if it has one."""
+        while True:
+            await asyncio.sleep(self.sample_interval_s)
+            self._on_sample(self._stream_sample())
+
+    async def _stop_backing(self) -> None:
+        if self._sampler_task is not None:
+            self._sampler_task.cancel()
+            try:
+                await self._sampler_task
+            except asyncio.CancelledError:
+                pass
+            self._sampler_task = None
+        await self._on_stop()
 
     # -- lifecycle ------------------------------------------------------
     async def start(self) -> "LineServer":
         self._stop_event = asyncio.Event()
         self._stopped = asyncio.Event()
         await self._on_start()
+        self._sampler_task = asyncio.ensure_future(self._sample_loop())
         try:
             self._server = await asyncio.start_server(
                 self._handle_connection, self.host, self.port
@@ -175,7 +348,7 @@ class LineServer:
         except BaseException:
             # a failed bind (port in use, bad host) must not leak the
             # idle backing resources
-            await self._on_stop()
+            await self._stop_backing()
             raise
         self.port = self._server.sockets[0].getsockname()[1]
         return self
@@ -192,7 +365,7 @@ class LineServer:
             await self._server.wait_closed()
         if self._conn_tasks:
             await asyncio.gather(*list(self._conn_tasks), return_exceptions=True)
-        await self._on_stop()
+        await self._stop_backing()
         self._stopped.set()
 
     async def serve_forever(self) -> None:
@@ -204,7 +377,7 @@ class LineServer:
 
     # -- connection handling --------------------------------------------
     async def _handle_connection(self, reader, writer) -> None:
-        self._connection_opened()
+        self.metrics.connection_opened()
         task = asyncio.current_task()
         self._conn_tasks.add(task)
         order: asyncio.Queue = asyncio.Queue(maxsize=MAX_PIPELINED)
@@ -250,7 +423,7 @@ class LineServer:
                 except (ConnectionError, OSError):
                     pass
                 self._conn_tasks.discard(task)
-                self._connection_closed()
+                self.metrics.connection_closed()
 
     async def _write_responses(self, order: asyncio.Queue, writer) -> None:
         """Await pipelined responses in arrival order and write them.

@@ -31,7 +31,7 @@ import threading
 import time
 from typing import Optional
 
-from ..api.protocol import ERROR_CODES
+from ..api.protocol import ERROR_CODES, REQUEST_KINDS
 
 __all__ = ["FrontTierMetrics", "LatencyHistogram", "ServerMetrics"]
 
@@ -52,8 +52,9 @@ def _interpolate_bucket(index: int, rank_in_bucket: float, count: int) -> float:
     frac = min(1.0, max(0.0, rank_in_bucket / count)) if count else 1.0
     return lo * (hi / lo) ** frac
 
-#: Request verbs the serving layer counts (the protocol's "kind" tags).
-VERBS = ("analyze", "execute", "stats", "subscribe", "trace", "unsubscribe")
+#: Request verbs the serving layer counts: the protocol's request
+#: ``kind`` tags, derived from the one table that declares them.
+VERBS = tuple(sorted(REQUEST_KINDS))
 
 #: Bounded history of metrics samples kept for late stream subscribers.
 RING_CAPACITY = 256
@@ -134,18 +135,101 @@ class LatencyHistogram:
         }
 
 
-class _SampleRing:
-    """Shared sampling surface for the two metrics registries: a
-    bounded ring of recent ``(seq, snapshot, gauges, latency state)``
-    samples feeding the protocol v6 metrics stream.  Subclasses provide
-    ``_lock``, ``_latency`` and ``_snapshot_locked()``.
+class _Registry:
+    """What both tiers' registries share: one lock, the request /
+    completion / error / connection / latency accounting every serving
+    tier records the same way, and the bounded ring of recent
+    ``(seq, snapshot, gauges, latency state)`` samples feeding the
+    protocol v6 metrics stream.  A subclass declares only its own event
+    counters -- flat ones by name in :attr:`COUNTERS`, anything richer
+    through :meth:`_own_locked`.
     """
 
-    def _init_ring(self, ring_capacity: int) -> None:
+    #: snapshot keys of the subclass's flat event counters
+    COUNTERS: tuple = ()
+
+    def __init__(self, clock=time.monotonic, ring_capacity: int = RING_CAPACITY):
+        self._lock = threading.Lock()
+        self._clock = clock
+        self._started = clock()
+        self._requests = {verb: 0 for verb in VERBS}
+        self._errors = {code: 0 for code in sorted(ERROR_CODES)}
+        self._counters = dict.fromkeys(("coalesced",) + self.COUNTERS, 0)
+        self._completed = 0
+        self._inflight = 0
+        self._connections = 0
+        self._latency = LatencyHistogram()
         self._ring: collections.deque = collections.deque(
             maxlen=max(1, ring_capacity)
         )
         self._sample_seq = 0
+
+    # -- recording ------------------------------------------------------
+    def _count(self, name: str) -> None:
+        with self._lock:
+            self._counters[name] += 1
+
+    def connection_opened(self) -> None:
+        with self._lock:
+            self._connections += 1
+
+    def connection_closed(self) -> None:
+        with self._lock:
+            # clamped like the inflight gauge: an unmatched close (a
+            # connection torn down before its open was recorded) must
+            # not drive the gauge negative forever
+            self._connections = max(0, self._connections - 1)
+
+    def request_received(self, verb: str) -> None:
+        with self._lock:
+            if verb in self._requests:
+                self._requests[verb] += 1
+
+    def request_admitted(self) -> None:
+        with self._lock:
+            self._inflight += 1
+
+    def request_completed(self, wall_s: Optional[float] = None) -> None:
+        with self._lock:
+            self._completed += 1
+            self._inflight = max(0, self._inflight - 1)
+            if wall_s is not None:
+                self._latency.observe(wall_s)
+
+    def error(self, code: str) -> None:
+        with self._lock:
+            if code in self._errors:
+                self._errors[code] += 1
+
+    def coalesced(self) -> None:
+        self._count("coalesced")
+
+    # -- reporting ------------------------------------------------------
+    def snapshot(self) -> dict:
+        """The tier's stats document (served whole by the ``stats`` verb
+        on the single-process tier, as the ``front`` half of the
+        topology document on the front tier).  Key set is fixed -- every
+        counter and every error code is always present -- only values
+        vary."""
+        with self._lock:
+            return self._snapshot_locked()
+
+    def _own_locked(self) -> dict:
+        """The subclass's non-flat snapshot entries."""
+        return {}
+
+    def _snapshot_locked(self) -> dict:
+        return {
+            **self._counters,
+            **self._own_locked(),
+            "completed": self._completed,
+            "connections": self._connections,
+            "errors": dict(self._errors),
+            "inflight": self._inflight,
+            "latency": self._latency.snapshot(),
+            "requests": dict(self._requests),
+            "uptime_s": round(self._clock() - self._started, 3),
+        }
 
     def sample(self, gauges: Optional[dict] = None,
                extra: Optional[dict] = None) -> dict:
@@ -179,78 +263,29 @@ class _SampleRing:
         return samples[-limit:]
 
 
-class ServerMetrics(_SampleRing):
+class ServerMetrics(_Registry):
     """Thread-safe counters + latency for one serving endpoint."""
 
+    COUNTERS = ("shed", "warm_hits")
+
     def __init__(self, clock=time.monotonic, ring_capacity: int = RING_CAPACITY):
-        self._lock = threading.Lock()
-        self._clock = clock
-        self._started = clock()
-        self._requests = {verb: 0 for verb in VERBS}
-        self._completed = 0
-        self._errors = {code: 0 for code in sorted(ERROR_CODES)}
-        self._shed = 0
-        self._coalesced = 0
-        self._warm_hits = 0
-        self._inflight = 0
-        self._connections = 0
-        self._speculation_commits = 0
-        self._speculation_rollbacks = 0
+        super().__init__(clock, ring_capacity)
+        self._speculation = {"commits": 0, "rollbacks": 0}
         self._tiers = {"tier0": 0, "tier1": 0}
-        self._latency = LatencyHistogram()
-        self._init_ring(ring_capacity)
-
-    # -- recording ------------------------------------------------------
-    def connection_opened(self) -> None:
-        with self._lock:
-            self._connections += 1
-
-    def connection_closed(self) -> None:
-        with self._lock:
-            # clamped like the inflight gauge: an unmatched close (a
-            # connection torn down before its open was recorded) must
-            # not drive the gauge negative forever
-            self._connections = max(0, self._connections - 1)
-
-    def request_received(self, verb: str) -> None:
-        with self._lock:
-            if verb in self._requests:
-                self._requests[verb] += 1
-
-    def request_admitted(self) -> None:
-        with self._lock:
-            self._inflight += 1
-
-    def request_completed(self, wall_s: Optional[float] = None) -> None:
-        with self._lock:
-            self._completed += 1
-            self._inflight = max(0, self._inflight - 1)
-            if wall_s is not None:
-                self._latency.observe(wall_s)
-
-    def error(self, code: str) -> None:
-        with self._lock:
-            if code in self._errors:
-                self._errors[code] += 1
 
     def shed(self) -> None:
         with self._lock:
-            self._shed += 1
+            self._counters["shed"] += 1
             self._errors["overloaded"] += 1
 
-    def coalesced(self) -> None:
-        with self._lock:
-            self._coalesced += 1
-
     def warm_hit(self) -> None:
-        with self._lock:
-            self._warm_hits += 1
+        self._count("warm_hits")
 
     def speculation(self, commits: int, rollbacks: int) -> None:
         """Fold one execute response's speculative-backend outcome in."""
         with self._lock:
-            self._speculation_commits += commits
-            self._speculation_rollbacks += rollbacks
+            self._speculation["commits"] += commits
+            self._speculation["rollbacks"] += rollbacks
 
     def tier(self, tier_used: str) -> None:
         """Fold one analyze response's tier provenance in ('tier0' =
@@ -259,36 +294,14 @@ class ServerMetrics(_SampleRing):
             if tier_used in self._tiers:
                 self._tiers[tier_used] += 1
 
-    # -- reporting ------------------------------------------------------
-    def snapshot(self) -> dict:
-        """The stats document served for the protocol's ``stats`` verb.
-
-        Key set is fixed (see the module docstring); only values vary.
-        """
-        with self._lock:
-            return self._snapshot_locked()
-
-    def _snapshot_locked(self) -> dict:
+    def _own_locked(self) -> dict:
         return {
-            "coalesced": self._coalesced,
-            "completed": self._completed,
-            "connections": self._connections,
-            "errors": dict(self._errors),
-            "inflight": self._inflight,
-            "latency": self._latency.snapshot(),
-            "requests": dict(self._requests),
-            "shed": self._shed,
-            "speculation": {
-                "commits": self._speculation_commits,
-                "rollbacks": self._speculation_rollbacks,
-            },
+            "speculation": dict(self._speculation),
             "tiers": dict(self._tiers),
-            "uptime_s": round(self._clock() - self._started, 3),
-            "warm_hits": self._warm_hits,
         }
 
 
-class FrontTierMetrics(_SampleRing):
+class FrontTierMetrics(_Registry):
     """Thread-safe counters + latency for the multi-process front tier.
 
     Same design rules as :class:`ServerMetrics` (one lock, schema-stable
@@ -298,91 +311,17 @@ class FrontTierMetrics(_SampleRing):
     and surface through the aggregated topology stats instead.
     """
 
-    def __init__(self, clock=time.monotonic, ring_capacity: int = RING_CAPACITY):
-        self._lock = threading.Lock()
-        self._clock = clock
-        self._started = clock()
-        self._requests = {verb: 0 for verb in VERBS}
-        self._completed = 0
-        self._errors = {code: 0 for code in sorted(ERROR_CODES)}
-        self._coalesced = 0
-        self._fanouts = 0
-        self._rerouted = 0
-        self._backend_died = 0
-        self._inflight = 0
-        self._connections = 0
-        self._latency = LatencyHistogram()
-        self._init_ring(ring_capacity)
-
-    # -- recording ------------------------------------------------------
-    def connection_opened(self) -> None:
-        with self._lock:
-            self._connections += 1
-
-    def connection_closed(self) -> None:
-        with self._lock:
-            # same clamp as ServerMetrics: never negative
-            self._connections = max(0, self._connections - 1)
-
-    def request_received(self, verb: str) -> None:
-        with self._lock:
-            if verb in self._requests:
-                self._requests[verb] += 1
-
-    def request_admitted(self) -> None:
-        with self._lock:
-            self._inflight += 1
-
-    def request_completed(self, wall_s: Optional[float] = None) -> None:
-        with self._lock:
-            self._completed += 1
-            self._inflight = max(0, self._inflight - 1)
-            if wall_s is not None:
-                self._latency.observe(wall_s)
-
-    def error(self, code: str) -> None:
-        with self._lock:
-            if code in self._errors:
-                self._errors[code] += 1
-
-    def coalesced(self) -> None:
-        with self._lock:
-            self._coalesced += 1
+    COUNTERS = ("backend_died", "fanouts", "rerouted")
 
     def fanout(self) -> None:
         """One hot-digest request fanned out across its replica set."""
-        with self._lock:
-            self._fanouts += 1
+        self._count("fanouts")
 
     def rerouted(self) -> None:
         """One request routed past a dead primary to a live successor."""
-        with self._lock:
-            self._rerouted += 1
+        self._count("rerouted")
 
     def backend_died(self) -> None:
         """One backend death observed by the proxy (requests in flight
         on it each receive a retryable ``overloaded`` error)."""
-        with self._lock:
-            self._backend_died += 1
-
-    # -- reporting ------------------------------------------------------
-    def snapshot(self) -> dict:
-        """Front-tier half of the topology stats document.  Key set is
-        fixed; only values vary."""
-        with self._lock:
-            return self._snapshot_locked()
-
-    def _snapshot_locked(self) -> dict:
-        return {
-            "backend_died": self._backend_died,
-            "coalesced": self._coalesced,
-            "completed": self._completed,
-            "connections": self._connections,
-            "errors": dict(self._errors),
-            "fanouts": self._fanouts,
-            "inflight": self._inflight,
-            "latency": self._latency.snapshot(),
-            "requests": dict(self._requests),
-            "rerouted": self._rerouted,
-            "uptime_s": round(self._clock() - self._started, 3),
-        }
+        self._count("backend_died")

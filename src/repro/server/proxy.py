@@ -45,27 +45,24 @@ from __future__ import annotations
 import asyncio
 import collections
 import json
-import random
 import time
 from typing import Deque, Dict, List, Optional
 
 from ..api import (
     MAX_REQUEST_BYTES,
-    PROTOCOL_VERSION,
     ErrorResponse,
+    StatsRequest,
     StatsResponse,
     TraceRequest,
     TraceResponse,
-    request_from_json,
     wire_json,
 )
 from ..api.cache import JsonDiskCache
-from .lineserver import LineServer, ready
+from .lineserver import LineServer
 from .metrics import FrontTierMetrics
 from .routing import HotShardTracker, Router
-from .stream import Subscription
 from .supervisor import BackendSupervisor, serve_backend_command
-from .tracing import RequestTrace, TraceContext, TraceStore
+from .tracing import RequestTrace, TraceStore
 
 __all__ = ["BackendDied", "FrontTier"]
 
@@ -237,7 +234,19 @@ class _BackendLink:
 
 
 class FrontTier(LineServer):
-    """The multi-process serving endpoint: proxy + supervisor + ring."""
+    """The multi-process serving endpoint: proxy + supervisor + ring.
+
+    The front door (admission ladder, verb table, ``subscribe``, trace
+    adoption) is :class:`LineServer`'s, so a request is validated here
+    with the same typed answers a single-process server gives, without
+    burning a backend round trip on garbage.  The metrics stream runs
+    over the *front tier's* registry (backend engine stats stay
+    poll-only via ``stats``): its gauges carry per-backend in-flight
+    and the live count, its ``hot_shards`` the tracker snapshot.
+    """
+
+    topology = "multiproc"
+    trace_tier = "front"
 
     def __init__(
         self,
@@ -260,28 +269,15 @@ class FrontTier(LineServer):
         trace_sample: float = 0.0,
         trace_store: Optional[TraceStore] = None,
     ):
-        super().__init__(host=host, port=port, max_request_bytes=max_request_bytes)
+        super().__init__(
+            host=host, port=port, max_request_bytes=max_request_bytes,
+            metrics=FrontTierMetrics(), sample_interval_s=sample_interval_s,
+            trace_sample=trace_sample, trace_store=trace_store,
+        )
         if backends < 1:
             raise ValueError(f"backends must be >= 1 (got {backends})")
-        if sample_interval_s <= 0:
-            raise ValueError(
-                f"sample_interval_s must be > 0 (got {sample_interval_s})"
-            )
-        if not 0.0 <= trace_sample <= 1.0:
-            raise ValueError(
-                f"trace_sample must be in [0, 1] (got {trace_sample})"
-            )
         self.backends = backends
-        self.sample_interval_s = sample_interval_s
-        #: head-sampling probability at the front door; a sampled flag
-        #: propagates to the backends over the wire, so one decision
-        #: covers the whole distributed request
-        self.trace_sample = trace_sample
-        self.trace_store = trace_store if trace_store is not None else TraceStore()
-        self._trace_rng = random.Random()
-        self._sampler_task: Optional[asyncio.Task] = None
         self.replicas = max(1, min(replicas, backends))
-        self.metrics = FrontTierMetrics()
         self.router = Router(backends, vnodes=vnodes)
         self.tracker = HotShardTracker(window_s=hot_window_s, hot_rps=hot_rps)
         self.startup_timeout_s = startup_timeout_s
@@ -342,26 +338,12 @@ class FrontTier(LineServer):
                 f"{self.startup_timeout_s:.0f}s "
                 f"({[s.to_json() for s in self.supervisor.statuses()]})"
             )
-        self._sampler_task = asyncio.ensure_future(self._sample_loop())
 
     async def _on_stop(self) -> None:
-        if self._sampler_task is not None:
-            self._sampler_task.cancel()
-            try:
-                await self._sampler_task
-            except asyncio.CancelledError:
-                pass
-            self._sampler_task = None
         for link in self._links:
             for conn in link.down():
                 await conn.close()
         await asyncio.get_running_loop().run_in_executor(None, self.supervisor.stop)
-
-    def _connection_opened(self) -> None:
-        self.metrics.connection_opened()
-
-    def _connection_closed(self) -> None:
-        self.metrics.connection_closed()
 
     # -- sampling --------------------------------------------------------
     def _backend_inflight(self) -> list:
@@ -383,98 +365,22 @@ class FrontTier(LineServer):
             extra={"hot_shards": self.tracker.snapshot()},
         )
 
-    async def _sample_loop(self) -> None:
-        while True:
-            await asyncio.sleep(self.sample_interval_s)
-            self._stream_sample()
+    # -- verbs -----------------------------------------------------------
+    def _stats(self, request, payload, context):
+        return asyncio.ensure_future(self._topology_stats())
 
-    # -- admission -------------------------------------------------------
-    def _admit(self, line, oversized, context):
-        if oversized:
-            self.metrics.error("too_large")
-            return ready(ErrorResponse(
-                "too_large",
-                f"request exceeds {self.max_request_bytes} bytes",
-            ))
-        try:
-            payload = json.loads(line)
-        except ValueError:
-            self.metrics.error("malformed")
-            return ready(ErrorResponse("malformed", "request is not valid JSON"))
-        if not isinstance(payload, dict):
-            self.metrics.error("malformed")
-            return ready(ErrorResponse(
-                "malformed", "request must be a JSON object"))
-        version = payload.get("version")
-        if version != PROTOCOL_VERSION:
-            self.metrics.error("unsupported_version")
-            return ready(ErrorResponse(
-                "unsupported_version",
-                f"unsupported protocol version {version!r} "
-                f"(this server speaks {PROTOCOL_VERSION})",
-            ))
-        kind = payload.get("kind")
-        if kind == "stats":
-            self.metrics.request_received("stats")
-            return asyncio.ensure_future(self._topology_stats())
-        if kind == "subscribe":
-            self.metrics.request_received("subscribe")
-            return self._subscribe(payload, context)
-        if kind == "unsubscribe":
-            self.metrics.request_received("unsubscribe")
-            return self._unsubscribe(context)
-        if kind == "trace":
-            self.metrics.request_received("trace")
-            try:
-                request = request_from_json(payload)
-            except Exception as exc:  # noqa: BLE001 -- typed response, never a drop
-                self.metrics.error("bad_request")
-                return ready(ErrorResponse(
-                    "bad_request", str(exc.args[0] if exc.args else exc)))
-            return asyncio.ensure_future(self._trace_fetch(request))
-        if kind not in ("analyze", "execute"):
-            self.metrics.error("unknown_verb")
-            return ready(ErrorResponse(
-                "unknown_verb", f"unknown request kind {kind!r}"))
-        self.metrics.request_received(kind)
-        try:
-            request_from_json(payload)  # validate here: same typed
-            # bad_request a single-process server would produce, without
-            # burning a backend round-trip on garbage
-        except Exception as exc:  # noqa: BLE001 -- any decode failure is the
-            # request's fault, and the contract is a typed response
-            self.metrics.error("bad_request")
-            return ready(ErrorResponse(
-                "bad_request", str(exc.args[0] if exc.args else exc)))
-        trace = self._start_trace(kind, payload)
-        return asyncio.ensure_future(self._handle(kind, payload, trace))
+    def _trace(self, request, payload, context):
+        return asyncio.ensure_future(self._trace_fetch(request))
+
+    def _submit(self, request, payload, trace: RequestTrace):
+        return asyncio.ensure_future(self._handle(request.KIND, payload, trace))
 
     # -- tracing ---------------------------------------------------------
-    def _start_trace(self, kind: str, payload: dict) -> RequestTrace:
-        """Adopt the client's wire trace context (or mint a fresh one)
-        at the front door and apply head sampling; the sampled flag
-        rides the injected per-hop context down to the backends."""
-        context = TraceContext.from_wire(payload.get("trace"))
-        trace = RequestTrace.adopt(
-            context, store=self.trace_store, verb=kind, tier="front",
-        )
-        if (not trace.sampled and self.trace_sample > 0.0
-                and self._trace_rng.random() < self.trace_sample):
-            trace.sampled = True
-        return trace
-
     async def _trace_fetch(self, request: TraceRequest) -> TraceResponse:
         """Answer ``trace`` from the front store, stitching in the child
         spans each live backend recorded for the same trace id."""
-        if request.trace_id:
-            doc = self.trace_store.get(request.trace_id)
-            traces = [doc] if doc is not None else []
-        else:
-            traces = self.trace_store.recent(
-                limit=request.limit, status=request.status
-            )
         stitched = []
-        for doc in traces:
+        for doc in self._stored_traces(request):
             children = await self._backend_spans(doc["trace_id"])
             if children:
                 have = {span["span_id"] for span in doc["spans"]}
@@ -515,44 +421,6 @@ class FrontTier(LineServer):
             *(one(i) for i in sorted(self._live_set()))
         )
         return [span for spans in gathered for span in spans]
-
-    # -- streaming -------------------------------------------------------
-    def _subscribe(self, payload, context):
-        """Start this connection's metrics stream over the *front
-        tier's* registry (backend engine stats stay poll-only via
-        ``stats``; the stream's gauges carry per-backend in-flight and
-        the live count, its ``hot_shards`` the tracker snapshot)."""
-        try:
-            request = request_from_json(payload)
-        except Exception as exc:  # noqa: BLE001 -- typed response, never a drop
-            self.metrics.error("bad_request")
-            return ready(ErrorResponse(
-                "bad_request", str(exc.args[0] if exc.args else exc)))
-        active = context.subscription
-        if active is not None and not active.finished:
-            self.metrics.error("bad_request")
-            return ready(ErrorResponse(
-                "bad_request",
-                "a metrics stream is already active on this connection"))
-        subscription = Subscription(
-            self._stream_sample,
-            "multiproc",
-            interval_s=request.interval_s,
-            frames=request.frames,
-            history=request.history,
-            recent_fn=self.metrics.recent_samples,
-        )
-        context.subscription = subscription
-        return subscription
-
-    def _unsubscribe(self, context):
-        subscription = context.subscription
-        if subscription is None:
-            self.metrics.error("bad_request")
-            return ready(ErrorResponse(
-                "bad_request", "no metrics stream on this connection"))
-        subscription.stop()
-        return subscription.ack()
 
     # -- request handling -------------------------------------------------
     async def _handle(self, kind: str, payload: dict, trace: RequestTrace):
@@ -748,9 +616,7 @@ class FrontTier(LineServer):
     async def _topology_stats(self) -> StatsResponse:
         """The front tier's own ``stats`` answer: front counters +
         supervisor view + every live backend's engine stats."""
-        stats_line = json.dumps(
-            {"kind": "stats", "version": PROTOCOL_VERSION}
-        ).encode()
+        stats_line = wire_json(StatsRequest().to_json()).encode()
 
         async def one(index: int):
             try:

@@ -1,10 +1,13 @@
 """The single-process serving tier: asyncio front end over the
 sharded engine pool.
 
-Wire format and transport guarantees (one request per line, responses
-in request order per connection, bounded framing and pipelining,
-graceful drain) live in :mod:`repro.server.lineserver`; this module
-implements the *admission* half for the ``threads`` topology.
+Wire format, transport guarantees (one request per line, responses in
+request order per connection, bounded framing and pipelining, graceful
+drain), the admission ladder and the verb table live in
+:mod:`repro.server.lineserver`, shared with the front tier; this
+module fills in what is particular to the ``threads`` topology: the
+``stats`` document, the local ``trace`` answer, and handing
+analyze/execute to the dispatcher.
 
 Everything that can go wrong with a payload yields a typed
 :class:`~repro.api.protocol.ErrorResponse` *on the same connection*
@@ -12,9 +15,9 @@ Everything that can go wrong with a payload yields a typed
 request, overload shedding, analysis errors) -- the connection is never
 silently dropped and a traceback never crosses the wire.
 
-Admission (this module, on the event loop) is deliberately cheap:
-decode, validate, route.  All heavy work happens on the sharded engine
-pool behind the :class:`~repro.server.dispatch.Dispatcher` -- the same
+Admission (on the event loop) is deliberately cheap: decode, validate,
+route.  All heavy work happens on the sharded engine pool behind the
+:class:`~repro.server.dispatch.Dispatcher` -- the same
 inspector/executor separation the paper applies to loops, applied to
 the service.
 
@@ -26,25 +29,20 @@ generator's self-hosted benchmark mode and the integration tests use.
 from __future__ import annotations
 
 import asyncio
-import json
-import random
 from typing import Optional
 
 from ..api import (
     MAX_REQUEST_BYTES,
-    PROTOCOL_VERSION,
     EngineConfig,
     ErrorResponse,
     StatsResponse,
     TraceResponse,
-    request_from_json,
 )
 from .dispatch import AdmissionController, Dispatcher
 from .lineserver import LineServer, ServerThread, ready
 from .metrics import ServerMetrics
 from .pool import EnginePool
-from .stream import Subscription
-from .tracing import RequestTrace, TraceContext, TraceStore
+from .tracing import RequestTrace, TraceStore
 
 __all__ = ["ReproServer", "ServerThread"]
 
@@ -59,6 +57,8 @@ class ReproServer(LineServer):
     the budget so overload is shed at the door, drained queues grow it
     back.
     """
+
+    topology = trace_tier = "threads"
 
     def __init__(
         self,
@@ -75,24 +75,11 @@ class ReproServer(LineServer):
         trace_sample: float = 0.0,
         trace_store: Optional[TraceStore] = None,
     ):
-        super().__init__(host=host, port=port, max_request_bytes=max_request_bytes)
-        if sample_interval_s <= 0:
-            raise ValueError(
-                f"sample_interval_s must be > 0 (got {sample_interval_s})"
-            )
-        if not 0.0 <= trace_sample <= 1.0:
-            raise ValueError(
-                f"trace_sample must be in [0, 1] (got {trace_sample})"
-            )
-        self.sample_interval_s = sample_interval_s
-        #: head-sampling probability: a request arriving without a wire
-        #: trace context (or with an unsampled one) is force-sampled at
-        #: this rate, which turns on phase attribution and guaranteed
-        #: retention for it
-        self.trace_sample = trace_sample
-        self.trace_store = trace_store if trace_store is not None else TraceStore()
-        self._trace_rng = random.Random()
-        self.metrics = ServerMetrics()
+        super().__init__(
+            host=host, port=port, max_request_bytes=max_request_bytes,
+            metrics=ServerMetrics(), sample_interval_s=sample_interval_s,
+            trace_sample=trace_sample, trace_store=trace_store,
+        )
         self.pool = EnginePool(
             workers=workers,
             engine_config=engine_config,
@@ -107,21 +94,12 @@ class ReproServer(LineServer):
             self.pool, metrics=self.metrics, max_inflight=max_inflight,
             controller=controller,
         )
-        self._sampler_task: Optional[asyncio.Task] = None
 
     # -- lifecycle hooks -------------------------------------------------
     async def _on_start(self) -> None:
         self.pool.start()
-        self._sampler_task = asyncio.ensure_future(self._sample_loop())
 
     async def _on_stop(self) -> None:
-        if self._sampler_task is not None:
-            self._sampler_task.cancel()
-            try:
-                await self._sampler_task
-            except asyncio.CancelledError:
-                pass
-            self._sampler_task = None
         # pool queues are empty by now (handlers awaited their futures);
         # drain=True also covers requests admitted but unawaited
         await asyncio.get_running_loop().run_in_executor(None, self.pool.stop)
@@ -131,96 +109,36 @@ class ReproServer(LineServer):
         return [self.pool.queue_size(i) for i in range(self.pool.workers)]
 
     def _stream_sample(self) -> dict:
-        """One metrics ring sample with this tier's gauges attached."""
         return self.metrics.sample(gauges={
             "max_inflight": self.dispatcher.max_inflight,
             "queue_depth": self._queue_depths(),
         })
 
-    async def _sample_loop(self) -> None:
-        """Fill the metrics ring and tick the admission control loop."""
-        while True:
-            await asyncio.sleep(self.sample_interval_s)
-            sample = self._stream_sample()
-            depths = sample["gauges"]["queue_depth"]
-            self.dispatcher.adapt(
-                sum(depths), self.pool.workers * self.pool.queue_depth
-            )
+    def _on_sample(self, sample: dict) -> None:
+        """Tick the admission control loop from the sampled depths."""
+        self.dispatcher.adapt(
+            sum(sample["gauges"]["queue_depth"]),
+            self.pool.workers * self.pool.queue_depth,
+        )
 
-    def _connection_opened(self) -> None:
-        self.metrics.connection_opened()
+    # -- verbs -----------------------------------------------------------
+    def _stats(self, request, payload, context):
+        stats = self.metrics.snapshot()
+        # live admission + queue state ride along (extension keys;
+        # the registry's own key set stays schema-stable)
+        stats["admission"] = self.dispatcher.admission_snapshot()
+        stats["queue_depths"] = self._queue_depths()
+        stats["analysis_cache"] = self.pool.analysis_cache_counts()
+        stats["trace_store"] = self.trace_store.snapshot()
+        return ready(StatsResponse(stats=stats))
 
-    def _connection_closed(self) -> None:
-        self.metrics.connection_closed()
+    def _trace(self, request, payload, context):
+        return ready(TraceResponse(
+            traces=self._stored_traces(request),
+            store=self.trace_store.snapshot(),
+        ))
 
-    # -- admission -------------------------------------------------------
-    def _admit(self, line, oversized, context):
-        """Cheap per-request validation and routing; returns an
-        awaitable resolving to a response document (or a frame stream
-        for ``subscribe``)."""
-        if oversized:
-            self.metrics.error("too_large")
-            return ready(ErrorResponse(
-                "too_large",
-                f"request exceeds {self.max_request_bytes} bytes",
-            ))
-        try:
-            payload = json.loads(line)
-        except ValueError:
-            self.metrics.error("malformed")
-            return ready(ErrorResponse("malformed", "request is not valid JSON"))
-        if not isinstance(payload, dict):
-            self.metrics.error("malformed")
-            return ready(ErrorResponse(
-                "malformed", "request must be a JSON object"))
-        version = payload.get("version")
-        if version != PROTOCOL_VERSION:
-            self.metrics.error("unsupported_version")
-            return ready(ErrorResponse(
-                "unsupported_version",
-                f"unsupported protocol version {version!r} "
-                f"(this server speaks {PROTOCOL_VERSION})",
-            ))
-        kind = payload.get("kind")
-        if kind == "stats":
-            self.metrics.request_received("stats")
-            stats = self.metrics.snapshot()
-            # live admission + queue state ride along (extension keys;
-            # the registry's own key set stays schema-stable)
-            stats["admission"] = self.dispatcher.admission_snapshot()
-            stats["queue_depths"] = self._queue_depths()
-            stats["analysis_cache"] = self.pool.analysis_cache_counts()
-            stats["trace_store"] = self.trace_store.snapshot()
-            return ready(StatsResponse(stats=stats))
-        if kind == "subscribe":
-            self.metrics.request_received("subscribe")
-            return self._subscribe(payload, context)
-        if kind == "unsubscribe":
-            self.metrics.request_received("unsubscribe")
-            return self._unsubscribe(context)
-        if kind == "trace":
-            self.metrics.request_received("trace")
-            try:
-                request = request_from_json(payload)
-            except Exception as exc:  # noqa: BLE001 -- typed response, never a drop
-                self.metrics.error("bad_request")
-                return ready(ErrorResponse(
-                    "bad_request", str(exc.args[0] if exc.args else exc)))
-            return ready(self._trace_response(request))
-        if kind not in ("analyze", "execute"):
-            self.metrics.error("unknown_verb")
-            return ready(ErrorResponse(
-                "unknown_verb", f"unknown request kind {kind!r}"))
-        self.metrics.request_received(kind)
-        try:
-            request = request_from_json(payload)
-        except Exception as exc:  # noqa: BLE001 -- any decode failure is the
-            # request's fault, and the contract is a typed response, never
-            # a dropped connection
-            self.metrics.error("bad_request")
-            return ready(ErrorResponse(
-                "bad_request", str(exc.args[0] if exc.args else exc)))
-        trace = self._start_trace(kind, request)
+    def _submit(self, request, payload, trace: RequestTrace):
         try:
             return asyncio.wrap_future(
                 self.dispatcher.submit(request, trace=trace)
@@ -230,65 +148,3 @@ class ReproServer(LineServer):
             trace.finish(status="error", error_code="internal")
             return ready(ErrorResponse(
                 "internal", f"{type(exc).__name__}: {exc}"))
-
-    # -- tracing ---------------------------------------------------------
-    def _start_trace(self, kind: str, request) -> RequestTrace:
-        """Adopt the request's wire trace context (or mint a fresh one)
-        and apply head sampling."""
-        context = TraceContext.from_wire(getattr(request, "trace", None))
-        trace = RequestTrace.adopt(
-            context, store=self.trace_store, verb=kind, tier="threads",
-        )
-        if (not trace.sampled and self.trace_sample > 0.0
-                and self._trace_rng.random() < self.trace_sample):
-            trace.sampled = True
-        return trace
-
-    def _trace_response(self, request) -> TraceResponse:
-        if request.trace_id:
-            doc = self.trace_store.get(request.trace_id)
-            traces = [doc] if doc is not None else []
-        else:
-            traces = self.trace_store.recent(
-                limit=request.limit, status=request.status
-            )
-        return TraceResponse(traces=traces, store=self.trace_store.snapshot())
-
-    # -- streaming -------------------------------------------------------
-    def _subscribe(self, payload, context):
-        """Start this connection's metrics stream (one live stream per
-        connection; re-subscribing is fine once the previous finished)."""
-        try:
-            request = request_from_json(payload)
-        except Exception as exc:  # noqa: BLE001 -- typed response, never a drop
-            self.metrics.error("bad_request")
-            return ready(ErrorResponse(
-                "bad_request", str(exc.args[0] if exc.args else exc)))
-        active = context.subscription
-        if active is not None and not active.finished:
-            self.metrics.error("bad_request")
-            return ready(ErrorResponse(
-                "bad_request",
-                "a metrics stream is already active on this connection"))
-        subscription = Subscription(
-            self._stream_sample,
-            "threads",
-            interval_s=request.interval_s,
-            frames=request.frames,
-            history=request.history,
-            recent_fn=self.metrics.recent_samples,
-        )
-        context.subscription = subscription
-        return subscription
-
-    def _unsubscribe(self, context):
-        """Stop the connection's stream; the ack (with the exact frame
-        count) resolves once the final frame is out, which keeps the
-        in-order response contract: frames..., final frame, ack."""
-        subscription = context.subscription
-        if subscription is None:
-            self.metrics.error("bad_request")
-            return ready(ErrorResponse(
-                "bad_request", "no metrics stream on this connection"))
-        subscription.stop()
-        return subscription.ack()

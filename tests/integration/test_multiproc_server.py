@@ -10,6 +10,7 @@ malformed response, only (at worst) a typed *retryable* ``overloaded``
 error, and the supervisor brings the fleet back to full strength.
 """
 
+import collections
 import json
 import random
 import signal
@@ -103,6 +104,102 @@ def _wait(predicate, timeout_s=60.0):
     return predicate()
 
 
+def _doc(**fields):
+    return wire_json(dict({"version": PROTOCOL_VERSION}, **fields))
+
+
+def _execute(**fields):
+    return _doc(kind="execute", source=SOURCE, loop="target", **fields)
+
+
+#: (case name, raw lines sent on one fresh connection, how many of them
+#: open a metrics stream) -- everything outside input can get wrong at
+#: the front door.  Each line must draw the same error bytes from the
+#: fleet and from a single server.
+HOSTILE_LINES = [
+    ("oversized", ["x" * (1024 * 1024 + 1)], 0),
+    ("not-json", ["{not json"], 0),
+    ("json-array", ["[1, 2]"], 0),
+    ("json-scalar", ["7"], 0),
+    ("wrong-version", [wire_json({"kind": "stats", "version": PROTOCOL_VERSION + 1})], 0),
+    ("missing-version", [wire_json({"kind": "stats"})], 0),
+    ("unknown-verb", [_doc(kind="reticulate")], 0),
+    ("response-kind-as-verb", [_doc(kind="metrics")], 0),
+    ("unhashable-kind-list", [_doc(kind=["x"])], 0),
+    ("unhashable-kind-object", [_doc(kind={})], 0),
+    ("missing-kind", [_doc()], 0),
+    ("missing-loop", [_doc(kind="analyze", source=SOURCE)], 0),
+    ("source-not-string", [_doc(kind="analyze", source=7, loop="target")], 0),
+    ("subscribe-zero-interval", [_doc(kind="subscribe", interval_s=0)], 0),
+    ("subscribe-nan-interval",
+     ['{"kind":"subscribe","version":%d,"interval_s":NaN}' % PROTOCOL_VERSION], 0),
+    ("subscribe-infinite-interval",
+     ['{"kind":"subscribe","version":%d,"interval_s":Infinity}' % PROTOCOL_VERSION], 0),
+    ("subscribe-negative-frames", [_doc(kind="subscribe", frames=-1)], 0),
+    ("duplicate-subscribe",
+     [_doc(kind="subscribe", interval_s=0.05), _doc(kind="subscribe"),
+      _doc(kind="unsubscribe")], 1),
+    ("unsubscribe-without-stream", [_doc(kind="unsubscribe")], 0),
+    ("trace-limit-bool", [_doc(kind="trace", limit=True)], 0),
+    ("trace-id-not-string", [_doc(kind="trace", trace_id=7)], 0),
+    ("execute-jobs-string", [_execute(jobs="two")], 0),
+    ("execute-jobs-float", [_execute(jobs=2.5)], 0),
+    ("execute-backend-int", [_execute(backend=7)], 0),
+    ("execute-null-strategy", [_execute(exact_strategy=None)], 0),
+    ("execute-param-string", [_execute(params={"N": "x"})], 0),
+    ("execute-array-not-list", [_execute(arrays={"B": 3})], 0),
+]
+
+EXPECTED_CODES = collections.defaultdict(lambda: {"bad_request"}, {
+    "oversized": {"too_large"},
+    "not-json": {"malformed"},
+    "json-array": {"malformed"},
+    "json-scalar": {"malformed"},
+    "wrong-version": {"unsupported_version"},
+    "missing-version": {"unsupported_version"},
+    "unknown-verb": {"unknown_verb"},
+    "response-kind-as-verb": {"unknown_verb"},
+    "unhashable-kind-list": {"unknown_verb"},
+    "unhashable-kind-object": {"unknown_verb"},
+    "missing-kind": {"unknown_verb"},
+})
+
+
+def _error_lines(client, lines, streams):
+    """Send *lines*; return the raw bytes of every error line among the
+    answers (metrics frames, whose count is timing-dependent, and acks
+    are read past: every line draws exactly one non-frame answer except
+    a subscribe that opens a stream)."""
+    for line in lines:
+        client.send_line(line)
+    errors, owed = [], len(lines) - streams
+    while owed:
+        raw = client._reader.readline()
+        assert raw, "server closed the connection"
+        kind = json.loads(raw)["kind"]
+        if kind == "metrics":
+            continue
+        owed -= 1
+        if kind == "error":
+            errors.append(raw)
+    return errors
+
+
+def _admission_counts(hosted_or_thread):
+    """The tier's own ``errors`` / ``requests`` counters (the fleet's
+    live in the ``front`` half of the topology document)."""
+    stats = _stats(hosted_or_thread)
+    stats = stats.get("front", stats)
+    return {"errors": stats["errors"], "requests": stats["requests"]}
+
+
+def _delta(before, after):
+    return {
+        group: {key: after[group][key] - before[group][key] for key in after[group]}
+        for group in after
+    }
+
+
 class TestByteTransparency:
     def test_analyze_matches_in_process(self, hosted, reference):
         request = AnalyzeRequest(source=SOURCE, loop="target")
@@ -161,18 +258,22 @@ class TestErrorPaths:
             assert client.recv().code == "unknown_verb"
 
     def test_bad_request_bytes_match_single_process(self, hosted, direct):
-        """The front validates before forwarding, and its typed
-        bad_request is byte-identical to the single server's."""
-        line = wire_json({
-            "kind": "analyze", "version": PROTOCOL_VERSION,
-            "source": SOURCE,  # missing the required loop field
-        })
-        with _client(hosted) as fleet, _client(direct) as single:
-            fleet.send_line(line)
-            single.send_line(line)
-            fleet_doc, single_doc = fleet.recv_raw(), single.recv_raw()
-        assert fleet_doc["code"] == "bad_request"
-        assert fleet_doc == single_doc
+        """Admission parity: both tiers run the one admission ladder, so
+        every hostile line draws byte-identical error lines from the
+        fleet and from a single server -- answered at the front, without
+        a backend round trip -- and moves the same ``errors`` /
+        ``requests`` counters on each."""
+        for name, lines, streams in HOSTILE_LINES:
+            before = _admission_counts(hosted), _admission_counts(direct)
+            with _client(hosted) as fleet, _client(direct) as single:
+                fleet_errors = _error_lines(fleet, lines, streams)
+                single_errors = _error_lines(single, lines, streams)
+            assert fleet_errors, name
+            assert fleet_errors == single_errors, name
+            for raw in fleet_errors:
+                assert json.loads(raw)["code"] in EXPECTED_CODES[name], name
+            after = _admission_counts(hosted), _admission_counts(direct)
+            assert _delta(before[0], after[0]) == _delta(before[1], after[1]), name
 
     def test_connection_survives_errors(self, hosted):
         with _client(hosted) as client:

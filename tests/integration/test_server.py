@@ -170,6 +170,46 @@ class TestErrorPaths:
             response = client.call(AnalyzeRequest(source=SOURCE, loop="target"))
             assert not isinstance(response, ErrorResponse)
 
+    def test_mistyped_scalar_fields_never_reach_a_worker(self, hosted):
+        """Outside input the decoder used to wave through (a string
+        ``jobs``, a string param value, a NaN stream interval) was
+        queued, compiled and answered from the worker with a Python
+        ``TypeError`` text; it is refused at admission -- a readable
+        ``bad_request`` and no queue slot."""
+        execute = {"kind": "execute", "version": PROTOCOL_VERSION,
+                   "source": SOURCE, "loop": "target"}
+        cases = [
+            (wire_json(dict(execute, jobs="two")),
+             "ExecuteRequest: 'jobs' must be a positive integer or null (got 'two')"),
+            (wire_json(dict(execute, jobs=2.5)),
+             "ExecuteRequest: 'jobs' must be a positive integer or null (got 2.5)"),
+            (wire_json(dict(execute, params={"N": "x"})),
+             "ExecuteRequest: param 'N' must be an integer (got str)"),
+            (wire_json({"kind": "execute", "version": PROTOCOL_VERSION,
+                        "source": SOURCE}),
+             "ExecuteRequest: missing required field 'loop'"),
+            ('{"kind":"subscribe","version":%d,"interval_s":NaN}'
+             % PROTOCOL_VERSION,
+             "SubscribeRequest: 'interval_s' must be a finite number (got nan)"),
+            (wire_json({"kind": ["x"], "version": PROTOCOL_VERSION}),
+             "unknown request kind ['x']"),
+        ]
+        with _client(hosted) as client:
+            before = client.stats().stats
+            for line, message in cases:
+                client.send_line(line)
+                response = client.recv()
+                assert isinstance(response, ErrorResponse), line
+                assert response.message == message
+            after = client.stats().stats
+        assert after["completed"] == before["completed"]
+        assert after["inflight"] == 0
+        assert after["errors"]["bad_request"] == before["errors"]["bad_request"] + 5
+        assert after["errors"]["unknown_verb"] == before["errors"]["unknown_verb"] + 1
+        # the unhashable kind was never counted as a verb
+        assert sum(after["requests"].values()) == \
+            sum(before["requests"].values()) + 5 + 1  # + the second stats call
+
     def test_unknown_loop_is_bad_request(self, hosted):
         with _client(hosted) as client:
             response = client.call(

@@ -15,9 +15,15 @@ reading byte-for-byte the same however the classes are implemented:
 Re-record (only ever at a commit whose wire format is the reference)::
 
     PYTHONPATH=src python tests/unit/test_protocol_golden.py --record
+
+The rejections this file's ``test_*_rejected_at_decode`` functions pin
+are the deliberate exceptions: outside input the readers used to wave
+through to a worker (or answer with a bare ``KeyError`` argument) is
+now refused at decode with a readable message.
 """
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -284,6 +290,68 @@ def test_cached_flag_stays_process_local():
         cls = type(FULL[name])
         assert cls.from_json(payload, cached=True).cached is True
         assert cls.from_json(payload).cached is False
+
+
+# -- the deliberate exceptions: outside input now refused at decode ---------
+
+
+@pytest.mark.parametrize("field,value,text", [
+    ("jobs", "two", "ExecuteRequest: 'jobs' must be a positive integer or null (got 'two')"),
+    ("jobs", 2.5, "ExecuteRequest: 'jobs' must be a positive integer or null (got 2.5)"),
+    ("jobs", True, "ExecuteRequest: 'jobs' must be a positive integer or null (got True)"),
+    ("jobs", 0, "ExecuteRequest: 'jobs' must be a positive integer or null (got 0)"),
+    ("backend", 7, "ExecuteRequest: 'backend' must be a string or null (got int)"),
+    ("exact_strategy", None,
+     "ExecuteRequest: 'exact_strategy' must be a string (got NoneType)"),
+    ("exact_strategy", ["tls"],
+     "ExecuteRequest: 'exact_strategy' must be a string (got list)"),
+    ("params", {"N": "x"}, "ExecuteRequest: param 'N' must be an integer (got str)"),
+    ("params", {"N": True}, "ExecuteRequest: param 'N' must be an integer (got bool)"),
+    ("params", {"N": 1.5}, "ExecuteRequest: param 'N' must be an integer (got float)"),
+])
+def test_execute_request_field_rejected_at_decode(field, value, text):
+    with pytest.raises(ValueError) as caught:
+        request_from_json(dict(_XREQ, **{field: value}))
+    assert str(caught.value) == text
+
+
+def test_execute_request_selectors_still_accept_null_and_valid_values():
+    decoded = request_from_json(
+        dict(_XREQ, jobs=None, backend=None, params={"N": 4})
+    )
+    assert (decoded.jobs, decoded.backend, decoded.params) == (None, None, {"N": 4})
+    decoded = request_from_json(dict(_XREQ, jobs=3, backend="numpy"))
+    assert (decoded.jobs, decoded.backend) == (3, "numpy")
+
+
+@pytest.mark.parametrize("reader,payload,text", [
+    (request_from_json, {"kind": "analyze", "version": V, "source": "s"},
+     "AnalyzeRequest: missing required field 'loop'"),
+    (request_from_json, {"kind": "execute", "version": V, "loop": "L"},
+     "ExecuteRequest: missing required field 'source'"),
+    (response_from_json, {"kind": "error", "version": V},
+     "ErrorResponse: missing required field 'code'"),
+    (ArrayPlanSummary.from_json, {"array": "A"},
+     "ArrayPlanSummary: missing required field 'transform'"),
+])
+def test_missing_required_field_rejected_at_decode(reader, payload, text):
+    with pytest.raises(ValueError) as caught:
+        reader(payload)
+    assert str(caught.value) == text
+
+
+@pytest.mark.parametrize("reader,payload,field", [
+    (request_from_json, dict(_SUB, interval_s=math.nan), "interval_s"),
+    (request_from_json, dict(_SUB, interval_s=math.inf), "interval_s"),
+    # an integer beyond float range would overflow the server's clamp
+    (request_from_json, dict(_SUB, interval_s=10 ** 400), "interval_s"),
+    (request_from_json, json.loads(
+        '{"kind":"subscribe","version":%d,"interval_s":NaN}' % V), "interval_s"),
+    (response_from_json, dict(_FRAME, elapsed_s=-math.inf), "elapsed_s"),
+])
+def test_non_finite_number_rejected_at_decode(reader, payload, field):
+    with pytest.raises(ValueError, match=f"'{field}' must be a finite number"):
+        reader(payload)
 
 
 if __name__ == "__main__":

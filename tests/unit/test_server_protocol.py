@@ -113,3 +113,37 @@ class TestWireJson:
         payload = {"z": 1, "a": 2, "m": {"y": 3, "b": 4}}
         assert wire_json(payload) == wire_json(dict(reversed(list(payload.items()))))
         assert wire_json(payload).index('"a"') < wire_json(payload).index('"z"')
+
+
+class TestOneVerbTable:
+    def test_every_layer_counts_the_same_verbs(self):
+        """A verb is declared once (its request class); the per-verb
+        counters derive from that table and each tier's handler table
+        must cover exactly it -- a verb added in one place and not the
+        others fails here."""
+        from repro.api.protocol import REQUEST_KINDS
+        from repro.server import FrontTier, ReproServer
+        from repro.server.metrics import VERBS
+
+        declared = set(REQUEST_KINDS)
+        assert declared == {
+            "analyze", "execute", "stats", "subscribe", "trace", "unsubscribe",
+        }
+        assert set(VERBS) == declared and len(VERBS) == len(declared)
+        for tier in (ReproServer(workers=1), FrontTier(backends=1)):
+            assert set(tier.verbs) == declared, type(tier).__name__
+            assert set(tier.metrics.snapshot()["requests"]) == declared
+
+    def test_tiers_share_the_front_door(self):
+        """The admission ladder and the tier-independent verbs exist
+        once, on the transport both tiers subclass."""
+        from repro.server import FrontTier, ReproServer
+
+        shared = (
+            "_admit", "_subscribe", "_unsubscribe", "_work", "_start_trace",
+            "_stored_traces", "_sample_loop", "_connection_opened",
+            "_connection_closed",
+        )
+        for tier in (ReproServer, FrontTier):
+            for name in shared:
+                assert name not in vars(tier), f"{tier.__name__}.{name}"
