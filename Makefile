@@ -3,7 +3,7 @@ export PYTHONPATH := src
 
 SMOKES := smoke-server smoke-multiproc smoke-streaming smoke-trace
 
-.PHONY: test test-fast bench bench-trajectory bench-schema serve serve-multiproc $(SMOKES) serving-trajectory docs-check api-surface examples batch fuzz clean
+.PHONY: test test-fast bench bench-trajectory bench-schema plan-digests serve serve-multiproc $(SMOKES) serving-trajectory docs-check api-surface examples batch fuzz clean
 
 ## Tier-1 verification: the full unit/property/integration/benchmark suite.
 test:
@@ -26,6 +26,12 @@ bench-trajectory:
 ## schema and is byte-stable canonical JSON.
 bench-schema:
 	$(PYTHON) tools/check_bench_schema.py
+
+## Verify every pinned program still plans to the bytes recorded in
+## tests/golden/plan_digests.json, cold and warm (the gate a "same plans,
+## less time" change is reviewed against; CI also runs it under seed 1).
+plan-digests:
+	PYTHONHASHSEED=0 $(PYTHON) tools/plan_digests.py --check
 
 ## Serve the analyze/execute protocol on TCP port 7070 (Ctrl-C for a
 ## graceful shutdown that drains in-flight requests).

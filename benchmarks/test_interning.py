@@ -13,8 +13,9 @@ import pytest
 
 from repro.core import HybridAnalyzer
 from repro.pdag import Cascade, CascadeStage, p_leaf
-from repro.symbolic import as_expr, cache_stats, clear_caches, gt0, sym
-from repro.symbolic.expr import ArrayRef
+from repro.symbolic import TRUE, as_expr, b_or, cache_stats, clear_caches, gt0, sym
+from repro.symbolic import boolean
+from repro.symbolic.expr import ArrayRef, Atom, Expr, Sym
 from repro.workloads import ALL_BENCHMARKS
 
 
@@ -34,12 +35,77 @@ def test_expressions_are_hash_consed():
 
 
 def test_interning_survives_cache_clear():
-    """Clearing caches degrades identity, never correctness."""
-    a = sym("N") + 1
+    """Clearing caches degrades identity, never correctness -- also for
+    values whose slot caches (an atom's expression, a comparison's
+    negation) were filled before the clear and are read after it."""
+    old_atom = Sym("N")
+    a = old_atom.as_expr() + 1
+    old_cmp = gt0(a)
+    old_neg = old_cmp.negated()
     clear_caches()
     b = sym("N") + 1
     assert a == b  # structural equality still holds
     assert b is (sym("N") + 1)  # and new values intern afresh
+    # the surviving atom still answers with its pre-clear expression: it
+    # equals and hashes like a fresh one, and arithmetic on it interns
+    # into the new table
+    assert old_atom is not Sym("N")
+    assert old_atom.as_expr() == sym("N")
+    assert hash(old_atom.as_expr()) == hash(sym("N"))
+    assert (old_atom.as_expr() + 1) is b
+    # the surviving comparison's cached negation folds against fresh values
+    new_cmp = gt0(b)
+    assert old_cmp.negated() is old_neg
+    assert old_neg == new_cmp.negated()
+    assert b_or(new_cmp, old_neg) is TRUE
+    assert b_or(old_cmp, new_cmp.negated()) is TRUE
+
+
+def test_mono_key_table_is_a_registered_cache():
+    """The monomial sort-key table is dropped by clear_caches() like
+    every other cache, and reports through cache_stats()."""
+    sym("N") * 3 + sym("M") - 7
+    assert cache_stats()["symbolic.mono_key"]["entries"] > 0
+    clear_caches()
+    assert cache_stats()["symbolic.mono_key"]["entries"] == 0
+
+
+def test_rebuilding_an_interned_expression_computes_no_sort_key(monkeypatch):
+    """Counts, not timings: once an expression is interned, building it
+    again -- from a term dict in another order, or by arithmetic --
+    neither calls ``Atom._order_key`` nor misses the mono-key table."""
+    first = Expr._from_terms(
+        {(): -7, ((Sym("y"), 1),): 2, ((Sym("x"), 1),): 1}
+    )
+    assert len(first.terms) == 3
+    calls = []
+    original = Atom._order_key
+    monkeypatch.setattr(
+        Atom, "_order_key", lambda self: calls.append(self) or original(self)
+    )
+    misses = cache_stats()["symbolic.mono_key"]["misses"]
+    assert Expr._from_terms(dict(reversed(first.terms))) is first
+    assert (sym("x") + 2 * sym("y") - 7) is first
+    assert calls == []
+    assert cache_stats()["symbolic.mono_key"]["misses"] == misses
+
+
+def test_b_or_over_negated_comparisons_builds_no_comparison(monkeypatch):
+    """``b_or`` asks every comparison operand for its negation; a
+    comparison negated once answers from its slot."""
+    cmps = [gt0(sym("x") - k) for k in range(3)]
+    negations = [c.negated() for c in cmps]
+    other = gt0(sym("y"))
+    other.negated()
+    made = []
+    original = boolean._make_cmp
+    monkeypatch.setattr(
+        boolean, "_make_cmp", lambda e, op: made.append(op) or original(e, op)
+    )
+    assert b_or(*cmps).args == tuple(cmps)
+    assert b_or(cmps[2], other, negations[2]) is TRUE
+    assert b_or(*negations).args == tuple(negations)
+    assert made == []
 
 
 def test_repeated_full_suite_analysis_speedup():

@@ -26,6 +26,7 @@ with any equivalence failure exits non-zero.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
@@ -36,6 +37,7 @@ from ..runtime.backends import BACKENDS, ChunkSpec, available_backends
 
 __all__ = [
     "BENCH_VERSION",
+    "COMPILE_BENCH_VERSION",
     "BenchWorkload",
     "BENCH_SUITES",
     "run_bench",
@@ -50,6 +52,10 @@ __all__ = [
 
 #: Bump on any change to the BENCH_*.json document shape.
 BENCH_VERSION = 1
+
+#: BENCH_compile.json is versioned on its own: 2 added the host's
+#: ``cpu_count`` (ROADMAP item 1: every recorded number names its host).
+COMPILE_BENCH_VERSION = 2
 
 
 @dataclass
@@ -744,6 +750,7 @@ def run_compile_bench(
             "tiered": {"p50_ms": tiered_p50, "p99_ms": tiered_p99},
         }
     return {
+        "cpu_count": os.cpu_count(),
         "divergences": divergences,
         "equivalence_ok": divergences == 0,
         "programs": programs,
@@ -751,7 +758,7 @@ def run_compile_bench(
         "sections": sections,
         "seed": seed,
         "suite": "compile",
-        "version": BENCH_VERSION,
+        "version": COMPILE_BENCH_VERSION,
     }
 
 
@@ -759,7 +766,7 @@ def format_compile_bench(doc: dict) -> str:
     """Human-readable summary of one compile bench document."""
     lines = [
         f"suite compile: seed={doc['seed']} programs={doc['programs']} "
-        f"repeat={doc['repeat']}"
+        f"repeat={doc['repeat']} [cpu_count={doc['cpu_count']}]"
     ]
     header = (
         f"{'item':<14} {'tier':<6} {'screening':<10} "

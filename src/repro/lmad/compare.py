@@ -30,14 +30,16 @@ from ..symbolic import (
     BoolExpr,
     Expr,
     b_and,
+    b_not,
     b_or,
+    cmp_eq,
     cmp_ge,
     cmp_gt,
     cmp_le,
     divides,
     as_expr,
 )
-from .lmad import LMAD, interval
+from .lmad import LMAD, point
 
 __all__ = [
     "disjoint_lmads",
@@ -56,7 +58,9 @@ def _try_exact_div(e: Expr, d: Expr) -> Optional[Expr]:
         if c == 0:
             return None
         if all(coeff % c == 0 for _m, coeff in e.terms):
-            return Expr._from_terms({m: coeff // c for m, coeff in e.terms})
+            return Expr._from_canonical(
+                tuple([(m, coeff // c) for m, coeff in e.terms])
+            )
         return None
     if len(d.terms) != 1:
         return None
@@ -121,8 +125,6 @@ def _interleaved_disjoint(a: LMAD, b: LMAD) -> BoolExpr:
         return FALSE
     if g <= 1:
         return FALSE
-    from ..symbolic import b_not
-
     return b_not(divides(g, a.base - b.base))
 
 
@@ -282,8 +284,6 @@ def included_lmads(a: LMAD, b: LMAD, _depth: int = 0) -> BoolExpr:
     # and spans that fit imply point-wise containment.
     if a.ndims == b.ndims and a.strides == b.strides:
         span_ok = b_and(*(cmp_le(sa, sb) for sa, sb in zip(a.spans, b.spans)))
-        from ..symbolic import cmp_eq
-
         return b_and(span_ok, cmp_eq(a.base, b.base))
     # Project outer dimensions when they share a stride.
     c, d = _unify_dims(a, b)
@@ -304,8 +304,6 @@ def included_lmads(a: LMAD, b: LMAD, _depth: int = 0) -> BoolExpr:
 
 def point_of(a: LMAD) -> LMAD:
     """The base point of *a* as a degenerate LMAD."""
-    from .lmad import point
-
     return point(a.base)
 
 

@@ -14,7 +14,18 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Optional
 
-from ..symbolic import FALSE, TRUE, BoolExpr, EvalEnv, Expr, ExprLike, as_expr
+from ..symbolic import (
+    FALSE,
+    TRUE,
+    BoolExpr,
+    EvalEnv,
+    Expr,
+    ExprLike,
+    as_expr,
+    b_and,
+    b_or,
+)
+from ..symbolic.boolean import nary_operands
 
 __all__ = [
     "PDAG",
@@ -56,7 +67,8 @@ class EvalStats:
 
 class PDAG:
     """Base class of predicate-DAG nodes.  Immutable and hashable (hash
-    cached -- predicates are DAGs with heavy sharing).
+    cached -- predicates are DAGs with heavy sharing; the cache slots
+    are filled on first use, subclass constructors never touch them).
 
     ``evaluate`` optionally takes a *memo* dictionary mapping leaf nodes
     to already-computed truth values under the current (top-level)
@@ -86,11 +98,12 @@ class PDAG:
         structural sharing, and the constructors (`p_loop_and`) and the
         hoisting passes query this on every visit -- an uncached walk is
         exponential on factored predicates."""
-        cached = getattr(self, "_free_cache", None)
-        if cached is None:
+        try:
+            return self._free_cache
+        except AttributeError:
             cached = self._free_symbols()
             self._free_cache = cached
-        return cached
+            return cached
 
     def _free_symbols(self) -> frozenset[str]:
         raise NotImplementedError
@@ -116,11 +129,12 @@ class PDAG:
         """Tree node count (shared subgraphs counted per occurrence),
         cached per node -- the size-cap checks in FACTOR query this on
         every inference step."""
-        cached = getattr(self, "_count_cache", None)
-        if cached is None:
+        try:
+            return self._count_cache
+        except AttributeError:
             cached = 1 + sum(c.node_count() for c in self.children())
             self._count_cache = cached
-        return cached
+            return cached
 
     def complexity_label(self) -> str:
         """Human-readable cost class: ``O(1)``, ``O(N)``, ``O(N^2)``..."""
@@ -137,11 +151,12 @@ class PDAG:
         return type(self) is type(other) and self.key() == other.key()
 
     def __hash__(self) -> int:
-        cached = getattr(self, "_hash_cache", None)
-        if cached is None:
+        try:
+            return self._hash_cache
+        except AttributeError:
             cached = hash((type(self).__name__,) + self.key())
             self._hash_cache = cached
-        return cached
+            return cached
 
 
 class PLeaf(PDAG):
@@ -354,98 +369,60 @@ def p_leaf(cond: BoolExpr) -> PDAG:
     return PLeaf(cond)
 
 
-def _flatten_p(cls: type, args: Iterable[PDAG]) -> list[PDAG]:
-    out: list[PDAG] = []
-    seen: set[PDAG] = set()
-    for a in args:
-        parts = a.args if isinstance(a, cls) else (a,)
-        for p in parts:
-            if p not in seen:
-                seen.add(p)
-                out.append(p)
-    return out
-
-
-def _absorb(args: list[PDAG], inner: type) -> list[PDAG]:
-    """Absorption: in an OR, drop ``A and B`` when ``A`` is present (and
-    dually in an AND).  ``inner`` is the opposite node class: operands are
-    viewed as sets of its parts; an operand whose part set is a strict
-    superset of another operand's is redundant."""
-    if len(args) < 2:
-        return args
-    part_sets = [
-        frozenset(a.args) if isinstance(a, inner) else frozenset((a,)) for a in args
-    ]
-    kept: list[PDAG] = []
-    for i, a in enumerate(args):
-        redundant = False
-        for j, other in enumerate(part_sets):
-            if i == j:
-                continue
-            if other < part_sets[i] or (other == part_sets[i] and j < i):
-                redundant = True
-                break
-        if not redundant:
-            kept.append(a)
-    return kept
-
-
 def p_and(*args: PDAG) -> PDAG:
     """Conjunction with flattening, deduplication, absorption and
     constant folding.
 
-    Adjacent boolean leaves are merged into one leaf so that the leaf
-    layer (:func:`repro.symbolic.b_and`) can fold them further.
+    Boolean leaves are merged into one leaf, placed first, so that the
+    leaf layer (:func:`repro.symbolic.b_and`) can fold them further.
     """
-    flat = _absorb(_flatten_p(PAnd, args), POr)
-    if any(a.is_false() for a in flat):
-        return PFALSE
-    kept = [a for a in flat if not a.is_true()]
-    if not kept:
+    conds: list[BoolExpr] = []
+    others: list[PDAG] = []
+    for a in nary_operands(PAnd, POr, args):
+        if isinstance(a, PLeaf):
+            if a.cond.is_false():
+                return PFALSE
+            if not a.cond.is_true():
+                conds.append(a.cond)
+        else:
+            others.append(a)
+    if conds:
+        merged = b_and(*conds)
+        if merged.is_false():
+            return PFALSE
+        if not merged.is_true():
+            others.insert(0, PLeaf(merged))
+    if not others:
         return PTRUE
-    leaves = [a for a in kept if isinstance(a, PLeaf)]
-    others = [a for a in kept if not isinstance(a, PLeaf)]
-    merged: list[PDAG] = []
-    if leaves:
-        from ..symbolic import b_and
-
-        merged.append(p_leaf(b_and(*(leaf.cond for leaf in leaves))))
-    merged.extend(others)
-    merged = [m for m in merged if not m.is_true()]
-    if not merged:
-        return PTRUE
-    if any(m.is_false() for m in merged):
-        return PFALSE
-    if len(merged) == 1:
-        return merged[0]
-    return PAnd(merged)
+    if len(others) == 1:
+        return others[0]
+    return PAnd(others)
 
 
 def p_or(*args: PDAG) -> PDAG:
     """Disjunction with flattening, deduplication, absorption and
-    constant folding."""
-    flat = _absorb(_flatten_p(POr, args), PAnd)
-    if any(a.is_true() for a in flat):
-        return PTRUE
-    kept = [a for a in flat if not a.is_false()]
-    if not kept:
+    constant folding; boolean leaves merge as in :func:`p_and`."""
+    conds: list[BoolExpr] = []
+    others: list[PDAG] = []
+    for a in nary_operands(POr, PAnd, args):
+        if isinstance(a, PLeaf):
+            if a.cond.is_true():
+                return PTRUE
+            if not a.cond.is_false():
+                conds.append(a.cond)
+        else:
+            others.append(a)
+    if conds:
+        merged = b_or(*conds)
+        if merged.is_true():
+            return PTRUE
+        if not merged.is_false():
+            others.insert(0, PLeaf(merged))
+    if not others:
         return PFALSE
-    leaves = [a for a in kept if isinstance(a, PLeaf)]
-    others = [a for a in kept if not isinstance(a, PLeaf)]
-    merged: list[PDAG] = []
-    if leaves:
-        from ..symbolic import b_or
-
-        merged.append(p_leaf(b_or(*(leaf.cond for leaf in leaves))))
-    merged.extend(others)
-    merged = [m for m in merged if not m.is_false()]
-    if not merged:
-        return PFALSE
-    if any(m.is_true() for m in merged):
-        return PTRUE
-    if len(merged) == 1:
-        return merged[0]
-    return POr(merged)
+    if len(others) == 1:
+        return others[0]
+    return POr(others)
 
 
 def p_loop_and(index: str, lower: ExprLike, upper: ExprLike, body: PDAG) -> PDAG:

@@ -47,7 +47,8 @@ class BoolExpr:
 
     Instances are immutable, hashable, and evaluable against a runtime
     environment.  ``is_true()`` / ``is_false()`` report *syntactic*
-    certainty only.
+    certainty only.  The hash and free-symbol caches are slots filled on
+    first use (subclass constructors never touch them).
     """
 
     __slots__ = ("_hash_cache", "_free_cache")
@@ -58,11 +59,12 @@ class BoolExpr:
     def free_symbols(self) -> frozenset[str]:
         """Free symbols, cached per node (predicates share subtrees
         heavily; see the matching caches on Expr and PDAG)."""
-        cached = getattr(self, "_free_cache", None)
-        if cached is None:
+        try:
+            return self._free_cache
+        except AttributeError:
             cached = self._free_symbols()
             self._free_cache = cached
-        return cached
+            return cached
 
     def _free_symbols(self) -> frozenset[str]:
         raise NotImplementedError
@@ -80,14 +82,17 @@ class BoolExpr:
         return isinstance(self, BFalse)
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         return type(self) is type(other) and self.key() == other.key()
 
     def __hash__(self) -> int:
-        cached = getattr(self, "_hash_cache", None)
-        if cached is None:
+        try:
+            return self._hash_cache
+        except AttributeError:
             cached = hash((type(self).__name__,) + self.key())
             self._hash_cache = cached
-        return cached
+            return cached
 
 
 class BTrue(BoolExpr):
@@ -149,16 +154,18 @@ class Cmp(BoolExpr):
     """A canonical comparison ``expr OP 0`` with OP in ``> >= == !=``.
 
     Use the module-level constructors (:func:`cmp_ge` etc.) which fold
-    constant operands and normalize ``<``/``<=`` away.
+    constant operands and normalize ``<``/``<=`` away.  The negation is
+    computed once per instance (:func:`b_or` asks for it on every call).
     """
 
-    __slots__ = ("expr", "op")
+    __slots__ = ("expr", "op", "_neg")
 
     def __init__(self, expr: Expr, op: str):
         if op not in _OPS:
             raise ValueError(f"bad canonical comparison operator {op!r}")
         self.expr = expr
         self.op = op
+        self._neg = None
 
     def evaluate(self, env: EvalEnv) -> bool:
         return _OPS[self.op](self.expr.evaluate(env))
@@ -170,11 +177,20 @@ class Cmp(BoolExpr):
         return _make_cmp(self.expr.substitute(mapping), self.op)
 
     def negated(self) -> "BoolExpr":
-        if self.op == ">":
-            return _make_cmp(-self.expr, ">=")
-        if self.op == ">=":
-            return _make_cmp(-self.expr, ">")
-        return _make_cmp(self.expr, "!=" if self.op == "==" else "==")
+        neg = self._neg
+        if neg is None:
+            if self.op in (">", ">="):
+                flipped = -self.expr
+                neg = _make_cmp(flipped, ">=" if self.op == ">" else ">")
+            else:
+                flipped = self.expr
+                neg = _make_cmp(flipped, "!=" if self.op == "==" else "==")
+            self._neg = neg
+            # Nothing folded or rescaled: negating back gives this very
+            # comparison, so the new one need not compute it.
+            if type(neg) is Cmp and neg.expr is flipped:
+                neg._neg = self
+        return neg
 
     def key(self) -> tuple:
         return (self.expr, self.op)
@@ -290,14 +306,11 @@ class OrB(_NaryBool):
 def _make_cmp(expr: Expr, op: str) -> BoolExpr:
     if expr.is_constant():
         return TRUE if _OPS[op](expr.constant_value()) else FALSE
-    # Normalize by the content gcd: 2*N - 4 > 0  ==  N - 2 > 0.
+    # Normalize by the content gcd: 2*N - 4 > 0  ==  N - 2 > 0 (and
+    # g*e OP 0 iff e OP 0 for every canonical OP, g being positive).
     g = expr.content_gcd()
     if g > 1:
-        if op in (">=", "==", "!="):
-            expr = Expr._from_terms({m: c // g for m, c in expr.terms})
-        elif op == ">":
-            # g*e > 0 iff e > 0 for positive g.
-            expr = Expr._from_terms({m: c // g for m, c in expr.terms})
+        expr = expr // g
     return Cmp(expr, op)
 
 
@@ -384,26 +397,42 @@ def b_not(arg: BoolExpr) -> BoolExpr:
     return NotB(arg)
 
 
-def _flatten(cls: type, args: Iterable[BoolExpr]) -> list[BoolExpr]:
-    out: list[BoolExpr] = []
-    seen: set[BoolExpr] = set()
+# -- n-ary operand lists ------------------------------------------------------
+#
+# Shared with :mod:`repro.pdag.nodes`: the functions below only look at
+# ``.args`` and the two node classes, so the boolean leaves (AndB/OrB) and
+# the PDAG nodes (PAnd/POr) canonicalize their operands through one copy.
+
+
+def _flatten(cls: type, args: Iterable) -> list:
+    # dict keys: first occurrence wins and keeps its place
+    out: dict = {}
     for a in args:
-        children = a.args if isinstance(a, cls) else (a,)
-        for c in children:
-            if c not in seen:
-                seen.add(c)
-                out.append(c)
-    return out
+        if isinstance(a, cls):
+            for c in a.args:
+                out[c] = None
+        else:
+            out[a] = None
+    return list(out)
 
 
-def _absorb_bool(args: list[BoolExpr], inner: type) -> list[BoolExpr]:
-    """Absorption over leaf combinations (see :func:`repro.pdag.p_or`)."""
+def _absorb(args: list, inner: type) -> list:
+    """Absorption: in an OR, drop ``A and B`` when ``A`` is present (and
+    dually in an AND).  ``inner`` is the opposite node class: operands are
+    viewed as sets of its parts; an operand whose part set is a strict
+    superset of another operand's is redundant."""
     if len(args) < 2:
+        return args
+    for a in args:
+        if isinstance(a, inner):
+            break
+    else:
+        # Distinct operands, none of the opposite class: nothing absorbs.
         return args
     part_sets = [
         frozenset(a.args) if isinstance(a, inner) else frozenset((a,)) for a in args
     ]
-    kept: list[BoolExpr] = []
+    kept = []
     for i, a in enumerate(args):
         redundant = False
         for j, other in enumerate(part_sets):
@@ -417,12 +446,29 @@ def _absorb_bool(args: list[BoolExpr], inner: type) -> list[BoolExpr]:
     return kept
 
 
+def nary_operands(cls: type, inner: type, args: tuple) -> list:
+    """The flattened, deduplicated, absorbed operand list of an n-ary
+    node of class *cls* (*inner* being the opposite class).  One operand,
+    or two that are not n-ary nodes themselves -- most calls -- need none
+    of the set machinery."""
+    if len(args) == 1:
+        if not isinstance(args[0], cls):
+            return list(args)
+    elif len(args) == 2:
+        a, b = args
+        if not isinstance(a, (cls, inner)) and not isinstance(b, (cls, inner)):
+            return [a] if a == b else [a, b]
+    return _absorb(_flatten(cls, args), inner)
+
+
 def b_and(*args: BoolExpr) -> BoolExpr:
     """Flat conjunction with folding, deduplication and absorption."""
-    flat = _absorb_bool(_flatten(AndB, args), OrB)
-    kept = [a for a in flat if not a.is_true()]
-    if any(a.is_false() for a in kept):
-        return FALSE
+    kept = []
+    for a in nary_operands(AndB, OrB, args):
+        if a.is_false():
+            return FALSE
+        if not a.is_true():
+            kept.append(a)
     if not kept:
         return TRUE
     if len(kept) == 1:
@@ -434,18 +480,21 @@ def b_or(*args: BoolExpr) -> BoolExpr:
     """Flat disjunction with folding, deduplication, absorption, and
     complementary-pair detection (``C or not C -> true``, which is what
     collapses the cross-branch terms of mutually exclusive gates)."""
-    flat = _absorb_bool(_flatten(OrB, args), AndB)
-    kept = [a for a in flat if not a.is_false()]
-    if any(a.is_true() for a in kept):
-        return TRUE
+    kept = []
+    for a in nary_operands(OrB, AndB, args):
+        if a.is_true():
+            return TRUE
+        if not a.is_false():
+            kept.append(a)
     if not kept:
         return FALSE
     if len(kept) == 1:
         return kept[0]
-    seen = set(kept)
-    for a in kept:
-        if isinstance(a, Cmp) and a.negated() in seen:
-            return TRUE
-        if isinstance(a, NotB) and a.arg in seen:
-            return TRUE
+    complements = [
+        a.negated() if isinstance(a, Cmp) else a.arg
+        for a in kept
+        if isinstance(a, (Cmp, NotB))
+    ]
+    if complements and not set(kept).isdisjoint(complements):
+        return TRUE
     return OrB(kept)

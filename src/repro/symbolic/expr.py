@@ -26,11 +26,12 @@ after the last :func:`~repro.symbolic.intern.clear_caches` call.
 from __future__ import annotations
 
 from functools import total_ordering
+from math import gcd
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
 from .. import profiling as _profiling
 
-from .intern import Interner
+from .intern import Interner, Memo
 
 __all__ = [
     "Atom",
@@ -70,10 +71,12 @@ class Atom:
     """Base class of opaque symbolic atoms.
 
     Atoms compare by their :meth:`key`, are hashable and totally ordered so
-    monomials have a canonical ordering (the ordering key is cached).
+    monomials have a canonical ordering.  The ordering key, the hash and
+    the atom's own expression are cached in slots that are filled on
+    first use (subclass constructors never touch them).
     """
 
-    __slots__ = ("_ok_cache", "_hash_cache")
+    __slots__ = ("_ok_cache", "_hash_cache", "_expr_cache")
 
     def key(self) -> tuple:
         raise NotImplementedError
@@ -100,22 +103,30 @@ class Atom:
         return self._order_key() < other._order_key()
 
     def _order_key(self) -> tuple:
-        cached = getattr(self, "_ok_cache", None)
-        if cached is None:
+        try:
+            return self._ok_cache
+        except AttributeError:
             cached = (type(self).__name__,) + _sortable(self.key())
             self._ok_cache = cached
-        return cached
+            return cached
 
     def __hash__(self) -> int:
-        cached = getattr(self, "_hash_cache", None)
-        if cached is None:
+        try:
+            return self._hash_cache
+        except AttributeError:
             cached = hash((type(self).__name__,) + self.key())
             self._hash_cache = cached
-        return cached
+            return cached
 
     # -- arithmetic sugar (delegate to Expr) ----------------------------
     def as_expr(self) -> "Expr":
-        return Expr._from_terms({((self, 1),): 1})
+        try:
+            return self._expr_cache
+        except AttributeError:
+            mono = ((self, 1),)
+            cached = Expr._from_canonical(((mono, 1),))
+            self._expr_cache = cached
+            return cached
 
     def __add__(self, other: ExprLike) -> "Expr":
         return self.as_expr() + other
@@ -321,6 +332,32 @@ Monomial = tuple
 #: Interning table for :class:`Expr`: canonical terms tuple -> instance.
 _EXPR_INTERN = Interner("symbolic.expr", max_size=1_000_000)
 
+#: Sort key of each monomial seen so far: ``(degree, ((atom order key,
+#: power), ...))``.  Canonicalization sorts a term list through this
+#: table instead of rebuilding the nested key tuples per construction.
+#: Keys hold only strings, ints and tuples (never an atom or expression),
+#: so a stale entry could not change an answer; the table is registered
+#: like every other cache so ``clear_caches()`` stays a true cold start.
+_MONO_KEYS = Memo("symbolic.mono_key", max_size=500_000)
+
+
+def _mono_keys(monos: Iterable[Monomial]) -> list:
+    """The sort key of each monomial, through the table."""
+    table = _MONO_KEYS
+    get = table.data.get
+    keys = []
+    for mono in monos:
+        key = get(mono)
+        if key is None:
+            table.misses += 1
+            key = table.put(
+                mono, (len(mono), tuple([(a._order_key(), p) for a, p in mono]))
+            )
+        else:
+            table.hits += 1
+        keys.append(key)
+    return keys
+
 
 class Expr:
     """An integer polynomial over symbolic atoms, in canonical form.
@@ -329,37 +366,56 @@ class Expr:
     expressions, or the atom classes.  Instances are immutable and hashable;
     structural equality is canonical-form equality.
 
-    Expressions are hash-consed: :meth:`_from_terms` interns on the
+    Expressions are hash-consed: :meth:`_from_canonical` interns on the
     canonical terms tuple, so structurally equal expressions built
     anywhere in the system are pointer-equal.  Equality therefore hits
     the identity fast path on the (very hot) comparison-heavy paths of
     the FACTOR rules, and every downstream cache can key on expressions
-    cheaply.
+    cheaply.  Whether the expression is a constant, and its hash, are
+    fixed at construction.
     """
 
-    __slots__ = ("_terms", "_hash", "_free_cache")
+    __slots__ = ("_terms", "_hash", "_const", "_free_cache")
 
     def __init__(self, *args, **kwargs):
         raise TypeError("use as_expr()/sym() or arithmetic to build Expr")
 
     @classmethod
     def _from_terms(cls, terms: Mapping[Monomial, int]) -> "Expr":
-        clean = {m: c for m, c in terms.items() if c != 0}
-        canonical = tuple(sorted(clean.items(), key=cls._mono_key))
+        """The expression with the given ``monomial -> coefficient``
+        terms, in any order and possibly with zero coefficients."""
+        items = [item for item in terms.items() if item[1]]
+        if len(items) > 1:
+            keys = _mono_keys([mono for mono, _coeff in items])
+            order = sorted(range(len(items)), key=keys.__getitem__)
+            items = [items[i] for i in order]
+        return cls._from_canonical(tuple(items))
+
+    @classmethod
+    def _from_canonical(cls, canonical: tuple) -> "Expr":
+        """Intern an already canonical terms tuple: sorted by monomial
+        key, no zero coefficient.  Callers that only rescale or negate
+        the coefficients of an existing expression keep its order and
+        come here directly."""
         cached = _EXPR_INTERN.data.get(canonical)
         if cached is not None:
             _EXPR_INTERN.hits += 1
             return cached
         _EXPR_INTERN.misses += 1
         self = object.__new__(cls)
-        object.__setattr__(self, "_terms", canonical)
-        object.__setattr__(self, "_hash", hash(canonical))
+        self._terms = canonical
+        self._free_cache = None
+        # A constant hashes like the int it equals (see __eq__).
+        if not canonical:
+            self._const = True
+            self._hash = hash(0)
+        elif len(canonical) == 1 and canonical[0][0] == ():
+            self._const = True
+            self._hash = hash(canonical[0][1])
+        else:
+            self._const = False
+            self._hash = hash(canonical)
         return _EXPR_INTERN.put(canonical, self)
-
-    @staticmethod
-    def _mono_key(item: tuple) -> tuple:
-        mono, _coeff = item
-        return (len(mono), tuple((a._order_key(), p) for a, p in mono))
 
     # -- basic queries ---------------------------------------------------
     @property
@@ -368,11 +424,11 @@ class Expr:
         return self._terms
 
     def is_constant(self) -> bool:
-        return all(m == () for m, _ in self._terms)
+        return self._const
 
     def constant_value(self) -> int:
         """The value of a constant expression (raises if symbolic)."""
-        if not self.is_constant():
+        if not self._const:
             raise ValueError(f"{self!r} is not constant")
         return self._terms[0][1] if self._terms else 0
 
@@ -386,7 +442,7 @@ class Expr:
     def free_symbols(self) -> frozenset[str]:
         # Cached per instance: expressions are hash-consed, so one
         # computation serves every structurally equal occurrence.
-        cached = getattr(self, "_free_cache", None)
+        cached = self._free_cache
         if cached is None:
             _profiling.count("expr.free_symbols.compute")
             out: frozenset[str] = frozenset()
@@ -463,12 +519,7 @@ class Expr:
 
     def content_gcd(self) -> int:
         """GCD of all coefficients (0 for the zero polynomial)."""
-        from math import gcd
-
-        g = 0
-        for _mono, coeff in self._terms:
-            g = gcd(g, abs(coeff))
-        return g
+        return gcd(*[coeff for _mono, coeff in self._terms])
 
     # -- evaluation / substitution ----------------------------------------
     def evaluate(self, env: EvalEnv) -> int:
@@ -495,8 +546,35 @@ class Expr:
         return total
 
     # -- arithmetic --------------------------------------------------------
+    # Adding a constant, negating and scaling by a constant keep the
+    # monomial order, so those results are built without a sort.
+    def _plus_constant(self, value: int) -> "Expr":
+        if not value:
+            return self
+        terms = self._terms
+        if terms and terms[0][0] == ():  # the constant monomial sorts first
+            value += terms[0][1]
+            terms = terms[1:]
+        if value:
+            terms = (((), value),) + terms
+        return Expr._from_canonical(terms)
+
+    def _times_constant(self, value: int) -> "Expr":
+        if value == 1:
+            return self
+        if not value:
+            return Expr._from_canonical(())
+        return Expr._from_canonical(
+            tuple([(m, c * value) for m, c in self._terms])
+        )
+
     def __add__(self, other: ExprLike) -> "Expr":
-        other = as_expr(other)
+        if other.__class__ is not Expr:
+            other = as_expr(other)
+        if other._const:
+            return self._plus_constant(other.constant_value())
+        if self._const:
+            return other._plus_constant(self.constant_value())
         out = dict(self._terms)
         for mono, coeff in other._terms:
             out[mono] = out.get(mono, 0) + coeff
@@ -505,16 +583,23 @@ class Expr:
     __radd__ = __add__
 
     def __neg__(self) -> "Expr":
-        return Expr._from_terms({m: -c for m, c in self._terms})
+        return self._times_constant(-1)
 
     def __sub__(self, other: ExprLike) -> "Expr":
-        return self + (-as_expr(other))
+        if other.__class__ is not Expr:
+            other = as_expr(other)
+        return self + other._times_constant(-1)
 
     def __rsub__(self, other: ExprLike) -> "Expr":
         return as_expr(other) + (-self)
 
     def __mul__(self, other: ExprLike) -> "Expr":
-        other = as_expr(other)
+        if other.__class__ is not Expr:
+            other = as_expr(other)
+        if other._const:
+            return self._times_constant(other.constant_value())
+        if self._const:
+            return other._times_constant(self.constant_value())
         out: dict[Monomial, int] = {}
         for m1, c1 in self._terms:
             for m2, c2 in other._terms:
@@ -533,18 +618,21 @@ class Expr:
         if den == 1:
             return self
         if all(c % den == 0 for _m, c in self._terms):
-            return Expr._from_terms({m: c // den for m, c in self._terms})
+            return Expr._from_canonical(
+                tuple([(m, c // den) for m, c in self._terms])
+            )
         return FloorDiv(self, den).as_expr()
 
     # -- ordering / display --------------------------------------------------
     def sort_key(self) -> tuple:
-        return tuple((self._mono_key((m, c)), c) for m, c in self._terms)
+        keys = _mono_keys([mono for mono, _coeff in self._terms])
+        return tuple(zip(keys, [coeff for _mono, coeff in self._terms]))
 
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True
         if isinstance(other, int):
-            return self.is_constant() and self.constant_value() == other
+            return self._const and self.constant_value() == other
         if isinstance(other, Atom):
             other = other.as_expr()
         if not isinstance(other, Expr):
@@ -552,8 +640,6 @@ class Expr:
         return self._terms is other._terms or self._terms == other._terms
 
     def __hash__(self) -> int:
-        if self.is_constant():
-            return hash(self.constant_value())
         return self._hash
 
     def __iter__(self) -> Iterator[tuple]:
@@ -582,6 +668,10 @@ class Expr:
 
 
 def _merge_monomials(m1: Monomial, m2: Monomial) -> Monomial:
+    if not m1:
+        return m2
+    if not m2:
+        return m1
     powers: dict[Atom, int] = dict(m1)
     for atom, p in m2:
         powers[atom] = powers.get(atom, 0) + p
@@ -597,7 +687,7 @@ def as_expr(value: ExprLike) -> Expr:
     if isinstance(value, bool):
         raise TypeError("booleans are not integer expressions")
     if isinstance(value, int):
-        return Expr._from_terms({(): value})
+        return Expr._from_canonical((((), value),) if value else ())
     raise TypeError(f"cannot interpret {value!r} as a symbolic expression")
 
 

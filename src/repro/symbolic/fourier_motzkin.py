@@ -18,10 +18,10 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .. import profiling as _profiling
-from .boolean import FALSE, TRUE, BoolExpr, b_and, b_or, gt0
-from .expr import Expr, ExprLike, as_expr
+from .boolean import FALSE, TRUE, AndB, BoolExpr, Cmp, OrB, b_and, b_or, gt0
+from .expr import Expr, ExprLike, Sym, as_expr
 from .intern import Memo
-from .ranges import BoundsEnv, freeze_bounds_env, try_sign
+from .ranges import BoundsEnv, FrozenBounds, freeze_bounds_env, try_sign
 
 __all__ = ["reduce_gt0", "reduce_ge0", "eliminate_symbol"]
 
@@ -52,8 +52,6 @@ def _decompose(expr: Expr, name: str) -> tuple[Expr, Expr]:
     atoms that mention *name* (e.g. ``IA(i)``) cannot be decomposed; the
     caller must treat the expression as irreducible then.
     """
-    from .expr import Sym
-
     target = Sym(name)
     a_terms: dict = {}
     b_terms: dict = {}
@@ -74,8 +72,6 @@ def _decompose(expr: Expr, name: str) -> tuple[Expr, Expr]:
 
 def _decomposable(expr: Expr, name: str) -> bool:
     """True when every occurrence of *name* is as a plain symbol power."""
-    from .expr import Sym
-
     for mono, _ in expr.terms:
         for atom, _p in mono:
             if name in atom.free_symbols() and not (
@@ -106,33 +102,25 @@ def reduce_gt0(
     per Section 3.6).  Falls back to the raw comparison when no eliminable
     symbol remains.  Memoized on interned identities; the environment is
     frozen once here and threaded through the (exponential) recursion so
-    the hot path never re-canonicalizes it.
+    neither the memo probes nor the sign tests re-canonicalize it.
     """
     return _reduce_cached(
-        as_expr(expr), bounds, freeze_bounds_env(bounds), tuple(order), _depth
+        as_expr(expr), freeze_bounds_env(bounds), tuple(order), _depth
     )
 
 
 def _reduce_cached(
-    expr: Expr,
-    bounds: BoundsEnv,
-    fenv: tuple,
-    order: tuple,
-    depth: int,
+    expr: Expr, bounds: FrozenBounds, order: tuple, depth: int
 ) -> BoolExpr:
-    key = (expr, fenv, order, depth)
+    key = (expr, bounds.key, order, depth)
     cached = _REDUCE_MEMO.get(key)
     if cached is not None:
         return cached
-    return _REDUCE_MEMO.put(key, _reduce_gt0(expr, bounds, fenv, order, depth))
+    return _REDUCE_MEMO.put(key, _reduce_gt0(expr, bounds, order, depth))
 
 
 def _reduce_gt0(
-    expr: Expr,
-    bounds: BoundsEnv,
-    fenv: tuple,
-    order: Sequence[str],
-    _depth: int,
+    expr: Expr, bounds: FrozenBounds, order: tuple, _depth: int
 ) -> BoolExpr:
     sign = try_sign(expr, bounds)
     if sign == "+":
@@ -144,20 +132,20 @@ def _reduce_gt0(
     name = _find_symbol(expr, bounds, order)
     if name is None or not _decomposable(expr, name):
         return gt0(expr)
-    lower, upper = (as_expr(b) for b in bounds[name])
+    lower, upper = bounds[name]
     a, b = _decompose(expr, name)
     # a >= 0  <=>  a + 1 > 0 over the integers.
     sub = {name: lower}
     at_lower = (a * lower + b).substitute(sub) if a.depends_on(name) else a * lower + b
     case_nonneg = b_and(
-        _reduce_cached(a + 1, bounds, fenv, tuple(order), _depth + 1),
-        _reduce_cached(at_lower, bounds, fenv, tuple(order), _depth + 1),
+        _reduce_cached(a + 1, bounds, order, _depth + 1),
+        _reduce_cached(at_lower, bounds, order, _depth + 1),
     )
     sub = {name: upper}
     at_upper = (a * upper + b).substitute(sub) if a.depends_on(name) else a * upper + b
     case_neg = b_and(
-        _reduce_cached(-a, bounds, fenv, tuple(order), _depth + 1),
-        _reduce_cached(at_upper, bounds, fenv, tuple(order), _depth + 1),
+        _reduce_cached(-a, bounds, order, _depth + 1),
+        _reduce_cached(at_upper, bounds, order, _depth + 1),
     )
     return b_or(case_nonneg, case_neg)
 
@@ -182,7 +170,8 @@ def eliminate_symbol(
     the same (leaf, loop) pairs recur across simplification passes and
     cascade stages.
     """
-    key = (pred, name, as_expr(lower), as_expr(upper))
+    lower, upper = as_expr(lower), as_expr(upper)
+    key = (pred, name, lower, upper)
     cached = _ELIM_MEMO.get(key)
     if cached is not None:
         return cached
@@ -190,27 +179,21 @@ def eliminate_symbol(
 
 
 def _eliminate_symbol(
-    pred: BoolExpr, name: str, lower: ExprLike, upper: ExprLike
+    pred: BoolExpr, name: str, lower: Expr, upper: Expr
 ) -> BoolExpr:
-    from .boolean import AndB, Cmp, Divides, NotB, OrB
-
     if name not in pred.free_symbols():
         return pred
-    bounds = {name: (as_expr(lower), as_expr(upper))}
     if isinstance(pred, Cmp):
-        if pred.op == ">":
-            return reduce_gt0(pred.expr, bounds, order=(name,))
-        if pred.op == ">=":
-            return reduce_ge0(pred.expr, bounds, order=(name,))
         # Equalities/disequalities over a ranged symbol have no useful
         # sufficient strengthening here; keep them (they stay loop-bound).
-        return pred
+        if pred.op not in (">", ">="):
+            return pred
+        reduce = reduce_gt0 if pred.op == ">" else reduce_ge0
+        return reduce(pred.expr, FrozenBounds({name: (lower, upper)}), order=(name,))
     if isinstance(pred, AndB):
         return b_and(*(eliminate_symbol(a, name, lower, upper) for a in pred.args))
     if isinstance(pred, OrB):
         # A disjunction is strengthened disjunct-wise only if each disjunct
         # can be strengthened independently (sound: each implies original).
         return b_or(*(eliminate_symbol(a, name, lower, upper) for a in pred.args))
-    if isinstance(pred, (NotB, Divides)):
-        return pred
-    return pred
+    return pred  # NotB, Divides, constants

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from typing import Mapping, Optional
 
-from .expr import Expr, ExprLike, as_expr
+from .expr import Expr, ExprLike, Sym, as_expr
 from .intern import Memo
 
 __all__ = [
     "Bounds",
     "BoundsEnv",
+    "FrozenBounds",
     "bounds_of",
     "freeze_bounds_env",
     "try_sign",
@@ -89,11 +90,25 @@ def _mul_bounds(b1: Bounds, b2: Bounds) -> Bounds:
 _BOUNDS_MEMO = Memo("symbolic.bounds_of", max_size=500_000)
 
 
-def freeze_bounds_env(env: BoundsEnv) -> tuple:
-    """A hashable canonical form of a symbol-range environment."""
-    return tuple(
-        sorted((name, as_expr(lo), as_expr(hi)) for name, (lo, hi) in env.items())
-    )
+class FrozenBounds(dict):
+    """A symbol-range environment whose bounds are expressions and whose
+    hashable canonical form (``key``, what the range and elimination
+    memos key on) is computed once.  Must not be mutated."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, env: BoundsEnv):
+        super().__init__(
+            (name, (as_expr(lo), as_expr(hi))) for name, (lo, hi) in env.items()
+        )
+        self.key = tuple(sorted((name, lo, hi) for name, (lo, hi) in self.items()))
+
+
+def freeze_bounds_env(env: BoundsEnv) -> FrozenBounds:
+    """*env* with its canonical form attached; a caller that issues many
+    range queries under one environment freezes it once and passes the
+    result to each."""
+    return env if type(env) is FrozenBounds else FrozenBounds(env)
 
 
 def bounds_of(expr: ExprLike, env: BoundsEnv) -> Bounds:
@@ -109,27 +124,25 @@ def bounds_of(expr: ExprLike, env: BoundsEnv) -> Bounds:
     environment.
     """
     expr = as_expr(expr)
-    key = (expr, freeze_bounds_env(env))
+    env = freeze_bounds_env(env)
+    key = (expr, env.key)
     cached = _BOUNDS_MEMO.get(key)
     if cached is not None:
         return cached
     return _BOUNDS_MEMO.put(key, _bounds_of(expr, env))
 
 
-def _bounds_of(expr: Expr, env: BoundsEnv) -> Bounds:
+def _bounds_of(expr: Expr, env: FrozenBounds) -> Bounds:
     total_lo: Optional[Expr] = as_expr(0)
     total_hi: Optional[Expr] = as_expr(0)
-    ranged = set(env.keys())
+    one = as_expr(1)
+    ranged = set(env)
     for mono, coeff in expr.terms:
-        mono_bounds: Bounds = (as_expr(1), as_expr(1))
+        mono_bounds: Bounds = (one, one)
         for atom, power in mono:
-            syms = atom.free_symbols()
-            from .expr import Sym
-
             if isinstance(atom, Sym) and atom.name in env:
-                lo, hi = env[atom.name]
-                atom_bounds: Bounds = (as_expr(lo), as_expr(hi))
-            elif syms & ranged:
+                atom_bounds: Bounds = env[atom.name]
+            elif atom.free_symbols() & ranged:
                 # Atom entangles a ranged symbol opaquely (e.g. IA(i)).
                 atom_bounds = (None, None)
             else:
@@ -149,7 +162,7 @@ def _bounds_of(expr: Expr, env: BoundsEnv) -> Bounds:
     return (total_lo, total_hi)
 
 
-def try_sign(expr: ExprLike, env: BoundsEnv = {}) -> Optional[str]:
+def try_sign(expr: ExprLike, env: Optional[BoundsEnv] = None) -> Optional[str]:
     """Best-effort sign of *expr*: ``'+'``, ``'-'``, ``'0'`` or ``None``.
 
     ``'+'`` means provably ``> 0``; ``'-'`` provably ``< 0``; ``'0'``
@@ -159,7 +172,7 @@ def try_sign(expr: ExprLike, env: BoundsEnv = {}) -> Optional[str]:
     if expr.is_constant():
         v = expr.constant_value()
         return "0" if v == 0 else ("+" if v > 0 else "-")
-    lo, hi = bounds_of(expr, env)
+    lo, hi = bounds_of(expr, env or {})
     if lo is not None and lo.is_constant() and lo.constant_value() > 0:
         return "+"
     if hi is not None and hi.is_constant() and hi.constant_value() < 0:
@@ -175,10 +188,10 @@ def try_sign(expr: ExprLike, env: BoundsEnv = {}) -> Optional[str]:
     return None
 
 
-def definitely_nonneg(expr: ExprLike, env: BoundsEnv = {}) -> bool:
+def definitely_nonneg(expr: ExprLike, env: Optional[BoundsEnv] = None) -> bool:
     """True when *expr* is provably ``>= 0`` under *env*."""
     expr = as_expr(expr)
     if expr.is_constant():
         return expr.constant_value() >= 0
-    lo, _ = bounds_of(expr, env)
+    lo, _ = bounds_of(expr, env or {})
     return lo is not None and lo.is_constant() and lo.constant_value() >= 0

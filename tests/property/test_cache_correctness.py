@@ -19,7 +19,7 @@ import pytest
 
 from repro.core import HybridAnalyzer, LoopPlan
 from repro.evaluation.batch import BatchCache, analyze_benchmark
-from repro.symbolic import clear_caches
+from repro.symbolic import cache_stats, clear_caches
 from repro.workloads import ALL_BENCHMARKS, BenchmarkSpec, LoopSpec
 
 
@@ -72,6 +72,20 @@ def test_interned_and_fresh_analysis_agree_across_suite():
     clear_caches()
     fresh = _suite_fingerprints()  # recomputed from scratch
     assert warm == fresh
+
+
+def test_slot_caches_on_survivors_of_a_clear_change_no_plan():
+    """Loop summaries that survive a clear hold atoms whose cached
+    expression, and comparisons whose cached negation, are pre-clear
+    objects no intern table knows any more.  Planning over them through
+    the emptied tables must equal a fully cold analysis."""
+    clear_caches()
+    _suite_fingerprints()  # fills core.summarize_loop and the slot caches
+    clear_caches(set(cache_stats()) - {"core.summarize_loop"})
+    mixed = _suite_fingerprints()
+    clear_caches()
+    fresh = _suite_fingerprints()
+    assert mixed == fresh
 
 
 # -- persistent batch cache -------------------------------------------------

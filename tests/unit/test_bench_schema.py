@@ -18,6 +18,7 @@ from repro.api.protocol import canonical_json
 from repro.evaluation.bench import (
     BENCH_SUITES,
     BENCH_VERSION,
+    COMPILE_BENCH_VERSION,
     format_bench,
     run_bench,
     write_bench,
@@ -352,7 +353,8 @@ def compile_doc():
 def test_compile_doc_is_schema_valid(compile_doc):
     assert CHECKER.validate_bench_doc(compile_doc) == []
     assert CHECKER.validate_compile_doc(compile_doc) == []
-    assert compile_doc["version"] == BENCH_VERSION
+    assert compile_doc["version"] == COMPILE_BENCH_VERSION
+    assert compile_doc["cpu_count"] >= 1
     assert compile_doc["divergences"] == 0
     assert compile_doc["equivalence_ok"] is True
     assert set(compile_doc["sections"]) == {"fuzz", "workloads"}
@@ -392,6 +394,12 @@ def test_compile_checker_rejects_drift(compile_doc):
     broken = json.loads(canonical_json(compile_doc))
     broken["version"] = 999
     assert any("version" in e for e in CHECKER.validate_bench_doc(broken))
+    broken = json.loads(canonical_json(compile_doc))
+    del broken["cpu_count"]
+    assert any("cpu_count" in e for e in CHECKER.validate_bench_doc(broken))
+    # a version-1 point (recorded before cpu_count existed) still reads
+    broken["version"] = 1
+    assert CHECKER.validate_bench_doc(broken) == []
 
 
 def test_format_compile_summarizes(compile_doc):

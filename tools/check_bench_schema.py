@@ -35,8 +35,9 @@ KNOWN_SERVING_VERSIONS = (1, 2, 3)
 #: Known BENCH_speculation.json document versions.
 KNOWN_SPECULATION_VERSIONS = (1,)
 
-#: Known BENCH_compile.json document versions.
-KNOWN_COMPILE_VERSIONS = (1,)
+#: Known BENCH_compile.json document versions.  Version 2 added the
+#: host's ``cpu_count``.
+KNOWN_COMPILE_VERSIONS = (1, 2)
 
 _TOP_KEYS = {
     "backends", "chunk", "equivalence_ok", "jobs", "parallel_wins",
@@ -343,15 +344,21 @@ def validate_speculation_doc(payload: dict) -> list:
 
 def validate_compile_doc(payload: dict) -> list:
     """Schema problems of one BENCH_compile document (empty = valid)."""
-    errors = _key_errors("document", payload, _COMPILE_TOP_KEYS)
-    if errors:
-        return errors
-    if payload["version"] not in KNOWN_COMPILE_VERSIONS:
+    version = payload.get("version")
+    if version not in KNOWN_COMPILE_VERSIONS:
         return [
             f"document: unsupported compile-bench version "
-            f"{payload['version']!r} (this checker speaks "
+            f"{version!r} (this checker speaks "
             f"{list(KNOWN_COMPILE_VERSIONS)})"
         ]
+    top_keys = _COMPILE_TOP_KEYS | ({"cpu_count"} if version >= 2 else set())
+    errors = _key_errors("document", payload, top_keys)
+    if errors:
+        return errors
+    if version >= 2 and (
+        not isinstance(payload["cpu_count"], int) or payload["cpu_count"] < 1
+    ):
+        errors.append("document: 'cpu_count' must be a positive integer")
     if not isinstance(payload["repeat"], int) or payload["repeat"] < 1:
         errors.append("document: 'repeat' must be a positive integer")
     if not isinstance(payload["programs"], int) or payload["programs"] < 1:
