@@ -3,7 +3,7 @@ export PYTHONPATH := src
 
 SMOKES := smoke-server smoke-multiproc smoke-streaming smoke-trace
 
-.PHONY: test test-fast bench bench-trajectory bench-schema plan-digests serve serve-multiproc $(SMOKES) serving-trajectory docs-check api-surface examples batch fuzz clean
+.PHONY: test test-fast bench bench-trajectory bench-schema plan-digests exec-digests serve serve-multiproc $(SMOKES) serving-trajectory docs-check api-surface examples batch fuzz clean
 
 ## Tier-1 verification: the full unit/property/integration/benchmark suite.
 test:
@@ -32,6 +32,14 @@ bench-schema:
 ## less time" change is reviewed against; CI also runs it under seed 1).
 plan-digests:
 	PYTHONHASHSEED=0 $(PYTHON) tools/plan_digests.py --check
+
+## Verify every pinned execute (91 paper loops on thread, 32 mix programs
+## on all five backends, the quick kernel matrix) still yields the
+## ExecutionReport recorded in tests/golden/exec_digests.json, every
+## field but wall_s (the gate a "same reports, less time" change to the
+## interpreter, executor or a backend is reviewed against).
+exec-digests:
+	$(PYTHON) tools/exec_digests.py --check
 
 ## Serve the analyze/execute protocol on TCP port 7070 (Ctrl-C for a
 ## graceful shutdown that drains in-flight requests).

@@ -1,0 +1,127 @@
+#!/usr/bin/env python3
+"""Golden execute digests: the field-for-field gate for the execute path.
+
+``tests/golden/exec_digests.json`` pins one sha256 per execute over every
+:class:`~repro.runtime.executor.ExecutionReport` field except ``wall_s``
+(sorted-key JSON of ``dataclasses.asdict``; an execute that raises pins
+the exception's type and text instead), for
+
+* the 91 paper loops on ``thread`` (``tls`` for ``TLS_LOOPS``, else
+  ``inspector``),
+* the 32 ``mix`` programs of ``bench/pool.json`` on each of the five
+  backends,
+* ``bench/benchinputs.kernel_items(0, quick=True)`` on the backend each
+  kernel names,
+
+all with ``jobs=2`` -- the items and inputs ``bench/``'s ``exec_*``
+workloads run, read through its own loaders.  Items whose backend cannot
+run here (``numpy`` without NumPy installed) would report the sequential
+fallback instead, so ``--check`` skips them and says so, and ``--write``
+refuses to pin without them.
+
+A change to the interpreter, the executor or a backend that claims "same
+reports, less time" must leave every digest where it is::
+
+    python tools/exec_digests.py --check   # CI + tests/regression
+    python tools/exec_digests.py --write   # deliberate re-pin
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import json
+import sys
+
+from plan_digests import ROOT, _sha, mismatches
+
+sys.path.insert(0, str(ROOT / "bench"))
+
+GOLDEN = ROOT / "tests" / "golden" / "exec_digests.json"
+JOBS = 2
+
+
+def items() -> tuple:
+    """``(runnable, skipped)``: every pinned execute as a
+    ``bench/benchinputs.Item``, split by whether its backend is
+    available in this environment."""
+    from benchinputs import kernel_items, load_pool, paper_items
+    from repro.runtime.backends import BACKENDS, available_backends
+
+    every = (
+        paper_items()
+        + [
+            dataclasses.replace(item, name=f"{item.name}@{backend}", backend=backend)
+            for item in load_pool("mix")
+            for backend in BACKENDS
+        ]
+        + kernel_items(0, quick=True)
+    )
+    usable = available_backends()
+    return (
+        [item for item in every if item.backend in usable],
+        [item.name for item in every if item.backend not in usable],
+    )
+
+
+def report_text(report) -> str:
+    """Every field of an ``ExecutionReport`` but the wall clock."""
+    doc = dataclasses.asdict(report)
+    del doc["wall_s"]
+    return json.dumps(doc, sort_keys=True)
+
+
+def compute(runnable: list) -> dict:
+    """The digest of every item of *runnable*, through one fresh engine."""
+    from repro.api import Engine, EngineConfig
+
+    engine = Engine(EngineConfig(use_disk_cache=False))
+    digests = {}
+    try:
+        for item in runnable:
+            try:
+                text = report_text(engine.compile(item.source).execute(
+                    item.loop, item.params, item.arrays, backend=item.backend,
+                    jobs=JOBS, exact_strategy=item.strategy, **item.options,
+                ))
+            except Exception as exc:  # pinned like any other outcome
+                text = f"{type(exc).__name__}: {exc}"
+            digests[item.name] = {"report": _sha(text)}
+    finally:
+        engine.close()
+    return digests
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--write", action="store_true",
+                      help="re-pin tests/golden/exec_digests.json")
+    mode.add_argument("--check", action="store_true",
+                      help="compare one pass with the golden file")
+    args = parser.parse_args(argv)
+
+    runnable, skipped = items()
+    if args.write and skipped:
+        parser.error(f"--write needs every backend; cannot run {skipped[:3]}...")
+    digests = compute(runnable)
+    if args.write:
+        GOLDEN.write_text(json.dumps(digests, indent=0, sort_keys=True) + "\n")
+        print(f"exec-digests: wrote {len(digests)} item(s) to "
+              f"{GOLDEN.relative_to(ROOT)}")
+        return 0
+    golden = json.loads(GOLDEN.read_text())
+    for name in skipped:
+        golden.pop(name, None)
+    problems = mismatches(digests, golden, ("report",))
+    if problems:
+        print("\n".join(problems[:40]))
+        print(f"\nexec-digests: FAILED ({len(problems)} problem(s))")
+        return 1
+    print(f"exec-digests: every item matches {GOLDEN.relative_to(ROOT)}"
+          + (f" ({len(skipped)} skipped: backend unavailable)" if skipped else ""))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
