@@ -301,7 +301,8 @@ class CompiledProgram:
         """Plan (memoized) and execute *loop* against concrete inputs.
 
         Keyword options are those of :meth:`executor`.  The inputs are
-        never mutated (the executor snapshots them internally).
+        never mutated or kept (every interpreter run works on the copy
+        it makes of them).
         """
         return self.executor(loop, **kwargs).run(params, arrays)
 

@@ -34,7 +34,6 @@ The verdict vocabulary:
 
 from __future__ import annotations
 
-import copy
 import time
 import traceback
 from dataclasses import asdict, dataclass, field
@@ -257,7 +256,7 @@ def run_case(
         machine = Machine(
             case.program,
             params=case.params,
-            arrays=copy.deepcopy(case.arrays),
+            arrays=case.arrays,
             trace_label=case.label,
         )
         seq = machine.run()

@@ -17,8 +17,9 @@ Arrays are dense Python lists indexed 1-based, Fortran style.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from .ast import (
     ArrayRead,
@@ -39,13 +40,23 @@ from .ast import (
     While,
 )
 
-__all__ = ["Machine", "IterationRecord", "LoopTrace", "RunResult", "InterpError"]
+__all__ = [
+    "Machine", "IterationRecord", "LoopTrace", "RunResult", "InterpError",
+    "copy_arrays",
+]
 
 _WHILE_FUEL = 10_000_000
 
 
 class InterpError(RuntimeError):
     """Raised on runtime errors (unbound names, bad indexes...)."""
+
+
+def copy_arrays(arrays: Mapping[str, Sequence[int]]) -> dict[str, list[int]]:
+    """A private snapshot of array memory: one flat C-level copy per
+    array.  Memory is ``name -> dense list of ints``, so this is exact
+    and O(elements) without a Python-level call per element."""
+    return {name: list(values) for name, values in arrays.items()}
 
 
 @dataclass
@@ -159,13 +170,19 @@ class _Frame:
 
 
 class Machine:
-    """Executes a program against concrete parameter/array inputs."""
+    """Executes a program against concrete parameter/array inputs.
+
+    The constructor owns its copy of memory: *arrays* (any mapping of
+    name to a sequence of ints, possibly shorter than declared) is
+    copied once into fresh zero-padded lists and never written to, so
+    callers hand their data over as it is instead of pre-copying it.
+    """
 
     def __init__(
         self,
         program: Program,
         params: Optional[Mapping[str, int]] = None,
-        arrays: Optional[Mapping[str, list[int]]] = None,
+        arrays: Optional[Mapping[str, Sequence[int]]] = None,
         trace_label: Optional[str] = None,
         loop_executor: Optional[Callable] = None,
         loop_executor_label: Optional[str] = None,
@@ -190,12 +207,10 @@ class Machine:
         for decl in program.arrays:
             size = self._const_or_param(decl.size)
             provided = arrays.get(decl.name) if arrays else None
-            if provided is not None:
-                if len(provided) < size:
-                    provided = list(provided) + [0] * (size - len(provided))
-                self.arrays[decl.name] = list(provided)
-            else:
-                self.arrays[decl.name] = [0] * size
+            data = list(provided) if provided is not None else []
+            if len(data) < size:
+                data.extend([0] * (size - len(data)))
+            self.arrays[decl.name] = data
 
     def _const_or_param(self, expr: IRExpr) -> int:
         frame = _Frame(dict(self.params), {})
@@ -208,12 +223,51 @@ class Machine:
         self._exec_body(self.program.main, frame)
         return RunResult(
             scalars=dict(frame.scalars),
-            arrays={k: list(v) for k, v in self.arrays.items()},
+            arrays=copy_arrays(self.arrays),
             work=self.work,
             trace=self.trace,
             loop_work=dict(self.loop_work),
             loop_trips=dict(self.loop_trips),
         )
+
+    def run_iteration(
+        self,
+        body: tuple[IRStmt, ...],
+        frame: _Frame,
+        record: Optional[IterationRecord],
+    ) -> None:
+        """Execute *body* once in *frame* with *record* collecting its
+        accesses and work (``None``: unrecorded); the previously active
+        record is back in place afterwards, also on error."""
+        previous = self._active_record
+        self._active_record = record
+        try:
+            self._exec_body(body, frame)
+        finally:
+            self._active_record = previous
+
+    def iteration_values(self, loop: IRStmt, frame: _Frame) -> Iterator[int]:
+        """The iteration values of *loop* entered in *frame*, one per
+        trip, for a caller that runs the body between values: a DO
+        loop's index values (bound in the frame before each is
+        yielded), or 1, 2, ... for as long as a while loop's condition
+        holds."""
+        if isinstance(loop, Do):
+            scalars, index = frame.scalars, loop.index
+            lower = self._eval(loop.lower, frame)
+            upper = self._eval(loop.upper, frame)
+            for i in range(lower, upper + 1):
+                scalars[index] = i
+                yield i
+        elif isinstance(loop, While):
+            trips = 0
+            while self._eval(loop.cond, frame) != 0:
+                trips += 1
+                if trips > _WHILE_FUEL:
+                    raise InterpError(f"while loop {loop.label or ''} ran away")
+                yield trips
+        else:
+            raise TypeError(f"unsupported loop {loop!r}")
 
     # -- execution ----------------------------------------------------------
     def _exec_body(self, stmts: tuple[IRStmt, ...], frame: _Frame) -> None:
@@ -222,93 +276,59 @@ class Machine:
 
     def _exec(self, stmt: IRStmt, frame: _Frame) -> None:
         self.work += 1
-        if self._active_record is not None:
-            self._active_record.work += 1
-        if isinstance(stmt, AssignScalar):
-            frame.scalars[stmt.name] = self._eval(stmt.expr, frame)
-            return
-        if isinstance(stmt, AssignArray):
-            index = self._eval(stmt.index, frame)
-            # Evaluate RHS first: reads happen before the write.
-            value = self._eval(stmt.expr, frame)
-            self._store(stmt.array, index, value, frame, update=stmt.is_update)
-            return
-        if isinstance(stmt, If):
-            if self._eval(stmt.cond, frame) != 0:
-                self._exec_body(stmt.then_body, frame)
-            else:
-                self._exec_body(stmt.else_body, frame)
-            return
-        if isinstance(stmt, Do):
-            self._exec_do(stmt, frame)
-            return
-        if isinstance(stmt, While):
-            self._exec_while(stmt, frame)
-            return
-        if isinstance(stmt, Call):
-            self._exec_call(stmt, frame)
-            return
-        raise InterpError(f"unknown statement {stmt!r}")
+        record = self._active_record
+        if record is not None:
+            record.work += 1
+        try:
+            handler = _EXEC[type(stmt)]
+        except KeyError:
+            raise InterpError(f"unknown statement {stmt!r}") from None
+        handler(self, stmt, frame)
 
-    def _exec_do(self, stmt: Do, frame: _Frame) -> None:
+    def _exec_assign_scalar(self, stmt: AssignScalar, frame: _Frame) -> None:
+        frame.scalars[stmt.name] = self._eval(stmt.expr, frame)
+
+    def _exec_assign_array(self, stmt: AssignArray, frame: _Frame) -> None:
+        index = self._eval(stmt.index, frame)
+        # Evaluate RHS first: reads happen before the write.
+        value = self._eval(stmt.expr, frame)
+        self._store(stmt.array, index, value, frame, update=stmt.is_update)
+
+    def _exec_if(self, stmt: If, frame: _Frame) -> None:
+        if self._eval(stmt.cond, frame) != 0:
+            self._exec_body(stmt.then_body, frame)
+        else:
+            self._exec_body(stmt.else_body, frame)
+
+    def _exec_loop(self, stmt, frame: _Frame) -> None:
+        label = stmt.label
         if (
             self.loop_executor is not None
-            and stmt.label is not None
-            and stmt.label == self.loop_executor_label
+            and label is not None
+            and label == self.loop_executor_label
         ):
             self.loop_executor(self, stmt, frame)
             return
-        lower = self._eval(stmt.lower, frame)
-        upper = self._eval(stmt.upper, frame)
-        tracing = stmt.label is not None and stmt.label == self.trace_label
-        work_before = self.work
-        trips = max(0, upper - lower + 1)
-        for i in range(lower, upper + 1):
-            frame.scalars[stmt.index] = i
-            if tracing and self.trace is not None:
-                record = IterationRecord(iteration=i)
-                prev = self._active_record
-                self._active_record = record
-                self._exec_body(stmt.body, frame)
-                self._active_record = prev
-                self.trace.iterations.append(record)
-            else:
-                self._exec_body(stmt.body, frame)
-        if stmt.label:
-            self.loop_work[stmt.label] = (
-                self.loop_work.get(stmt.label, 0) + self.work - work_before
-            )
-            self.loop_trips[stmt.label] = self.loop_trips.get(stmt.label, 0) + trips
-
-    def _exec_while(self, stmt: While, frame: _Frame) -> None:
-        if (
-            self.loop_executor is not None
-            and stmt.label is not None
-            and stmt.label == self.loop_executor_label
-        ):
-            self.loop_executor(self, stmt, frame)
-            return
-        tracing = stmt.label is not None and stmt.label == self.trace_label
+        tracing = (
+            label is not None
+            and label == self.trace_label
+            and self.trace is not None
+        )
         work_before = self.work
         trips = 0
-        while self._eval(stmt.cond, frame) != 0:
+        for i in self.iteration_values(stmt, frame):
             trips += 1
-            if trips > _WHILE_FUEL:
-                raise InterpError(f"while loop {stmt.label or ''} ran away")
-            if tracing and self.trace is not None:
-                record = IterationRecord(iteration=trips)
-                prev = self._active_record
-                self._active_record = record
-                self._exec_body(stmt.body, frame)
-                self._active_record = prev
+            if tracing:
+                record = IterationRecord(iteration=i)
+                self.run_iteration(stmt.body, frame, record)
                 self.trace.iterations.append(record)
             else:
                 self._exec_body(stmt.body, frame)
-        if stmt.label:
-            self.loop_work[stmt.label] = (
-                self.loop_work.get(stmt.label, 0) + self.work - work_before
+        if label:
+            self.loop_work[label] = (
+                self.loop_work.get(label, 0) + self.work - work_before
             )
-            self.loop_trips[stmt.label] = self.loop_trips.get(stmt.label, 0) + trips
+            self.loop_trips[label] = self.loop_trips.get(label, 0) + trips
 
     def _exec_call(self, stmt: Call, frame: _Frame) -> None:
         callee = self.program.subroutines.get(stmt.callee)
@@ -345,14 +365,12 @@ class Machine:
         self._exec_body(callee.body, _Frame(inner, arrays))
 
     # -- memory ----------------------------------------------------------------
-    def _resolve(self, array: str, index: int, frame: _Frame) -> tuple[str, int]:
-        if array not in frame.arrays:
-            raise InterpError(f"unbound array {array!r}")
-        base_name, offset = frame.arrays[array]
-        return base_name, offset + index
-
     def _load(self, array: str, index: int, frame: _Frame) -> int:
-        name, loc = self._resolve(array, index, frame)
+        try:
+            name, offset = frame.arrays[array]
+        except KeyError:
+            raise InterpError(f"unbound array {array!r}") from None
+        loc = offset + index
         data = self.arrays[name]
         if not (1 <= loc <= len(data)):
             raise InterpError(f"{name}[{loc}] out of bounds (size {len(data)})")
@@ -366,7 +384,11 @@ class Machine:
     def _store(
         self, array: str, index: int, value: int, frame: _Frame, update: bool
     ) -> None:
-        name, loc = self._resolve(array, index, frame)
+        try:
+            name, offset = frame.arrays[array]
+        except KeyError:
+            raise InterpError(f"unbound array {array!r}") from None
+        loc = offset + index
         data = self.arrays[name]
         if not (1 <= loc <= len(data)):
             raise InterpError(f"{name}[{loc}] out of bounds (size {len(data)})")
@@ -379,67 +401,109 @@ class Machine:
 
     # -- expressions --------------------------------------------------------------
     def _eval(self, expr: IRExpr, frame: _Frame) -> int:
-        if isinstance(expr, Num):
-            return expr.value
-        if isinstance(expr, Var):
-            if expr.name in frame.scalars:
-                return frame.scalars[expr.name]
-            if expr.name in self.params:
-                return self.params[expr.name]
-            raise InterpError(f"unbound scalar {expr.name!r}")
-        if isinstance(expr, ArrayRead):
-            index = self._eval(expr.index, frame)
-            return self._load(expr.array, index, frame)
-        if isinstance(expr, BinOp):
-            left = self._eval(expr.left, frame)
-            if expr.op == "and":
-                return 1 if (left != 0 and self._eval(expr.right, frame) != 0) else 0
-            if expr.op == "or":
-                return 1 if (left != 0 or self._eval(expr.right, frame) != 0) else 0
-            right = self._eval(expr.right, frame)
-            return _apply_binop(expr.op, left, right)
-        if isinstance(expr, UnaryOp):
-            value = self._eval(expr.arg, frame)
-            if expr.op == "-":
-                return -value
-            if expr.op == "not":
-                return 0 if value else 1
-            raise InterpError(f"unknown unary {expr.op!r}")
-        if isinstance(expr, Intrinsic):
-            values = [self._eval(a, frame) for a in expr.args]
-            if expr.name == "min":
-                return min(values)
-            if expr.name == "max":
-                return max(values)
-            raise InterpError(f"unknown intrinsic {expr.name!r}")
-        raise InterpError(f"unknown expression {expr!r}")
+        try:
+            handler = _EVAL[type(expr)]
+        except KeyError:
+            raise InterpError(f"unknown expression {expr!r}") from None
+        return handler(self, expr, frame)
+
+    def _eval_num(self, expr: Num, frame: _Frame) -> int:
+        return expr.value
+
+    def _eval_var(self, expr: Var, frame: _Frame) -> int:
+        if expr.name in frame.scalars:
+            return frame.scalars[expr.name]
+        if expr.name in self.params:
+            return self.params[expr.name]
+        raise InterpError(f"unbound scalar {expr.name!r}")
+
+    def _eval_array_read(self, expr: ArrayRead, frame: _Frame) -> int:
+        index = self._eval(expr.index, frame)
+        return self._load(expr.array, index, frame)
+
+    def _eval_binop(self, expr: BinOp, frame: _Frame) -> int:
+        left = self._eval(expr.left, frame)
+        op = expr.op
+        apply = _BINOPS.get(op)
+        if apply is not None:
+            return apply(left, self._eval(expr.right, frame))
+        # Not in the table: the short-circuit forms, whose right operand
+        # runs only when the left one leaves the result open.
+        if op == "and":
+            return 1 if (left != 0 and self._eval(expr.right, frame) != 0) else 0
+        if op == "or":
+            return 1 if (left != 0 or self._eval(expr.right, frame) != 0) else 0
+        self._eval(expr.right, frame)
+        raise InterpError(f"unknown operator {op!r}")
+
+    def _eval_unary(self, expr: UnaryOp, frame: _Frame) -> int:
+        value = self._eval(expr.arg, frame)
+        try:
+            apply = _UNARY_OPS[expr.op]
+        except KeyError:
+            raise InterpError(f"unknown unary {expr.op!r}") from None
+        return apply(value)
+
+    def _eval_intrinsic(self, expr: Intrinsic, frame: _Frame) -> int:
+        values = [self._eval(a, frame) for a in expr.args]
+        try:
+            apply = _INTRINSICS[expr.name]
+        except KeyError:
+            raise InterpError(f"unknown intrinsic {expr.name!r}") from None
+        return apply(values)
 
 
-def _apply_binop(op: str, left: int, right: int) -> int:
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op == "/":
-        if right == 0:
-            raise InterpError("division by zero")
-        return left // right
-    if op == "%":
-        if right == 0:
-            raise InterpError("modulo by zero")
-        return left % right
-    if op == "==":
-        return 1 if left == right else 0
-    if op == "!=":
-        return 1 if left != right else 0
-    if op == "<":
-        return 1 if left < right else 0
-    if op == "<=":
-        return 1 if left <= right else 0
-    if op == ">":
-        return 1 if left > right else 0
-    if op == ">=":
-        return 1 if left >= right else 0
-    raise InterpError(f"unknown operator {op!r}")
+def _floordiv(left: int, right: int) -> int:
+    if right == 0:
+        raise InterpError("division by zero")
+    return left // right
+
+
+def _mod(left: int, right: int) -> int:
+    if right == 0:
+        raise InterpError("modulo by zero")
+    return left % right
+
+
+#: eager binary operators (``and``/``or`` short-circuit in
+#: :meth:`Machine._eval_binop`); comparisons produce 0/1, not bools
+_BINOPS: dict[str, Callable[[int, int], int]] = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": _floordiv,
+    "%": _mod,
+    "==": lambda left, right: 1 if left == right else 0,
+    "!=": lambda left, right: 1 if left != right else 0,
+    "<": lambda left, right: 1 if left < right else 0,
+    "<=": lambda left, right: 1 if left <= right else 0,
+    ">": lambda left, right: 1 if left > right else 0,
+    ">=": lambda left, right: 1 if left >= right else 0,
+}
+
+_UNARY_OPS: dict[str, Callable[[int], int]] = {
+    "-": operator.neg,
+    "not": lambda value: 0 if value else 1,
+}
+
+_INTRINSICS: dict[str, Callable[[list], int]] = {"min": min, "max": max}
+
+#: ``type(node) -> handler(machine, node, frame)``, one table per family;
+#: a node type missing from its table is an "unknown statement/expression"
+_EXEC: dict[type, Callable] = {
+    AssignScalar: Machine._exec_assign_scalar,
+    AssignArray: Machine._exec_assign_array,
+    If: Machine._exec_if,
+    Do: Machine._exec_loop,
+    While: Machine._exec_loop,
+    Call: Machine._exec_call,
+}
+
+_EVAL: dict[type, Callable] = {
+    Num: Machine._eval_num,
+    Var: Machine._eval_var,
+    ArrayRead: Machine._eval_array_read,
+    BinOp: Machine._eval_binop,
+    UnaryOp: Machine._eval_unary,
+    Intrinsic: Machine._eval_intrinsic,
+}

@@ -5,11 +5,12 @@ under which per-array transforms); a backend decides *how* the
 validated iterations actually execute:
 
 =============  ==============================================================
-``sequential``  in-order reference execution, one pre-state snapshot per
-                iteration (the correctness baseline every other backend is
-                differentially tested against)
-``thread``      chunked execution on a thread pool with O(writes) undo-log
-                state restoration between iterations
+``sequential``  in-order reference execution, one flat copy of the
+                pre-loop memory per iteration (the correctness baseline
+                every other backend is differentially tested against)
+``thread``      chunked execution on a thread pool: one copy of the
+                pre-loop memory per chunk, O(writes) undo-log state
+                restoration between iterations
 ``process``     chunked execution on a persistent process pool; the
                 pre-loop memory travels once per run through a
                 shared-memory segment, so multi-core machines get real

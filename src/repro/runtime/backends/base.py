@@ -17,30 +17,37 @@ iteration order -- direct writes for shared arrays, iteration-ordered
 write-back for privatized arrays (= dynamic last value), and delta
 accumulation for reductions.
 
-Two execution modes share :func:`execute_positions`:
+Array memory is ``name -> dense list of ints``, so every snapshot here
+is :func:`~repro.ir.interp.copy_arrays`: one flat C-level copy per
+array, O(memory) but with no Python-level work per element.
+``task.pre_arrays`` itself is never written to.  Two execution modes
+share :func:`execute_positions`:
 
 * ``per_iteration_snapshot=True`` -- the reference mode: every
-  iteration runs against a fresh deep copy of the pre-loop memory
+  iteration runs against its own fresh copy of the pre-loop memory
   (exactly what :class:`~repro.runtime.executor.HybridExecutor` always
-  did);
-* ``per_iteration_snapshot=False`` -- the chunked production mode: a
-  worker copies the pre-state once per chunk and *undoes* each
-  iteration's writes before the next one starts.  Restoring only the
-  written locations is O(writes) instead of O(memory) per iteration,
-  which is where the chunked backends' real speedup over the reference
-  backend comes from.  Writes are the only mutations an iteration makes
-  to array memory, so undo provably restores the exact pre-state.
+  did): one O(memory) copy per iteration;
+* ``per_iteration_snapshot=False`` -- the chunked production mode: the
+  worker's :class:`~repro.ir.interp.Machine` copies the pre-state once
+  per chunk and each iteration's writes are *undone* before the next
+  one starts.  Restoring only the written locations is O(writes)
+  instead of O(memory) per iteration, which is where the chunked
+  backends' real speedup over the reference backend comes from.  Writes
+  are the only mutations an iteration makes to array memory, so undo
+  provably restores the exact pre-state.
+
+:func:`merge_outcomes` makes one more copy, the memory it merges into
+and returns.
 """
 
 from __future__ import annotations
 
-import copy
 import os
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from ...ir.ast import Program
-from ...ir.interp import IterationRecord, Machine, _Frame
+from ...ir.interp import IterationRecord, Machine, _Frame, copy_arrays
 from .chunking import ChunkSpec
 
 __all__ = [
@@ -195,7 +202,7 @@ def execute_positions(
     outcomes = []
     for pos in positions:
         if per_iteration_snapshot:
-            machine.arrays = local = copy.deepcopy(pre_arrays)
+            machine.arrays = local = copy_arrays(pre_arrays)
         iteration = iterations[pos]
         scalars = dict(pre_scalars)
         if index_name is not None:
@@ -204,11 +211,7 @@ def execute_positions(
             scalars[name] = civ_values[name][pos]
         frame = _Frame(scalars, frame_arrays)
         record = IterationRecord(iteration=iteration)
-        machine._active_record = record
-        try:
-            machine._exec_body(body, frame)
-        finally:
-            machine._active_record = None
+        machine.run_iteration(body, frame, record)
         values = {
             arr: {loc: local[arr][loc - 1] for loc in locs}
             for arr, locs in record.writes.items()
@@ -248,7 +251,7 @@ def merge_outcomes(
     the rules the executor always applied, so any backend's merged
     memory is comparable against the sequential ground truth.
     """
-    merged = copy.deepcopy(pre_arrays)
+    merged = copy_arrays(pre_arrays)
     for out in sorted(outcomes, key=lambda o: o.position):
         for arr, locs in out.writes.items():
             strategy = decisions.get(arr, "private")

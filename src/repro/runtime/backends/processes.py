@@ -34,6 +34,7 @@ from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_all_start_methods, get_context, shared_memory
 from typing import Optional
 
+from ...ir.interp import copy_arrays
 from .base import (
     BackendRun,
     ExecutionBackend,
@@ -242,7 +243,7 @@ class ProcessBackend(ExecutionBackend):
         chunks = plan_chunks(len(task.iterations), jobs, chunk)
         if not chunks:
             return BackendRun(
-                arrays={k: list(v) for k, v in task.pre_arrays.items()},
+                arrays=copy_arrays(task.pre_arrays),
                 final_scalars={},
                 chunks=0,
                 jobs=jobs,

@@ -1,7 +1,9 @@
 """The sequential reference backend.
 
-Runs every iteration in order, in-process, each against a fresh deep
-copy of the pre-loop memory -- a direct transliteration of what
+Runs every iteration in order, in-process, each against its own fresh
+copy of the pre-loop memory (a flat per-array copy, so trips + 2
+O(memory) copies a run: the machine's, one per iteration, the merge
+target) -- a direct transliteration of what
 :class:`~repro.runtime.executor.HybridExecutor` always did inline.  It
 is deliberately the clearest (not the fastest) implementation: the
 equivalence suite holds every other backend to this one's results, and

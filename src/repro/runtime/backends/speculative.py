@@ -43,7 +43,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
-from ...ir.interp import Machine, _Frame
+from ...ir.interp import Machine, _Frame, copy_arrays
 from ..speculation import lrpd_marks
 from .base import (
     BackendRun,
@@ -136,7 +136,7 @@ def sequential_execute(
     for iteration in task.iterations:
         if task.index_name is not None:
             scalars[task.index_name] = iteration
-        machine._exec_body(loop.body, frame)
+        machine.run_iteration(loop.body, frame, None)
     return machine.arrays, dict(scalars)
 
 
@@ -154,7 +154,7 @@ class SpeculativeBackend(ExecutionBackend):
         chunks = plan_chunks(n, jobs, chunk)
         if not chunks:
             return BackendRun(
-                arrays={k: list(v) for k, v in task.pre_arrays.items()},
+                arrays=copy_arrays(task.pre_arrays),
                 final_scalars={},
                 chunks=0,
                 jobs=jobs,
@@ -174,7 +174,7 @@ class SpeculativeBackend(ExecutionBackend):
             skip=exempt,
         )
 
-        working = {k: list(v) for k, v in task.pre_arrays.items()}
+        working = copy_arrays(task.pre_arrays)
         undo = apply_outcomes(working, task.pre_arrays, outcomes,
                               task.decisions)
         if verdict.success:

@@ -3,11 +3,12 @@
 Chunks of the iteration space are executed by a pool of threads, each
 worker running its chunk through the shared undo-log machinery
 (:func:`~repro.runtime.backends.base.execute_positions` in chunked
-mode): one pre-state copy per chunk, O(writes) restore between
-iterations.  Workers share the read-only pre-state and each build their
-own :class:`~repro.ir.interp.Machine`, so the only cross-thread traffic
-is the immutable task and the returned outcomes -- safe under the
-package's GIL-guarded conventions.
+mode): one flat copy of the pre-loop memory per chunk (made by the
+chunk's own :class:`~repro.ir.interp.Machine`), O(writes) restore
+between iterations, and one more copy as the merge target -- chunks + 1
+O(memory) copies a run.  Workers share the read-only pre-state, so the
+only cross-thread traffic is the immutable task and the returned
+outcomes -- safe under the package's GIL-guarded conventions.
 
 On CPython the interpreter work itself serializes on the GIL; the
 backend still wins wall-clock over the reference backend because the
@@ -20,6 +21,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
+from ...ir.interp import copy_arrays
 from .base import (
     BackendRun,
     ExecutionBackend,
@@ -47,7 +49,7 @@ class ThreadBackend(ExecutionBackend):
         chunks = plan_chunks(len(task.iterations), jobs, chunk)
         if not chunks:
             return BackendRun(
-                arrays={k: list(v) for k, v in task.pre_arrays.items()},
+                arrays=copy_arrays(task.pre_arrays),
                 final_scalars={},
                 chunks=0,
                 jobs=jobs,

@@ -45,6 +45,7 @@ from ...ir.ast import (
     UnaryOp,
     Var,
 )
+from ...ir.interp import copy_arrays
 from .base import BackendRun, BackendUnsupported, ExecutionBackend, LoopTask
 from .chunking import ChunkSpec
 
@@ -206,7 +207,7 @@ class VectorizedBackend(ExecutionBackend):
         n = len(task.iterations)
         if n == 0:
             return BackendRun(
-                arrays={k: list(v) for k, v in task.pre_arrays.items()},
+                arrays=copy_arrays(task.pre_arrays),
                 final_scalars={},
                 chunks=0,
                 jobs=1,

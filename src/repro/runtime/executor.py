@@ -24,22 +24,32 @@ the final state (direct writes for shared arrays, iteration-ordered
 write-back for privatized arrays = dynamic last value, delta accumulation
 for reductions).  A wrong analysis therefore produces a wrong final
 memory and is caught by the ground-truth comparison.
+
+The caller's arrays are never written to and never kept: each of the two
+whole-program runs (ground truth, parallel re-run) hands them to a
+:class:`~repro.ir.interp.Machine`, which makes the one copy it works on.
+Every snapshot after that is :func:`~repro.ir.interp.copy_arrays` -- a
+flat C-level copy per array, O(memory) with no Python-level work per
+element.  One execute of a loop entered once makes six of them outside
+the backend (per run: the machine's copy, the loop-entry snapshot --
+predicate environment in the first run, ``LoopTask.pre_arrays`` in the
+second -- and the ``RunResult``) plus the backend's own (``thread``: one
+per chunk and the merge target); a loop entered *n* times snapshots its
+entry *n* times per run.
 """
 
 from __future__ import annotations
 
-import copy
+import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-import time
-
 from ..core.analyzer import ArrayPlan, LoopPlan
-from ..ir.ast import Do, Program, While
-from ..ir.interp import IterationRecord, Machine
-from ..ir.scalars import expr_scalar_reads
+from ..ir.ast import AssignScalar, Do, If, Program, While
+from ..ir.interp import IterationRecord, LoopTrace, Machine, RunResult, copy_arrays
+from ..ir.scalars import _stmt_reads, expr_scalar_reads
 from ..pdag import EvalStats
-from ..usr import estimate_bounds
+from ..usr import estimate_bounds, usr_recurrence
 from .backends import DEFAULT_BACKEND, BACKENDS, ChunkSpec, LoopTask, get_backend
 from .inspector import Inspector
 from .scheduler import CostModel, schedule_parallel
@@ -157,20 +167,26 @@ class ExecutionReport:
         return self.overhead_time(procs, cost) / par if par > 0 else 0.0
 
 
-class _LoopCapture:
-    """State collected by the interpreter hook at the target loop."""
+@dataclass
+class _LoopEntry:
+    """One entry into the target loop during the sequential run: its
+    frozen entry state with the iterations and CIV prefixes it went on
+    to produce, and the access record of each iteration."""
 
-    def __init__(self) -> None:
-        self.pre_arrays: Optional[dict[str, list[int]]] = None
-        self.pre_scalars: Optional[dict[str, int]] = None
-        self.frame_arrays: dict[str, tuple] = {}
-        self.index_name: Optional[str] = None
-        self.iterations: list[int] = []
-        self.records: list[IterationRecord] = []
-        self.iter_arrays: list[dict[str, list[int]]] = []
-        self.iter_scalars: list[dict[str, int]] = []
-        self.civ_values: dict[str, list[int]] = {}
-        self.seen = False
+    task: LoopTask
+    records: list[IterationRecord]
+
+    def env(self, plan: LoopPlan) -> dict:
+        """The runtime environment predicates see at this entry: the
+        pre-loop state plus the CIV prefixes."""
+        env: dict = dict(self.task.params)
+        env.update(self.task.pre_scalars)
+        env.update(self.task.pre_arrays)
+        for info in plan.civs:
+            env[info.prefix_array] = self.task.civ_values[info.name]
+        if plan.is_while and plan.trip_symbol:
+            env[plan.trip_symbol] = len(self.task.iterations)
+        return env
 
 
 class HybridExecutor:
@@ -212,22 +228,12 @@ class HybridExecutor:
     # -- public API ----------------------------------------------------------
     def run(self, params: dict, arrays: dict) -> ExecutionReport:
         label = self.plan.label
-        # 1. Sequential ground-truth run (also captures pre-loop state,
-        #    per-iteration work/accesses, and CIV prefix values).
-        capture = _LoopCapture()
-        seq_machine = Machine(
-            self.program,
-            params=params,
-            arrays=copy.deepcopy(arrays),
-            trace_label=label,
-            loop_executor=lambda m, s, f: self._capturing_seq(m, s, f, capture),
-            loop_executor_label=label,
-        )
-        seq_result = seq_machine.run()
-        if not capture.seen:
-            raise ValueError(f"target loop {label!r} never executed")
+        # 1. Sequential ground-truth run (also captures, per entry into
+        #    the target loop, the pre-loop state, per-iteration
+        #    work/accesses, and CIV prefix values).
+        entries, seq_result = self._capture(params, arrays)
         seq_arrays = seq_result.arrays
-        iter_costs = [float(r.work) for r in capture.records]
+        iter_costs = [float(r.work) for entry in entries for r in entry.records]
         seq_work = float(sum(iter_costs))
 
         report = ExecutionReport(
@@ -237,6 +243,9 @@ class HybridExecutor:
             seq_work=seq_work,
             iteration_costs=iter_costs,
             backend=self.backend,
+        )
+        speculable = self.backend == "speculative" and any(
+            len(entry.task.iterations) > 1 for entry in entries
         )
 
         # Loops with scalar flow dependences or unanalyzable constructs
@@ -252,54 +261,38 @@ class HybridExecutor:
             # dependence stays a hard stop: scalar accesses carry no
             # shadow marks, so speculation could not detect the
             # conflict.
-            if (
-                self.backend == "speculative"
-                and not scalar_dep
-                and len(capture.iterations) > 1
-            ):
+            if speculable and not scalar_dep:
                 return self._speculative_fallback(
-                    params, arrays, capture, report.decisions, report,
+                    params, arrays, entries, report.decisions, report,
                     seq_arrays,
                 )
             return report
 
-        # 2. Runtime environment for predicates: pre-loop state + CIV
-        #    prefixes (paying the CIV-COMP slice cost).
-        env: dict = dict(params)
-        env.update({k: v for k, v in capture.pre_scalars.items()})
-        for name, data in capture.pre_arrays.items():
-            env[name] = data
+        # 2. Runtime environments for predicates, one per entry: pre-loop
+        #    state + CIV prefixes (paying the CIV-COMP slice cost).
+        envs = [entry.env(self.plan) for entry in entries]
         if self.plan.civs:
-            slice_fraction = self._civ_slice_fraction()
-            report.civ_overhead = seq_work * slice_fraction
-            for info in self.plan.civs:
-                env[info.prefix_array] = capture.civ_values[info.name]
-        if self.plan.is_while and self.plan.trip_symbol:
-            env[self.plan.trip_symbol] = len(capture.iterations)
+            report.civ_overhead = seq_work * self._civ_slice_fraction()
 
-        # 3. Per-array decisions via cascades / exact fallbacks.
+        # 3. Per-array decisions via cascades / exact fallbacks; a test
+        #    holds only when it holds at every entry.
         stats = EvalStats()
-        decisions: dict[str, ArrayDecision] = {}
-        all_parallel = True
-        from ..ir.interp import LoopTrace
-
-        trace = LoopTrace(label, list(capture.records))
-        for array, aplan in self.plan.arrays.items():
-            decision = self._decide_array(array, aplan, env, stats, report, trace)
-            decisions[array] = decision
-            if decision.strategy == "dependent":
-                all_parallel = False
+        traces = [LoopTrace(label, entry.records) for entry in entries]
+        decisions = {
+            array: self._decide_array(array, aplan, envs, stats, report, traces)
+            for array, aplan in self.plan.arrays.items()
+        }
         report.test_overhead = float(stats.total_steps)
         report.test_leaf_overhead = float(stats.leaf_evals)
         report.decisions = decisions
 
-        if not all_parallel:
-            if self.backend == "speculative" and len(capture.iterations) > 1:
+        if any(d.strategy == "dependent" for d in decisions.values()):
+            if speculable:
                 # The cascade failed end to end: the paper's last resort
                 # is to run the loop speculatively anyway and let the
                 # LRPD test judge the attempt after the fact.
                 return self._speculative_fallback(
-                    params, arrays, capture, decisions, report, seq_arrays
+                    params, arrays, entries, decisions, report, seq_arrays
                 )
             # Exact tests failed or proved dependence: sequential run.
             return report
@@ -307,7 +300,7 @@ class HybridExecutor:
         # 4. Parallel overlay execution + ground-truth validation.
         strategies = {name: d.strategy for name, d in decisions.items()}
         par_arrays = self._parallel_execute(
-            params, arrays, capture, strategies, report
+            params, arrays, entries, strategies, report
         )
         # A validated loop's speculative run always commits (the
         # predicates that validated it are sound); guard anyway so a
@@ -317,69 +310,68 @@ class HybridExecutor:
         return report
 
     # -- sequential capture -----------------------------------------------------
-    def _capturing_seq(self, machine: Machine, stmt, frame, capture: _LoopCapture):
-        capture.seen = True
-        capture.pre_arrays = copy.deepcopy(machine.arrays)
-        capture.pre_scalars = dict(frame.scalars)
-        capture.frame_arrays = dict(frame.arrays)
-        capture.index_name = stmt.index if isinstance(stmt, Do) else None
-        civ_names = [info.name for info in self.plan.civs]
-        for info in self.plan.civs:
-            capture.civ_values[info.name] = []
+    def _loop_task(
+        self, machine: Machine, stmt, frame, iterations, civ_values, decisions
+    ) -> LoopTask:
+        """Freeze the loop's entry state -- *machine* and *frame* as
+        they stand when *stmt* is reached, memory snapshotted -- as a
+        backend-executable task over the given iterations."""
+        return LoopTask(
+            program=self.program,
+            label=self.plan.label,
+            params=dict(machine.params),
+            pre_arrays=copy_arrays(machine.arrays),
+            pre_scalars=dict(frame.scalars),
+            frame_arrays=dict(frame.arrays),
+            iterations=iterations,
+            civ_names=tuple(info.name for info in self.plan.civs),
+            civ_values=civ_values,
+            index_name=stmt.index if isinstance(stmt, Do) else None,
+            decisions=decisions,
+        )
+
+    def _capturing_seq(self, machine: Machine, stmt, frame) -> _LoopEntry:
+        """Run one entry of the target loop in order, recording it."""
+        civs = {info.name: [] for info in self.plan.civs}
+        entry = _LoopEntry(self._loop_task(machine, stmt, frame, [], civs, {}), [])
 
         def record_civs():
-            for info in self.plan.civs:
-                capture.civ_values[info.name].append(
-                    frame.scalars.get(info.name, 0)
-                )
+            for name, prefix in civs.items():
+                prefix.append(frame.scalars.get(name, 0))
 
-        if isinstance(stmt, Do):
-            lower = machine._eval(stmt.lower, frame)
-            upper = machine._eval(stmt.upper, frame)
-            indices = list(range(lower, upper + 1))
-            for i in indices:
-                frame.scalars[stmt.index] = i
-                record_civs()
-                rec = IterationRecord(iteration=i)
-                prev = machine._active_record
-                machine._active_record = rec
-                machine._exec_body(stmt.body, frame)
-                machine._active_record = prev
-                capture.records.append(rec)
-                capture.iterations.append(i)
-            record_civs()  # final CIV values (the paper's CIV@5)
-        elif isinstance(stmt, While):
-            count = 0
-            while machine._eval(stmt.cond, frame) != 0:
-                count += 1
-                record_civs()
-                rec = IterationRecord(iteration=count)
-                prev = machine._active_record
-                machine._active_record = rec
-                machine._exec_body(stmt.body, frame)
-                machine._active_record = prev
-                capture.records.append(rec)
-                capture.iterations.append(count)
+        for i in machine.iteration_values(stmt, frame):
             record_civs()
-        else:
-            raise TypeError(f"unsupported loop {stmt!r}")
+            record = IterationRecord(iteration=i)
+            machine.run_iteration(stmt.body, frame, record)
+            entry.records.append(record)
+            entry.task.iterations.append(i)
+        record_civs()  # final CIV values (the paper's CIV@5)
+        return entry
+
+    def _capture(self, params: dict, arrays: dict) -> tuple[list, RunResult]:
+        """The in-order run of the whole program with the target loop
+        recorded: (one :class:`_LoopEntry` per time it was entered, the
+        run's result)."""
+        entries: list[_LoopEntry] = []
+        result = Machine(
+            self.program,
+            params=params,
+            arrays=arrays,
+            loop_executor=lambda m, s, f: entries.append(
+                self._capturing_seq(m, s, f)
+            ),
+            loop_executor_label=self.plan.label,
+        ).run()
+        if not entries:
+            raise ValueError(f"target loop {self.plan.label!r} never executed")
+        return entries, result
 
     # -- decision logic ------------------------------------------------------------
-    def _decide_array(
-        self,
-        array: str,
-        aplan: ArrayPlan,
-        env: dict,
-        stats: EvalStats,
-        report: ExecutionReport,
-        trace=None,
-    ) -> ArrayDecision:
-        if aplan.needs_exact:
-            return self._exact_fallback(array, aplan, env, report, trace)
-        via = "static"
-        passed: Optional[str] = None
-        output_passed = aplan.output is None and aplan.transform == "shared"
-        for kind, cascade in aplan.runtime_cascades():
+    @staticmethod
+    def _evaluate(cascade, envs: list, stats: EvalStats):
+        """Evaluate *cascade* at each entry's environment until one
+        fails, charging every evaluation; the last outcome decides."""
+        for env in envs:
             outcome = cascade.evaluate(env)
             if outcome.stats.loop_iterations > 0:
                 # O(N)+ tests: the paper evaluates them as parallel
@@ -387,6 +379,26 @@ class HybridExecutor:
                 stats.loop_iterations += outcome.stats.total_steps
             else:
                 stats.leaf_evals += outcome.stats.leaf_evals
+            if not outcome.passed:
+                break
+        return outcome
+
+    def _decide_array(
+        self,
+        array: str,
+        aplan: ArrayPlan,
+        envs: list,
+        stats: EvalStats,
+        report: ExecutionReport,
+        traces: list,
+    ) -> ArrayDecision:
+        if aplan.needs_exact:
+            return self._exact_fallback(array, aplan, envs, report, traces)
+        via = "static"
+        passed: Optional[str] = None
+        output_passed = aplan.output is None and aplan.transform == "shared"
+        for kind, cascade in aplan.runtime_cascades():
+            outcome = self._evaluate(cascade, envs, stats)
             if outcome.passed:
                 via = "predicate"
                 passed = outcome.stage_label
@@ -394,7 +406,7 @@ class HybridExecutor:
                     output_passed = True
             elif kind == "flow":
                 # Flow predicate failed: only an exact test can save us.
-                return self._exact_fallback(array, aplan, env, report, trace)
+                return self._exact_fallback(array, aplan, envs, report, traces)
             else:
                 # Output predicate failed: fall back to privatization.
                 via = "predicate"
@@ -405,68 +417,64 @@ class HybridExecutor:
             return ArrayDecision(array, "shared", via, passed)
         if aplan.transform == "reduction":
             if aplan.rred is not None:
-                outcome = aplan.rred.evaluate(env)
-                if outcome.stats.loop_iterations > 0:
-                    stats.loop_iterations += outcome.stats.total_steps
-                else:
-                    stats.leaf_evals += outcome.stats.leaf_evals
+                outcome = self._evaluate(aplan.rred, envs, stats)
                 if outcome.passed:
                     # Updates proven independent: direct shared access.
                     return ArrayDecision(array, "shared", "predicate", outcome.stage_label)
             if not aplan.reduction_additive:
                 # Maybe-overlapping non-additive updates cannot be
                 # delta-merged; only an exact test can still validate.
-                return self._exact_fallback(array, aplan, env, report, trace)
+                return self._exact_fallback(array, aplan, envs, report, traces)
             if aplan.needs_bounds_comp:
-                self._run_bounds_comp(array, env, report)
+                self._run_bounds_comp(array, envs, report)
             return ArrayDecision(array, "reduction", via, passed)
         return ArrayDecision(array, aplan.transform, via, passed)
 
-    def _run_bounds_comp(self, array: str, env: dict, report: ExecutionReport):
+    def _run_bounds_comp(self, array: str, envs: list, report: ExecutionReport):
         analysis = self.plan.analysis
         if analysis is None or array not in analysis.summaries:
             return
-        from ..usr import usr_recurrence
-
         ls = analysis.summaries[array]
         rw_total = usr_recurrence(ls.index, ls.lower, ls.upper, ls.per_iteration.rw)
-        result = estimate_bounds(rw_total, env)
-        report.bounds_overhead += float(result.iterations)
+        for env in envs:
+            report.bounds_overhead += float(estimate_bounds(rw_total, env).iterations)
 
     def _exact_fallback(
         self,
         array: str,
         aplan: ArrayPlan,
-        env: dict,
+        envs: list,
         report: ExecutionReport,
-        trace=None,
+        traces: list,
     ) -> ArrayDecision:
         # Hoistable inspector evaluation (its memo models the paper's
         # HOIST-USR loops) or LRPD speculation, per the chosen strategy.
         usr = aplan.exact_usr if self.exact_strategy == "inspector" else None
         if usr is not None:
             try:
-                result = self.inspector.check_empty(usr, env)
+                results = [self.inspector.check_empty(usr, env) for env in envs]
             except (KeyError, TypeError, ValueError):
-                result = None
-            if result is not None:
-                report.inspector_overhead += float(result.cost)
-                if result.empty:
+                results = None
+            if results is not None:
+                report.inspector_overhead += float(sum(r.cost for r in results))
+                if all(r.empty for r in results):
                     return ArrayDecision(array, aplan.transform, "inspector")
                 return ArrayDecision(array, "dependent", "inspector")
         # LRPD speculation: the marking overhead is proportional to the
         # traced accesses; a misspeculation re-runs the loop serially
         # (charged by ExecutionReport.parallel_time).
-        if trace is not None:
-            report.used_speculation = True
-            spec = lrpd_test(trace)
-            report.speculation_overhead += float(spec.traced_accesses)
-            if spec.success:
-                strategy = "private" if array in spec.privatized else "shared"
-                return ArrayDecision(array, strategy, "speculation")
-            report.misspeculated = True
-            return ArrayDecision(array, "dependent", "speculation")
-        return ArrayDecision(array, "dependent", "failed")
+        report.used_speculation = True
+        verdicts = [lrpd_test(trace) for trace in traces]
+        report.speculation_overhead += float(
+            sum(v.traced_accesses for v in verdicts)
+        )
+        if all(v.success for v in verdicts):
+            privatized = any(array in v.privatized for v in verdicts)
+            return ArrayDecision(
+                array, "private" if privatized else "shared", "speculation"
+            )
+        report.misspeculated = True
+        return ArrayDecision(array, "dependent", "speculation")
 
     # -- parallel overlay execution ------------------------------------------------
     def _resolve_backend(self, task: LoopTask):
@@ -479,61 +487,17 @@ class HybridExecutor:
             return requested
         return get_backend("sequential")
 
-    def _freeze_task(
-        self,
-        machine: Machine,
-        stmt,
-        frame,
-        capture: _LoopCapture,
-        strategies: dict[str, str],
-    ) -> LoopTask:
-        """Freeze the loop's entry state as a backend-executable task."""
-        return LoopTask(
-            program=self.program,
-            label=self.plan.label,
-            params=dict(machine.params),
-            pre_arrays=copy.deepcopy(machine.arrays),
-            pre_scalars=dict(frame.scalars),
-            frame_arrays=dict(frame.arrays),
-            iterations=list(capture.iterations),
-            civ_names=tuple(info.name for info in self.plan.civs),
-            civ_values=capture.civ_values,
-            index_name=stmt.index if isinstance(stmt, Do) else None,
-            decisions=dict(strategies),
-        )
-
     def capture_task(self, params: dict, arrays: dict) -> LoopTask:
         """Freeze the target loop of one concrete run as a
         :class:`LoopTask` without executing any backend.
 
         The task carries the pre-loop memory, the captured iteration
-        list and CIV prefixes; ``decisions`` is left empty (callers pick
-        their own merge strategies).  The speculation benchmark times
-        its in-order sequential baseline over exactly this task.
+        list and CIV prefixes of the loop's first entry; ``decisions``
+        is left empty (callers pick their own merge strategies).  The
+        speculation benchmark times its in-order sequential baseline
+        over exactly this task.
         """
-        capture = _LoopCapture()
-        machine = Machine(
-            self.program,
-            params=params,
-            arrays=copy.deepcopy(arrays),
-            loop_executor=lambda m, s, f: self._capturing_seq(m, s, f, capture),
-            loop_executor_label=self.plan.label,
-        )
-        machine.run()
-        if not capture.seen:
-            raise ValueError(f"target loop {self.plan.label!r} never executed")
-        return LoopTask(
-            program=self.program,
-            label=self.plan.label,
-            params=dict(machine.params),
-            pre_arrays=capture.pre_arrays,
-            pre_scalars=dict(capture.pre_scalars),
-            frame_arrays=dict(capture.frame_arrays),
-            iterations=list(capture.iterations),
-            civ_names=tuple(info.name for info in self.plan.civs),
-            civ_values=capture.civ_values,
-            index_name=capture.index_name,
-        )
+        return self._capture(params, arrays)[0][0].task
 
     @staticmethod
     def _note_speculation(report: ExecutionReport, run) -> None:
@@ -557,16 +521,29 @@ class HybridExecutor:
         self,
         params: dict,
         arrays: dict,
-        capture: _LoopCapture,
+        entries: list,
         strategies: dict[str, str],
         report: ExecutionReport,
     ) -> dict[str, list[int]]:
         """Re-run the whole program, delegating the target loop to the
         selected execution backend (iteration-isolated memory, per-array
-        merge rules) and recording the real wall-clock cost."""
+        merge rules) and recording the real wall-clock cost.  The
+        *n*-th time the loop is reached runs the iterations the *n*-th
+        entry of the sequential run made, from the re-run's own state."""
+        remaining = iter(entries)
 
         def parallel_hook(machine: Machine, stmt, frame):
-            task = self._freeze_task(machine, stmt, frame, capture, strategies)
+            entry = next(remaining, None)
+            if entry is None:
+                raise RuntimeError(
+                    f"loop {self.plan.label!r} entered more often in the "
+                    "parallel re-run than in the sequential run"
+                )
+            iterations = entry.task.iterations
+            task = self._loop_task(
+                machine, stmt, frame, iterations, entry.task.civ_values,
+                strategies,
+            )
             backend = self._resolve_backend(task)
             started = time.perf_counter()
             run = backend.execute(task, jobs=self.jobs, chunk=self.chunk)
@@ -577,24 +554,23 @@ class HybridExecutor:
             self._note_speculation(report, run)
             machine.arrays = run.arrays
             frame.scalars.update(run.final_scalars)
-            if isinstance(stmt, Do) and capture.iterations:
-                frame.scalars[stmt.index] = capture.iterations[-1]
+            if task.index_name is not None and iterations:
+                frame.scalars[task.index_name] = iterations[-1]
 
         machine = Machine(
             self.program,
             params=params,
-            arrays=copy.deepcopy(arrays),
+            arrays=arrays,
             loop_executor=parallel_hook,
             loop_executor_label=self.plan.label,
         )
-        result = machine.run()
-        return result.arrays
+        return machine.run().arrays
 
     def _speculative_fallback(
         self,
         params: dict,
         arrays: dict,
-        capture: _LoopCapture,
+        entries: list,
         decisions: dict[str, ArrayDecision],
         report: ExecutionReport,
         seq_arrays: dict,
@@ -608,7 +584,7 @@ class HybridExecutor:
             for name, d in decisions.items()
         }
         par_arrays = self._parallel_execute(
-            params, arrays, capture, strategies, report
+            params, arrays, entries, strategies, report
         )
         committed = (
             report.speculation_commits > 0
@@ -667,8 +643,6 @@ def _slice_sizes(body, relevant: set[str]) -> tuple[int, int]:
     assigns a relevant scalar or controls one; its read scalars become
     relevant too.
     """
-    from ..ir.ast import AssignArray, AssignScalar, Call, Do, If, While as W
-
     def stmts_of(stmts):
         out = []
         for s in stmts:
@@ -676,7 +650,7 @@ def _slice_sizes(body, relevant: set[str]) -> tuple[int, int]:
             if isinstance(s, If):
                 out.extend(stmts_of(s.then_body))
                 out.extend(stmts_of(s.else_body))
-            elif isinstance(s, (Do, W)):
+            elif isinstance(s, (Do, While)):
                 out.extend(stmts_of(s.body))
         return out
 
@@ -691,7 +665,7 @@ def _slice_sizes(body, relevant: set[str]) -> tuple[int, int]:
             hit = False
             if isinstance(s, AssignScalar) and s.name in relevant:
                 hit = True
-            elif isinstance(s, (Do, W)):
+            elif isinstance(s, (Do, While)):
                 inner = stmts_of(s.body)
                 if any(
                     isinstance(x, AssignScalar) and x.name in relevant for x in inner
@@ -705,15 +679,9 @@ def _slice_sizes(body, relevant: set[str]) -> tuple[int, int]:
                     hit = True
             if hit:
                 in_slice.add(idx)
-                for name in _stmt_scalar_reads(s):
+                for name in _stmt_reads(s):
                     if name not in relevant:
                         relevant.add(name)
                         changed = True
     return (len(flat), len(in_slice))
-
-
-def _stmt_scalar_reads(s) -> set[str]:
-    from ..ir.scalars import _stmt_reads
-
-    return _stmt_reads(s)
 

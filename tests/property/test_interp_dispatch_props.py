@@ -1,0 +1,471 @@
+"""The table-dispatched interpreter is the ``isinstance`` ladder it replaced.
+
+:class:`~repro.ir.interp.Machine` finds a node's handler in a table keyed
+by ``type(node)`` (binary operators in an operator table).
+``LadderMachine`` below is the execution core as it stood before -- the
+``isinstance`` ladders of ``_exec``/``_eval``, the string ``if``-chain of
+``_apply_binop``, ``_resolve``-based memory access, separate DO and
+while loops -- kept here only, as the reference.  Both machines must
+agree on everything a run can be observed by: final arrays and scalars,
+``work``, ``loop_work``, ``loop_trips``, every traced iteration's record
+(writes / exposed reads / updates / work) and, when a run fails, the
+exact ``InterpError`` text and how far the run got.
+
+Mutation check: swapping two entries of ``interp._BINOPS`` (``+``/``-``,
+or ``<``/``<=``) makes ``test_expressions_agree`` and
+``test_generated_programs_agree`` fail;
+``test_a_swapped_operator_is_caught`` keeps that sensitivity pinned.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.fuzz import generate_case
+from repro.ir import interp, parse_program
+from repro.ir.ast import (
+    ARITH_OPS,
+    BOOL_OPS,
+    COMPARISONS,
+    ArrayDecl,
+    ArrayRead,
+    AssignArray,
+    AssignScalar,
+    BinOp,
+    Call,
+    CallArg,
+    Do,
+    If,
+    Intrinsic,
+    IRExpr,
+    IRStmt,
+    Num,
+    Program,
+    Subroutine,
+    UnaryOp,
+    Var,
+    While,
+)
+from repro.ir.interp import InterpError, IterationRecord, Machine
+
+# -- the reference: the interpreter's execution core before the tables ----------
+
+
+def _apply_binop(op, left, right):
+    if op == "+":
+        return left + right
+    if op == "-":
+        return left - right
+    if op == "*":
+        return left * right
+    if op == "/":
+        if right == 0:
+            raise InterpError("division by zero")
+        return left // right
+    if op == "%":
+        if right == 0:
+            raise InterpError("modulo by zero")
+        return left % right
+    if op == "==":
+        return 1 if left == right else 0
+    if op == "!=":
+        return 1 if left != right else 0
+    if op == "<":
+        return 1 if left < right else 0
+    if op == "<=":
+        return 1 if left <= right else 0
+    if op == ">":
+        return 1 if left > right else 0
+    if op == ">=":
+        return 1 if left >= right else 0
+    raise InterpError(f"unknown operator {op!r}")
+
+
+class LadderMachine(Machine):
+    def _exec(self, stmt, frame):
+        self.work += 1
+        if self._active_record is not None:
+            self._active_record.work += 1
+        if isinstance(stmt, AssignScalar):
+            frame.scalars[stmt.name] = self._eval(stmt.expr, frame)
+            return
+        if isinstance(stmt, AssignArray):
+            index = self._eval(stmt.index, frame)
+            value = self._eval(stmt.expr, frame)
+            self._store(stmt.array, index, value, frame, update=stmt.is_update)
+            return
+        if isinstance(stmt, If):
+            if self._eval(stmt.cond, frame) != 0:
+                self._exec_body(stmt.then_body, frame)
+            else:
+                self._exec_body(stmt.else_body, frame)
+            return
+        if isinstance(stmt, Do):
+            self._exec_do(stmt, frame)
+            return
+        if isinstance(stmt, While):
+            self._exec_while(stmt, frame)
+            return
+        if isinstance(stmt, Call):
+            self._exec_call(stmt, frame)
+            return
+        raise InterpError(f"unknown statement {stmt!r}")
+
+    def _exec_do(self, stmt, frame):
+        lower = self._eval(stmt.lower, frame)
+        upper = self._eval(stmt.upper, frame)
+        tracing = stmt.label is not None and stmt.label == self.trace_label
+        work_before = self.work
+        trips = max(0, upper - lower + 1)
+        for i in range(lower, upper + 1):
+            frame.scalars[stmt.index] = i
+            if tracing and self.trace is not None:
+                record = IterationRecord(iteration=i)
+                prev = self._active_record
+                self._active_record = record
+                self._exec_body(stmt.body, frame)
+                self._active_record = prev
+                self.trace.iterations.append(record)
+            else:
+                self._exec_body(stmt.body, frame)
+        if stmt.label:
+            self.loop_work[stmt.label] = (
+                self.loop_work.get(stmt.label, 0) + self.work - work_before
+            )
+            self.loop_trips[stmt.label] = self.loop_trips.get(stmt.label, 0) + trips
+
+    def _exec_while(self, stmt, frame):
+        tracing = stmt.label is not None and stmt.label == self.trace_label
+        work_before = self.work
+        trips = 0
+        while self._eval(stmt.cond, frame) != 0:
+            trips += 1
+            if trips > interp._WHILE_FUEL:
+                raise InterpError(f"while loop {stmt.label or ''} ran away")
+            if tracing and self.trace is not None:
+                record = IterationRecord(iteration=trips)
+                prev = self._active_record
+                self._active_record = record
+                self._exec_body(stmt.body, frame)
+                self._active_record = prev
+                self.trace.iterations.append(record)
+            else:
+                self._exec_body(stmt.body, frame)
+        if stmt.label:
+            self.loop_work[stmt.label] = (
+                self.loop_work.get(stmt.label, 0) + self.work - work_before
+            )
+            self.loop_trips[stmt.label] = self.loop_trips.get(stmt.label, 0) + trips
+
+    def _resolve(self, array, index, frame):
+        if array not in frame.arrays:
+            raise InterpError(f"unbound array {array!r}")
+        base_name, offset = frame.arrays[array]
+        return base_name, offset + index
+
+    def _load(self, array, index, frame):
+        name, loc = self._resolve(array, index, frame)
+        data = self.arrays[name]
+        if not (1 <= loc <= len(data)):
+            raise InterpError(f"{name}[{loc}] out of bounds (size {len(data)})")
+        rec = self._active_record
+        if rec is not None:
+            written = rec.writes.get(name)
+            if not written or loc not in written:
+                rec.exposed_reads.setdefault(name, set()).add(loc)
+        return data[loc - 1]
+
+    def _store(self, array, index, value, frame, update):
+        name, loc = self._resolve(array, index, frame)
+        data = self.arrays[name]
+        if not (1 <= loc <= len(data)):
+            raise InterpError(f"{name}[{loc}] out of bounds (size {len(data)})")
+        rec = self._active_record
+        if rec is not None:
+            rec.writes.setdefault(name, set()).add(loc)
+            if update:
+                rec.updates.setdefault(name, set()).add(loc)
+        data[loc - 1] = value
+
+    def _eval(self, expr, frame):
+        if isinstance(expr, Num):
+            return expr.value
+        if isinstance(expr, Var):
+            if expr.name in frame.scalars:
+                return frame.scalars[expr.name]
+            if expr.name in self.params:
+                return self.params[expr.name]
+            raise InterpError(f"unbound scalar {expr.name!r}")
+        if isinstance(expr, ArrayRead):
+            index = self._eval(expr.index, frame)
+            return self._load(expr.array, index, frame)
+        if isinstance(expr, BinOp):
+            left = self._eval(expr.left, frame)
+            if expr.op == "and":
+                return 1 if (left != 0 and self._eval(expr.right, frame) != 0) else 0
+            if expr.op == "or":
+                return 1 if (left != 0 or self._eval(expr.right, frame) != 0) else 0
+            right = self._eval(expr.right, frame)
+            return _apply_binop(expr.op, left, right)
+        if isinstance(expr, UnaryOp):
+            value = self._eval(expr.arg, frame)
+            if expr.op == "-":
+                return -value
+            if expr.op == "not":
+                return 0 if value else 1
+            raise InterpError(f"unknown unary {expr.op!r}")
+        if isinstance(expr, Intrinsic):
+            values = [self._eval(a, frame) for a in expr.args]
+            if expr.name == "min":
+                return min(values)
+            if expr.name == "max":
+                return max(values)
+            raise InterpError(f"unknown intrinsic {expr.name!r}")
+        raise InterpError(f"unknown expression {expr!r}")
+
+
+# -- observing a run ------------------------------------------------------------
+
+
+def observe(machine_cls, program, params=None, arrays=None, trace_label=None):
+    """Everything a run of *program* on *machine_cls* can be told by.
+    A failed run is observed too: the error, and the state it left."""
+    try:
+        machine = machine_cls(
+            program, params=params, arrays=arrays, trace_label=trace_label
+        )
+    except InterpError as exc:
+        return {"error": f"constructor: {exc}"}
+    scalars = None
+    try:
+        error = None
+        scalars = machine.run().scalars
+    except InterpError as exc:
+        error = str(exc)
+    trace = machine.trace.iterations if machine.trace is not None else None
+    return {
+        "error": error,
+        "scalars": scalars,
+        "arrays": machine.arrays,
+        "work": machine.work,
+        "loop_work": machine.loop_work,
+        "loop_trips": machine.loop_trips,
+        "trace": trace,  # IterationRecord is a dataclass: == is field-wise
+    }
+
+
+def agree(program, **inputs):
+    """Both machines observe the same run; returns the observation."""
+    new = observe(Machine, program, **inputs)
+    assert new == observe(LadderMachine, program, **inputs)
+    return new
+
+
+# -- generated programs -----------------------------------------------------------
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 50_000))
+def test_generated_programs_agree(seed):
+    case = generate_case(seed)
+    seen = agree(
+        case.program, params=case.params, arrays=case.arrays,
+        trace_label=case.label,
+    )
+    assert seen["error"] is None and seen["trace"] is not None
+
+
+# -- expressions: every operator, short-circuits, division by zero -----------------
+
+_ENV = {"x": 7, "y": -3, "z": 0}
+
+
+def _expressions():
+    leaves = st.one_of(
+        st.integers(-4, 9).map(Num),
+        st.sampled_from(sorted(_ENV)).map(Var),
+        st.integers(1, 4).map(lambda i: ArrayRead("A", Num(i))),
+    )
+
+    def extend(inner):
+        return st.one_of(
+            st.builds(
+                BinOp, st.sampled_from(ARITH_OPS + COMPARISONS + BOOL_OPS),
+                inner, inner,
+            ),
+            st.builds(UnaryOp, st.sampled_from(("-", "not")), inner),
+            st.builds(
+                Intrinsic, st.sampled_from(("min", "max")),
+                st.lists(inner, min_size=1, max_size=3).map(tuple),
+            ),
+            inner.map(lambda index: ArrayRead("A", index)),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=12)
+
+
+@settings(max_examples=400, deadline=None)
+@given(expr=_expressions())
+def test_expressions_agree(expr):
+    """One traced iteration storing the expression: value or error text,
+    the reads it exposed (so also which operands a short-circuit
+    skipped) and the work all match."""
+    program = Program(
+        arrays=(ArrayDecl("A", Num(4)), ArrayDecl("R", Num(1))),
+        main=(Do("i", Num(1), Num(1), (AssignArray("R", Num(1), expr),), "t"),),
+    )
+    agree(program, params=_ENV, arrays={"A": [3, 0, -2, 5]}, trace_label="t")
+
+
+def test_a_swapped_operator_is_caught(monkeypatch):
+    program = parse_program(
+        "program p\narray R(2)\nmain\n  R[1] = 7 - 2\n  R[2] = 3 < 3\nend\n"
+    )
+    agree(program)
+    for a, b in (("+", "-"), ("<", "<=")):
+        swapped = {a: interp._BINOPS[b], b: interp._BINOPS[a]}
+        with monkeypatch.context() as patch:
+            for op, apply in swapped.items():
+                patch.setitem(interp._BINOPS, op, apply)
+            with pytest.raises(AssertionError):
+                agree(program)
+
+
+# -- hand cases: every InterpError, text for text ------------------------------------
+
+
+class AlienExpr(IRExpr):
+    def __repr__(self):
+        return "<alien expr>"
+
+
+class AlienStmt(IRStmt):
+    def __repr__(self):
+        return "<alien stmt>"
+
+
+def _main(*stmts, subs=()):
+    return Program(
+        params=("N",),
+        arrays=(ArrayDecl("A", Num(4)),),
+        subroutines={sub.name: sub for sub in subs},
+        main=tuple(stmts),
+    )
+
+
+_SUB = Subroutine("s", ("a",), ("X",), (AssignArray("X", Var("a"), Num(1)),))
+_ONE = Num(1)
+
+ERROR_CASES = [
+    ("unbound scalar", _main(AssignScalar("r", Var("nope"))),
+     "unbound scalar 'nope'"),
+    ("unbound array read", _main(AssignScalar("r", ArrayRead("Z", _ONE))),
+     "unbound array 'Z'"),
+    ("unbound array write", _main(AssignArray("Z", _ONE, _ONE)),
+     "unbound array 'Z'"),
+    ("read out of bounds", _main(AssignScalar("r", ArrayRead("A", Num(5)))),
+     "A[5] out of bounds (size 4)"),
+    ("write out of bounds", _main(AssignArray("A", Num(0), _ONE)),
+     "A[0] out of bounds (size 4)"),
+    ("offset section out of bounds",
+     _main(Call("s", (CallArg(scalar=Num(2)), CallArg(array="A", offset=Num(3)))),
+           subs=(_SUB,)),
+     "A[5] out of bounds (size 4)"),
+    ("division by zero",
+     _main(AssignArray("A", _ONE, _ONE), AssignScalar("r", BinOp("/", _ONE, Num(0)))),
+     "division by zero"),
+    ("modulo by zero", _main(AssignScalar("r", BinOp("%", _ONE, Var("z")))),
+     "modulo by zero"),
+    ("unknown subroutine", _main(Call("ghost", ())),
+     "call to unknown subroutine 'ghost'"),
+    ("too many scalar arguments",
+     _main(Call("s", (CallArg(scalar=_ONE), CallArg(scalar=_ONE))), subs=(_SUB,)),
+     "too many scalar arguments to 's'"),
+    ("too many array arguments",
+     _main(Call("s", (CallArg(array="A"), CallArg(array="A"))), subs=(_SUB,)),
+     "too many array arguments to 's'"),
+    ("missing arguments", _main(Call("s", (CallArg(scalar=_ONE),)), subs=(_SUB,)),
+     "missing arguments in call to 's'"),
+    ("foreign expression", _main(AssignScalar("r", BinOp("+", _ONE, AlienExpr()))),
+     "unknown expression <alien expr>"),
+    ("foreign statement", _main(AssignScalar("r", _ONE), AlienStmt()),
+     "unknown statement <alien stmt>"),
+    ("unknown operator", _main(AssignScalar("r", BinOp("**", _ONE, _ONE))),
+     "unknown operator '**'"),
+    ("unknown unary", _main(AssignScalar("r", UnaryOp("~", _ONE))),
+     "unknown unary '~'"),
+    ("unknown intrinsic", _main(AssignScalar("r", Intrinsic("abs", (_ONE,)))),
+     "unknown intrinsic 'abs'"),
+]
+
+
+@pytest.mark.parametrize(
+    "program, message",
+    [case[1:] for case in ERROR_CASES],
+    ids=[case[0] for case in ERROR_CASES],
+)
+def test_error_text_is_unchanged(program, message):
+    seen = agree(program, params={"N": 4, "z": 0})
+    assert seen["error"] == message
+
+
+def test_unbound_parameter_in_an_array_size():
+    program = Program(arrays=(ArrayDecl("A", Var("N")),))
+    assert agree(program)["error"] == "constructor: unbound scalar 'N'"
+
+
+def test_runaway_while(monkeypatch):
+    monkeypatch.setattr(interp, "_WHILE_FUEL", 50)
+    spin = While(BinOp("<", Num(0), _ONE), (AssignScalar("k", _ONE),), "spin")
+    seen = agree(_main(spin), params={"N": 4}, trace_label="spin")
+    assert seen["error"] == "while loop spin ran away"
+    assert seen["work"] == 1 + 50 and len(seen["trace"]) == 50
+    unlabelled = agree(_main(While(_ONE, ())), params={"N": 4})
+    assert unlabelled["error"] == "while loop  ran away"
+
+
+# -- hand cases: control flow the generator reaches rarely ------------------------------
+
+NESTED_AND_CALLS = """
+program p
+param N
+array A(32), B(32)
+
+subroutine bump(k, X[])
+  X[k] = X[k] + k
+end
+
+main
+  s = 0
+  do i = 1, N @ outer
+    if (i % 2) == 0 and A[i] < 3 then
+      A[i] = A[i] + 1
+    else
+      B[i] = min(A[i], i) - max(s, 0 - i)
+    end
+    do j = i, i + 1 @ inner
+      call bump(j, A[])
+      call bump(1, B[] + j)
+    end
+    s = s + (not (i == 3))
+    while s > 2 @ drain
+      s = s - 2
+    end
+  end
+  do i = 5, 1 @ empty
+    A[1] = 99
+  end
+end
+"""
+
+
+@pytest.mark.parametrize("traced", ["outer", "inner", "drain", "empty", None])
+def test_nested_loops_calls_and_offsets_agree(traced):
+    program = parse_program(NESTED_AND_CALLS)
+    seen = agree(
+        program, params={"N": 6}, arrays={"A": list(range(32))},
+        trace_label=traced,
+    )
+    assert seen["error"] is None
+    assert seen["loop_trips"] == {
+        "outer": 6, "inner": 12, "drain": seen["loop_trips"]["drain"], "empty": 0,
+    }

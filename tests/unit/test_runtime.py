@@ -1,11 +1,16 @@
 """Unit tests for the simulated runtime: scheduler, speculation,
 inspector, and the conditional-parallelization executor."""
 
+import copy
+import dataclasses
+
 import pytest
 
+from repro.api import Engine, EngineConfig
 from repro.core import analyze_loop
+from repro.fuzz import generate_case, run_case
 from repro.ir import parse_program
-from repro.ir.interp import IterationRecord, LoopTrace
+from repro.ir.interp import IterationRecord, LoopTrace, copy_arrays
 from repro.runtime import (
     CostModel,
     HybridExecutor,
@@ -14,6 +19,7 @@ from repro.runtime import (
     lrpd_test,
     schedule_parallel,
 )
+from repro.runtime.backends import BACKENDS
 
 
 class TestScheduler:
@@ -296,3 +302,176 @@ end
         r = ex.run({"N": 16, "OFF": 0}, {"B": [0] * 256})
         cost = CostModel(spawn_overhead=1)
         assert 0.0 <= r.rtov(4, cost) < 1.0
+
+
+REENTER_VARYING = """
+program p
+param N
+array A(N), B(N)
+main
+  do k = 1, 2
+    do i = 1, k * 3 @ tgt
+      A[i] = B[i] + k
+    end
+    B[1] = B[1] + A[6]
+  end
+end
+"""
+
+# Fixed bound; every iteration expose-reads the location it then writes,
+# so the union of two entries' iterations looks flow-dependent.
+REENTER_FIXED = """
+program p
+param N
+array A(N), B(N), C(N)
+main
+  do k = 1, 2
+    do i = 1, N @ tgt
+      C[i] = A[i]
+      A[i] = B[i] + k
+    end
+    B[1] = B[1] + A[6]
+  end
+end
+"""
+
+# Independent at the second entry (off = N), a flow chain at the first
+# (off = 0): the runtime predicate must hold at *every* entry.
+REENTER_PREDICATE = """
+program p
+param N
+array A(64)
+main
+  do k = 1, 2
+    off = (k - 1) * N
+    do i = 1, N @ tgt
+      A[off + i + 1] = A[i] + 1
+    end
+  end
+end
+"""
+
+BACKEND_NAMES = ("sequential", "thread", "process", "numpy", "speculative")
+
+
+@pytest.mark.parametrize("backend", BACKEND_NAMES)
+class TestLoopReentry:
+    """A target loop entered more than once: each entry keeps its own
+    pre-state, iterations, records and CIV prefixes, and the parallel
+    re-run's n-th entry runs the n-th entry's iterations."""
+
+    def _run(self, src, backend, arrays):
+        prog = _build(src)
+        ex = HybridExecutor(prog, analyze_loop(prog, "tgt"), backend=backend, jobs=2)
+        return ex.run({"N": 6}, arrays)
+
+    def test_varying_trip_count(self, backend):
+        r = self._run(REENTER_VARYING, backend, {"B": [1, 2, 3, 4, 5, 6]})
+        assert r.parallel and r.correct
+        assert len(r.iteration_costs) == 3 + 6
+        assert r.seq_work == sum(r.iteration_costs)
+
+    def test_fixed_trip_count_never_runs_the_union(self, backend):
+        r = self._run(REENTER_FIXED, backend, {"B": [1, 2, 3, 4, 5, 6]})
+        assert r.parallel and r.correct
+        assert len(r.iteration_costs) == 12
+        assert r.speculation_rollbacks == 0
+        if r.backend_used == "speculative":
+            assert r.speculation_commits == 2  # one per entry
+
+    def test_predicate_must_hold_at_every_entry(self, backend):
+        r = self._run(REENTER_PREDICATE, backend, {"A": [0] * 64})
+        assert r.correct and not r.parallel
+        assert r.decisions["A"].strategy == "dependent"
+        assert r.inspector_overhead > 0  # the exact test settled it
+
+
+def _untimed(report):
+    return dataclasses.replace(report, wall_s=0.0)
+
+
+def _aliased(theirs, mine) -> bool:
+    """Does any list of *theirs* share identity with one of *mine*?"""
+    return any(a is b for a in theirs.values() for b in mine.values())
+
+
+class TestInputsAndCopies:
+    """``Engine.execute`` never mutates its inputs and never hands them
+    on: the interpreter owns the one copy it makes, every later
+    snapshot is a flat per-array copy, and ``copy.deepcopy`` -- an
+    O(elements) Python-level walk -- is not on the execute path."""
+
+    PARAMS = {"N": 8, "OFF": 0}
+
+    @pytest.fixture(autouse=True)
+    def refuse_deepcopy(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("copy.deepcopy called on the execute path")
+
+        monkeypatch.setattr(copy, "deepcopy", refuse)
+
+    @pytest.fixture
+    def backend_calls(self, monkeypatch):
+        """(task, run) of every backend execute made during the test."""
+        calls = []
+        for cls in BACKENDS.values():
+            def execute(self, task, jobs=None, chunk=None, _inner=cls.execute):
+                run = _inner(self, task, jobs=jobs, chunk=chunk)
+                calls.append((task, run))
+                return run
+
+            monkeypatch.setattr(cls, "execute", execute)
+        return calls
+
+    @pytest.fixture
+    def compiled(self):
+        engine = Engine(EngineConfig(use_disk_cache=False))
+        yield engine.compile(EXEC_SRC)
+        engine.close()
+
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_execute_neither_mutates_nor_aliases_inputs(
+        self, backend, compiled, backend_calls
+    ):
+        # B shorter than its declared 256: the machine pads its own copy.
+        arrays = {"A": [7] * 256, "B": list(range(1, 17))}
+        saved = copy_arrays(arrays)
+        report = compiled.execute("l", self.PARAMS, arrays, backend=backend, jobs=2)
+        assert report.parallel and report.correct
+        assert arrays == saved
+        ((task, run),) = backend_calls
+        assert not _aliased(task.pre_arrays, arrays)
+        assert not _aliased(run.arrays, arrays)
+        assert not _aliased(vars(report), arrays)
+        returned = copy_arrays(task.pre_arrays), copy_arrays(run.arrays)
+        arrays["A"].clear()
+        arrays["B"][:] = [99] * 16
+        assert (task.pre_arrays, run.arrays) == returned
+        assert run.arrays["A"][:9] == [2, 3, 4, 5, 6, 7, 8, 9, 7]
+
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_list_tuple_and_short_inputs_agree(self, backend, compiled):
+        full = list(range(1, 17)) + [0] * 240
+        reports = [
+            _untimed(compiled.execute(
+                "l", self.PARAMS, {"B": b}, backend=backend, jobs=2
+            ))
+            for b in (full, tuple(full), full[:16], tuple(full[:16]))
+        ]
+        assert reports[0].parallel and reports[0].correct
+        assert all(r == reports[0] for r in reports[1:])
+
+    def test_capture_task_owns_its_memory(self, compiled):
+        arrays = {"B": list(range(1, 17))}
+        task = compiled.executor("l").capture_task(self.PARAMS, arrays)
+        assert arrays == {"B": list(range(1, 17))}
+        assert not _aliased(task.pre_arrays, arrays)
+        assert task.pre_arrays["B"] == list(range(1, 17)) + [0] * 240
+        assert task.iterations == list(range(1, 9))
+
+    def test_oracle_case_keeps_its_inputs(self):
+        case = generate_case(3)
+        saved = copy_arrays(case.arrays)
+        result = run_case(case, backend="thread", jobs=2)
+        assert result.outcome != "crash", result.detail
+        assert case.arrays == saved
