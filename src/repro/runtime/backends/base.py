@@ -174,44 +174,34 @@ class ExecutionBackend:
 
 
 def execute_positions(
-    program: Program,
-    label: str,
-    params: dict,
-    pre_arrays: dict,
-    pre_scalars: dict,
-    frame_arrays: dict,
-    iterations: Sequence[int],
-    civ_names: Sequence[str],
-    civ_values: dict,
-    index_name: Optional[str],
+    task: LoopTask,
     positions: Sequence[int],
     per_iteration_snapshot: bool,
     record_exposed: bool = False,
 ) -> list:
-    """Execute the given iteration *positions* in isolation.
+    """Execute the given iteration *positions* of *task* in isolation.
 
     Returns one :class:`IterationOutcome` per position, in the order
     given.  See the module docstring for the two snapshot modes.
     """
-    loop = program.find_loop(label)
+    loop = task.program.find_loop(task.label)
     if loop is None:
-        raise ValueError(f"no loop labelled {label!r}")
-    body = loop.body
-    machine = Machine(program, params=params, arrays=pre_arrays)
+        raise ValueError(f"no loop labelled {task.label!r}")
+    pre_arrays = task.pre_arrays
+    machine = Machine(task.program, params=task.params, arrays=pre_arrays)
     local = machine.arrays  # Machine copied pre_arrays into fresh lists
     outcomes = []
     for pos in positions:
         if per_iteration_snapshot:
             machine.arrays = local = copy_arrays(pre_arrays)
-        iteration = iterations[pos]
-        scalars = dict(pre_scalars)
-        if index_name is not None:
-            scalars[index_name] = iteration
-        for name in civ_names:
-            scalars[name] = civ_values[name][pos]
-        frame = _Frame(scalars, frame_arrays)
+        iteration = task.iterations[pos]
+        scalars = dict(task.pre_scalars)
+        if task.index_name is not None:
+            scalars[task.index_name] = iteration
+        for name in task.civ_names:
+            scalars[name] = task.civ_values[name][pos]
         record = IterationRecord(iteration=iteration)
-        machine.run_iteration(body, frame, record)
+        machine.run_iteration(loop.body, _Frame(scalars, task.frame_arrays), record)
         values = {
             arr: {loc: local[arr][loc - 1] for loc in locs}
             for arr, locs in record.writes.items()

@@ -12,10 +12,10 @@ not the memory:
   range (the interpreter's integers are unbounded) fall back to
   pickling the arrays into the setup blob -- rare, and still correct;
 * **per-worker setup cache** -- every chunk submission carries the same
-  small setup blob (pickled program + scalars + the shared-memory
-  layout) tagged with a run token; a worker materializes the state on
-  the first chunk it sees for a token and reuses it for the rest of the
-  run.
+  small setup blob (the pickled task without its arrays + the
+  shared-memory layout) tagged with a run token; a worker materializes
+  the state on the first chunk it sees for a token and reuses it for
+  the rest of the run.
 
 The pool itself outlives individual runs (created lazily, resized on
 demand, shut down at interpreter exit), so back-to-back executions --
@@ -31,6 +31,7 @@ import itertools
 import pickle
 import threading
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from multiprocessing import get_all_start_methods, get_context, shared_memory
 from typing import Optional
 
@@ -137,7 +138,7 @@ def _unpack_arrays(shm_name: str, layout: dict) -> dict:
 
 # -- worker side -------------------------------------------------------------
 
-#: token -> materialized (program, pre_arrays, setup) state, per worker.
+#: token -> materialized setup (its task's pre_arrays filled in), per worker.
 _WORKER_STATE: dict = {}
 
 
@@ -147,7 +148,7 @@ def _materialize(token: int, setup_blob: bytes) -> dict:
         return state
     setup = pickle.loads(setup_blob)
     if setup["shm_name"] is not None:
-        setup["pre_arrays"] = _unpack_arrays(
+        setup["task"].pre_arrays = _unpack_arrays(
             setup["shm_name"], setup["layout"]
         )
     while len(_WORKER_STATE) >= _WORKER_CACHE_SIZE:
@@ -161,19 +162,10 @@ def _worker_chunk(payload) -> list:
     token, setup_blob, positions = payload
     state = _materialize(token, setup_blob)
     return execute_positions(
-        state["program"],
-        state["label"],
-        state["params"],
-        state["pre_arrays"],
-        state["pre_scalars"],
-        state["frame_arrays"],
-        state["iterations"],
-        state["civ_names"],
-        state["civ_values"],
-        state["index_name"],
+        state["task"],
         positions,
         per_iteration_snapshot=False,
-        record_exposed=state.get("record_exposed", False),
+        record_exposed=state["record_exposed"],
     )
 
 
@@ -192,19 +184,11 @@ def execute_chunks(
     """
     shm, layout = _pack_arrays(task.pre_arrays)
     setup = {
-        "program": task.program,
-        "label": task.label,
-        "params": task.params,
-        "pre_scalars": task.pre_scalars,
-        "frame_arrays": task.frame_arrays,
-        "iterations": task.iterations,
-        "civ_names": task.civ_names,
-        "civ_values": task.civ_values,
-        "index_name": task.index_name,
+        # the pre-loop memory travels through the segment, not the pickle
+        "task": replace(task, pre_arrays=None) if shm is not None else task,
         "record_exposed": record_exposed,
         "shm_name": shm.name if shm is not None else None,
         "layout": layout,
-        "pre_arrays": None if shm is not None else task.pre_arrays,
     }
     token = next(_RUN_TOKENS)
     setup_blob = pickle.dumps(setup)

@@ -37,18 +37,7 @@ class SequentialBackend(ExecutionBackend):
         chunk: Optional[ChunkSpec] = None,
     ) -> BackendRun:
         outcomes = execute_positions(
-            task.program,
-            task.label,
-            task.params,
-            task.pre_arrays,
-            task.pre_scalars,
-            task.frame_arrays,
-            task.iterations,
-            task.civ_names,
-            task.civ_values,
-            task.index_name,
-            range(len(task.iterations)),
-            per_iteration_snapshot=True,
+            task, range(len(task.iterations)), per_iteration_snapshot=True
         )
         return BackendRun(
             arrays=merge_outcomes(task.pre_arrays, outcomes, task.decisions),

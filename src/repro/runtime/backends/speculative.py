@@ -216,19 +216,7 @@ class SpeculativeBackend(ExecutionBackend):
 
         def run_chunk(positions):
             return execute_positions(
-                task.program,
-                task.label,
-                task.params,
-                task.pre_arrays,
-                task.pre_scalars,
-                task.frame_arrays,
-                task.iterations,
-                task.civ_names,
-                task.civ_values,
-                task.index_name,
-                positions,
-                per_iteration_snapshot=False,
-                record_exposed=True,
+                task, positions, per_iteration_snapshot=False, record_exposed=True
             )
 
         workers = min(jobs, len(chunks))

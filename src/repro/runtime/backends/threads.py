@@ -56,20 +56,7 @@ class ThreadBackend(ExecutionBackend):
             )
 
         def run_chunk(positions):
-            return execute_positions(
-                task.program,
-                task.label,
-                task.params,
-                task.pre_arrays,
-                task.pre_scalars,
-                task.frame_arrays,
-                task.iterations,
-                task.civ_names,
-                task.civ_values,
-                task.index_name,
-                positions,
-                per_iteration_snapshot=False,
-            )
+            return execute_positions(task, positions, per_iteration_snapshot=False)
 
         workers = min(jobs, len(chunks))
         if workers == 1:

@@ -497,7 +497,8 @@ class HybridExecutor:
         speculation benchmark times its in-order sequential baseline
         over exactly this task.
         """
-        return self._capture(params, arrays)[0][0].task
+        entries, _ = self._capture(params, arrays)
+        return entries[0].task
 
     @staticmethod
     def _note_speculation(report: ExecutionReport, run) -> None:
@@ -684,4 +685,3 @@ def _slice_sizes(body, relevant: set[str]) -> tuple[int, int]:
                         relevant.add(name)
                         changed = True
     return (len(flat), len(in_slice))
-

@@ -44,16 +44,7 @@ def _capture(case):
 
 def _optimistic(task):
     return execute_positions(
-        task.program,
-        task.label,
-        task.params,
-        task.pre_arrays,
-        task.pre_scalars,
-        task.frame_arrays,
-        task.iterations,
-        task.civ_names,
-        task.civ_values,
-        task.index_name,
+        task,
         list(range(len(task.iterations))),
         per_iteration_snapshot=False,
         record_exposed=True,
