@@ -78,8 +78,7 @@ def plan_text(plan) -> str:
         f"{plan.label} {plan.index}={plan.lower!r}..{plan.upper!r} "
         f"{plan.classification()} {plan.techniques()} "
         f"approximate={plan.approximate} while={plan.is_while} "
-        f"civs={[c.name for c in plan.civs]} tier={plan.tier_used}/"
-        f"{plan.screening}/{plan.escalation_reason}"
+        f"civs={[c.name for c in plan.civs]}"
     ]
     for name, ap in sorted(plan.arrays.items()):
         lines.append(
@@ -102,7 +101,7 @@ def compute(cold: bool = True) -> dict:
     from repro.api import AnalyzeRequest, Engine, EngineConfig
     from repro.symbolic.intern import clear_caches
 
-    engine = Engine(EngineConfig(use_disk_cache=False))
+    engine = Engine(EngineConfig(use_disk_cache=False, tiering=False))
     digests = {}
     try:
         for name, source, loop, options in items():
