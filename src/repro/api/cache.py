@@ -41,10 +41,12 @@ __all__ = [
 #: v3: exposed-read tracking in the dataflow summaries; the EXT-RRED
 #: enabling equation now catches plain reads demoted into RW (read-
 #: before-write regions), changing reduction classifications.
-#: v4: tiered analysis -- responses carry tier-provenance fields and the
-#: 'tiering' knob joined the key's knob text, so v3 entries (written
+#: v4: tiered analysis -- responses carry tier-provenance fields and a
+#: Tier-0 on/off knob joined the key's knob text, so v3 entries (written
 #: before either existed) must never satisfy a v4 request.
-CACHE_VERSION = 4
+#: v5: the Tier-0 screen and its knob are gone; a v4 body may say
+#: 'tier0'/'resolved', which no engine answers any more.
+CACHE_VERSION = 5
 
 #: Default on-disk cache location (overridable via $REPRO_CACHE_DIR).
 DEFAULT_CACHE_DIR = ".repro-cache"

@@ -68,7 +68,6 @@ ANALYZER_KNOBS = (
     "interprocedural",
     "size_cap",
     "work_cap",
-    "tiering",
 )
 
 
@@ -83,11 +82,6 @@ class EngineConfig:
     interprocedural: bool = True
     size_cap: Optional[int] = None
     work_cap: Optional[int] = None
-    #: Tier-0 screening before cascade construction (off = always run
-    #: the full Tier-1 pipeline).  Screening cannot change a plan, but
-    #: it does change the tier-provenance fields of the response, so the
-    #: knob participates in the analysis cache key like any other.
-    tiering: bool = True
     # -- cache / concurrency policy -------------------------------------
     #: persistent cache location (None = .repro-cache / $REPRO_CACHE_DIR)
     cache_dir: Optional[str] = None
@@ -461,7 +455,6 @@ class Engine:
                 request.loop, **request.options
             )
             span.set("cached", response.cached)
-            span.set("tier_used", response.tier_used)
         return response
 
     def execute(
@@ -476,7 +469,6 @@ class Engine:
             self.record_analysis_cache(hit=warm)
             plan = compiled.plan(request.loop, **request.options)
             span.set("cached", warm)
-            span.set("tier_used", plan.tier_used)
         with _span(tracer, "execute") as span:
             report = compiled.execute(
                 request.loop,

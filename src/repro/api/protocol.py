@@ -81,7 +81,10 @@ __all__ = [
 #: (``tier_used`` / ``screening`` / ``escalation_reason``).  The fields
 #: are additive and default-tolerant (a document without them reads as
 #: an untired ``tier1``/``off`` answer), but a v4 reader re-serializing
-#: a v5 document would drop them, so the version moves.
+#: a v5 document would drop them, so the version moves.  The Tier-0
+#: screen has since been deleted: every engine answers the constants
+#: ``tier1`` / ``off`` / ``""``, and the fields stay declared only so
+#: v7 bytes do not move -- the next version bump drops them.
 #: v6: live metrics streaming -- a ``subscribe`` verb
 #: (:class:`SubscribeRequest` / :class:`UnsubscribeRequest`) that
 #: streams incremental :class:`MetricsFrame` documents over the same
@@ -501,15 +504,13 @@ class AnalyzeResponse(Message, kind="analyze", table=RESPONSE_KINDS,
     is_while: bool = wire(ANY, False)
     civs: list = wire(LIST, factory=list)
     arrays: list = wire(_list_of(ArrayPlanSummary), factory=list)
-    #: v5 tier provenance: 'tier0' = every independence equation was
-    #: resolved by the screening pass (no USR cascade construction),
-    #: 'tier1' = the full FACTOR pipeline ran for at least one equation.
-    #: Absent tier fields (a pre-v5 document) read as an untired
-    #: tier1/off answer.
+    #: v5 tier provenance, constant since the Tier-0 screen was deleted
+    #: (one pipeline: every answer is 'tier1' / 'off' / ''); declared so
+    #: v7 documents keep their bytes, dropped at the next version bump.
+    #: Documents written while the screen existed may still carry
+    #: 'tier0' / 'resolved' | 'escalated' / an 'array:equation' reason.
     tier_used: str = wire(ANY, "tier1")
-    #: screening verdict: 'resolved' | 'escalated' | 'off'
     screening: str = wire(ANY, "off")
-    #: 'array:equation' of the first inconclusive screening query
     escalation_reason: str = wire(ANY, "")
     version: int = PROTOCOL_VERSION
     #: served from a cache (process-local; never serialized)
@@ -533,9 +534,6 @@ class AnalyzeResponse(Message, kind="analyze", table=RESPONSE_KINDS,
                 ArrayPlanSummary.from_plan(p)
                 for _, p in sorted(plan.arrays.items())
             ],
-            tier_used=plan.tier_used,
-            screening=plan.screening,
-            escalation_reason=plan.escalation_reason,
         )
 
 

@@ -41,7 +41,6 @@ from .independence import (
     rw_self_overlap_usr,
     static_last_value_usr,
 )
-from .screening import screen_static
 
 __all__ = ["ArrayPlan", "LoopPlan", "HybridAnalyzer", "analyze_loop"]
 
@@ -110,15 +109,10 @@ class LoopPlan:
     trip_symbol: Optional[str] = None
     analysis: Optional[LoopAnalysisInput] = None
 
-    # -- tiered-analysis provenance (cost path, never the verdict) ------
-    #: which pipeline produced the plan: 'tier0' = every independence
-    #: equation resolved by screening (no USR cascade was built),
-    #: 'tier1' = the full FACTOR pipeline ran for at least one equation
+    #: constant since the Tier-0 screen was deleted (there is one
+    #: pipeline); kept only because bench/wl_inprocess.py reads it --
+    #: goes once a benchmark PR drops core.tier0_frac (see ROADMAP)
     tier_used: str = "tier1"
-    #: Tier-0 outcome: 'resolved' | 'escalated' | 'off'
-    screening: str = "off"
-    #: first inconclusive screening query ('array:equation'), '' if none
-    escalation_reason: str = ""
 
     # -- verdicts -------------------------------------------------------
     def static_parallel(self) -> bool:
@@ -256,30 +250,6 @@ def _summarize_loop_cached(
     return analysis
 
 
-#: Equations at or below this node count are screened by running the
-#: real (globally memoized) factor pipeline instead of the structural
-#: audit: the cost is bounded by the gate and the audit cannot see
-#: folds that only ``simplify`` performs.  Deliberately small -- raising
-#: it would reclassify genuine Tier-1 work as Tier-0.
-_SCREEN_EXACT_GATE = 16
-
-
-class _TierTrace:
-    """Per-analyze record of Tier-0 screening outcomes."""
-
-    __slots__ = ("hits", "misses", "first_miss")
-
-    def __init__(self):
-        self.hits = 0
-        self.misses = 0
-        self.first_miss = ""
-
-    def miss(self, what: str) -> None:
-        self.misses += 1
-        if not self.first_miss:
-            self.first_miss = what
-
-
 class HybridAnalyzer:
     """Analyzes labelled loops of a program into :class:`LoopPlan` s."""
 
@@ -287,8 +257,7 @@ class HybridAnalyzer:
                  use_reshaping: bool = True, use_civagg: bool = True,
                  interprocedural: bool = True,
                  size_cap: Optional[int] = None,
-                 work_cap: Optional[int] = None,
-                 tiering: bool = True):
+                 work_cap: Optional[int] = None):
         self.program = program
         self.use_monotonicity = use_monotonicity
         self.use_reshaping = use_reshaping
@@ -300,12 +269,6 @@ class HybridAnalyzer:
         #: both to bound analysis time on adversarial generated programs.
         self.size_cap = size_cap
         self.work_cap = work_cap
-        #: Tier-0 screening (repro.core.screening) before each cascade
-        #: construction; screening can only short-circuit the FACTOR
-        #: pipeline, never change its answer, so the knob trades compile
-        #: latency for nothing -- it exists for equivalence testing and
-        #: benchmark baselines.
-        self.tiering = tiering
 
     def _context(self, analysis: LoopAnalysisInput, array: str) -> FactorContext:
         from ..ir.convert import to_expr
@@ -348,68 +311,23 @@ class HybridAnalyzer:
             trip_symbol=analysis.trip_symbol,
             analysis=analysis,
         )
-        trace = _TierTrace() if self.tiering else None
         for array, ls in analysis.summaries.items():
             ctx = self._context(analysis, array)
             reduction = analysis.reductions.get(array)
             if reduction is not None:
                 plan.arrays[array] = self._plan_reduction(
-                    array, ls, ctx, reduction, trace
+                    array, ls, ctx, reduction
                 )
             else:
-                plan.arrays[array] = self._plan_regular(array, ls, ctx, trace)
-        if trace is None:
-            plan.tier_used, plan.screening = "tier1", "off"
-        elif trace.misses == 0:
-            plan.tier_used, plan.screening = "tier0", "resolved"
-        else:
-            plan.tier_used, plan.screening = "tier1", "escalated"
-            plan.escalation_reason = trace.first_miss
+                plan.arrays[array] = self._plan_regular(array, ls, ctx)
         return plan
 
     # -- per-array planning ---------------------------------------------------
-    def _tiered_cascade_of(
-        self, usr: USR, ctx: FactorContext, trace: Optional[_TierTrace],
-        array: str, kind: str,
-    ) -> tuple[Optional[Cascade], bool, bool]:
-        """:meth:`_cascade_of` behind the Tier-0 screen.
-
-        A positive screen IS the answer ``(None, True, False)`` -- by
-        :func:`repro.core.screening.screen_static`'s contract the full
-        pipeline would return exactly that triple -- so the cascade
-        construction is skipped entirely.  Below ``_SCREEN_EXACT_GATE``
-        nodes the screen instead runs the real (memoized) pipeline --
-        equivalence is then definitional, the cost is bounded by the
-        gate, and it catches tiny equations whose factored predicate
-        only ``simplify`` folds to true.  An inconclusive screen
-        escalates to Tier-1 and records ``array:kind`` in the trace.
-        """
-        if trace is not None:
-            if screen_static(usr, ctx):
-                trace.hits += 1
-                return (None, True, False)
-            if usr.node_count() <= _SCREEN_EXACT_GATE:
-                result = self._cascade_of(usr, ctx)
-                if result == (None, True, False):
-                    trace.hits += 1
-                else:
-                    trace.miss(f"{array}:{kind}")
-                return result
-            trace.miss(f"{array}:{kind}")
-        return self._cascade_of(usr, ctx)
-
-    def _plan_regular(
-        self, array: str, ls, ctx: FactorContext,
-        trace: Optional[_TierTrace] = None,
-    ) -> ArrayPlan:
+    def _plan_regular(self, array: str, ls, ctx: FactorContext) -> ArrayPlan:
         find = flow_independence_usr(ls)
         oind = output_independence_usr(ls)
-        flow_cascade, flow_static, flow_failed = self._tiered_cascade_of(
-            find, ctx, trace, array, "flow"
-        )
-        out_cascade, out_static, out_failed = self._tiered_cascade_of(
-            oind, ctx, trace, array, "output"
-        )
+        flow_cascade, flow_static, flow_failed = self._cascade_of(find, ctx)
+        out_cascade, out_static, out_failed = self._cascade_of(oind, ctx)
         if flow_failed:
             from ..usr import usr_union
 
@@ -428,9 +346,7 @@ class HybridAnalyzer:
             # Output dependences may exist: privatize + last value.  The
             # output cascade, when present, upgrades to shared at runtime.
             slv = static_last_value_usr(ls)
-            slv_cascade, slv_static, slv_failed = self._tiered_cascade_of(
-                slv, ctx, trace, array, "slv"
-            )
+            slv_cascade, slv_static, slv_failed = self._cascade_of(slv, ctx)
             from ..usr import usr_union
 
             return ArrayPlan(
@@ -458,13 +374,10 @@ class HybridAnalyzer:
         )
 
     def _plan_reduction(
-        self, array: str, ls, ctx: FactorContext, info,
-        trace: Optional[_TierTrace] = None,
+        self, array: str, ls, ctx: FactorContext, info
     ) -> ArrayPlan:
         overlap = rw_self_overlap_usr(ls)
-        rred_cascade, rred_static, rred_failed = self._tiered_cascade_of(
-            overlap, ctx, trace, array, "rred"
-        )
+        rred_cascade, rred_static, rred_failed = self._cascade_of(overlap, ctx)
         if not rred_failed and not rred_static and rred_cascade is not None:
             rred_cascade = self._drop_degenerate(rred_cascade, ls)
             if rred_cascade is None:
@@ -472,7 +385,7 @@ class HybridAnalyzer:
         if rred_static:
             # Updates are provably independent: no reduction transform is
             # needed at all; plan the array like a regular one.
-            return self._plan_regular(array, ls, ctx, trace)
+            return self._plan_regular(array, ls, ctx)
         has_other_writes = info.has_other_writes
         # Enabling flow condition: any NON-update access of the array --
         # write-first (EXT-RRED, Section 4) *or* plain read -- must not
@@ -489,9 +402,7 @@ class HybridAnalyzer:
         exact = None
         if has_other_writes or has_other_reads:
             enabling = ext_rred_usr(ls)
-            flow_cascade, flow_static, flow_failed = self._tiered_cascade_of(
-                enabling, ctx, trace, array, "ext-rred"
-            )
+            flow_cascade, flow_static, flow_failed = self._cascade_of(enabling, ctx)
             if flow_failed:
                 needs_exact = True
                 flow_cascade = None

@@ -18,7 +18,6 @@ from typing import Optional
 
 from ..pdag import PDAG, PFALSE, p_leaf, p_loop_and, p_or
 from ..symbolic import b_and, cmp_gt, sym
-from ..symbolic.intern import Memo
 from ..usr import Gate, Intersect, Recurrence, USR, overestimate, usr_gate
 
 __all__ = ["match_self_overlap", "monotonicity_predicate"]
@@ -71,11 +70,6 @@ def match_self_overlap(node: USR) -> Optional[Recurrence]:
     return node
 
 
-#: Pure in (node, monotone); evaluated by both the Tier-0 screen and the
-#: Tier-1 recurrence arm on the same nodes, so share the result.
-_MONO_PRED_MEMO = Memo("core.monotonicity_predicate", max_size=100_000)
-
-
 def monotonicity_predicate(
     node: Recurrence, monotone: frozenset[str] = frozenset()
 ) -> PDAG:
@@ -85,16 +79,6 @@ def monotonicity_predicate(
     decreasing sequences both suffice, with the direction chosen
     globally.  Returns false when no interval overestimate exists.
     """
-    key = (node, monotone)
-    cached = _MONO_PRED_MEMO.get(key)
-    if cached is not None:
-        return cached
-    return _MONO_PRED_MEMO.put(key, _monotonicity_predicate(node, monotone))
-
-
-def _monotonicity_predicate(
-    node: Recurrence, monotone: frozenset[str] = frozenset()
-) -> PDAG:
     current = _decompose_overlap(node)
     if current is None:
         return PFALSE

@@ -26,7 +26,6 @@ with any equivalence failure exits non-zero.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
@@ -37,14 +36,11 @@ from ..runtime.backends import BACKENDS, ChunkSpec, available_backends
 
 __all__ = [
     "BENCH_VERSION",
-    "COMPILE_BENCH_VERSION",
     "BenchWorkload",
     "BENCH_SUITES",
     "run_bench",
-    "run_compile_bench",
     "run_speculation_bench",
     "format_bench",
-    "format_compile_bench",
     "format_speculation_bench",
     "write_bench",
     "bench_path",
@@ -52,10 +48,6 @@ __all__ = [
 
 #: Bump on any change to the BENCH_*.json document shape.
 BENCH_VERSION = 1
-
-#: BENCH_compile.json is versioned on its own: 2 added the host's
-#: ``cpu_count`` (ROADMAP item 1: every recorded number names its host).
-COMPILE_BENCH_VERSION = 2
 
 
 @dataclass
@@ -592,211 +584,6 @@ def format_speculation_bench(doc: dict) -> str:
     )
     lines.append(
         "equivalence: " + ("ok" if doc["equivalence_ok"] else "FAILED")
-    )
-    return "\n".join(lines)
-
-
-# -- the compile suite --------------------------------------------------------
-#
-# Every other suite measures *execution*; this one measures the
-# analyzer's cold path -- what a request pays the first time a program
-# arrives, before any cache has seen it.  Two corpora are timed, each
-# once with Tier-0 screening on (the default) and once with
-# ``tiering=False``:
-#
-# * ``fuzz`` -- the loadgen fuzz mix (the same seeded generator the
-#   serving benchmark drives), analysis-shaped like real traffic;
-# * ``workloads`` -- the curated ``core`` bench corpus.
-#
-# Every measurement is fully cold: all process-global memos
-# (hash-consing, cascade, Fourier-Motzkin, reshape, ...) are dropped
-# before each analysis.  Both modes are measured in alternating order
-# within each repeat round so neither systematically benefits from
-# interpreter warm-up, and the best of ``repeat`` rounds is kept per
-# (item, mode).  The document also carries the equivalence evidence:
-# per-item plan fingerprints (tier-provenance fields stripped) must be
-# identical across modes -- screening may only short-circuit the
-# analysis, never change its answer.
-
-#: Tier-provenance fields of AnalyzeResponse (protocol v5); stripped
-#: before the cross-mode plan comparison because they are *about* the
-#: tiering knob rather than the analysis result.
-_TIER_FIELDS = ("tier_used", "screening", "escalation_reason")
-
-
-def _plan_fingerprint(plan) -> dict:
-    from ..api.protocol import AnalyzeResponse
-
-    doc = AnalyzeResponse.from_plan(plan, digest="bench").to_json()
-    for name in _TIER_FIELDS:
-        doc.pop(name, None)
-    return doc
-
-
-def _cold_analyze(source: str, loop: str, options: dict, tiering: bool):
-    """One fully cold analysis: drop every process-global memo, then
-    time ``HybridAnalyzer.analyze`` alone (parsing is outside the timer
-    -- tiering cannot touch it)."""
-    from time import perf_counter
-
-    from ..core.analyzer import HybridAnalyzer
-    from ..ir.parser import parse_program
-    from ..symbolic.intern import clear_caches
-
-    program = parse_program(source)
-    analyzer = HybridAnalyzer(program, tiering=tiering, **options)
-    clear_caches()
-    start = perf_counter()
-    plan = analyzer.analyze(loop)
-    return perf_counter() - start, plan
-
-
-def _quantile_ms(times: list, q: float) -> float:
-    """Nearest-rank quantile of *times* (seconds), in milliseconds."""
-    ordered = sorted(times)
-    rank = max(0, min(len(ordered) - 1, int(q * len(ordered) + 0.5) - 1))
-    return round(ordered[rank] * 1e3, 3)
-
-
-def _compile_corpora(seed: int, programs: int) -> dict:
-    """The two measured corpora as ``name -> (source, loop, options)``
-    lists.  Imported lazily: loadgen imports this module for
-    :data:`BENCH_SUITES`, so a top-level import would be a cycle."""
-    from ..server.loadgen import build_mix
-
-    fuzz = [
-        (f"fuzz{i:02d}", item.source, item.loop, dict(item.options))
-        for i, item in enumerate(
-            build_mix(seed=seed, programs=programs, include_workloads=False)
-        )
-    ]
-    workloads = [
-        (w.name, w.source, w.loop, {}) for w in BENCH_SUITES["core"]()
-    ]
-    return {"fuzz": fuzz, "workloads": workloads}
-
-
-def run_compile_bench(
-    seed: int = 0,
-    programs: int = 16,
-    repeat: int = 3,
-) -> dict:
-    """Measure cold analyze latency, tiered vs ``tiering=off``
-    (``repro-eval bench --suite compile``).
-
-    Returns the ``BENCH_compile.json`` document: per-corpus p50/p99 for
-    both modes, the Tier-0 resolution fraction, and the cross-mode
-    divergence count (which must be 0 -- ``equivalence_ok`` carries it
-    to the exit code exactly like the execution suites).
-    """
-    if repeat < 1:
-        raise ValueError(f"repeat must be >= 1 (got {repeat})")
-    if programs < 1:
-        raise ValueError(f"programs must be >= 1 (got {programs})")
-    divergences = 0
-    sections: dict = {}
-    for section, items in _compile_corpora(seed, programs).items():
-        entries = []
-        tiered_times = []
-        baseline_times = []
-        tier0 = 0
-        for name, source, loop, options in items:
-            best: dict = {True: None, False: None}
-            plans: dict = {True: None, False: None}
-            for round_index in range(repeat):
-                # alternate which mode goes first so interpreter/branch
-                # warm-up noise cannot systematically favour one mode
-                modes = (True, False) if round_index % 2 == 0 else (False, True)
-                for tiering in modes:
-                    wall, plan = _cold_analyze(source, loop, options, tiering)
-                    plans[tiering] = plan
-                    if best[tiering] is None or wall < best[tiering]:
-                        best[tiering] = wall
-            divergent = (
-                _plan_fingerprint(plans[True])
-                != _plan_fingerprint(plans[False])
-            )
-            divergences += divergent
-            tiered_times.append(best[True])
-            baseline_times.append(best[False])
-            tier0 += plans[True].tier_used == "tier0"
-            entries.append({
-                "baseline_ms": round(best[False] * 1e3, 3),
-                "divergent": divergent,
-                "escalation_reason": plans[True].escalation_reason,
-                "name": name,
-                "screening": plans[True].screening,
-                "speedup": (
-                    round(best[False] / best[True], 3)
-                    if best[True] > 0 else None
-                ),
-                "tier_used": plans[True].tier_used,
-                "tiered_ms": round(best[True] * 1e3, 3),
-            })
-        tiered_p50 = _quantile_ms(tiered_times, 0.50)
-        baseline_p50 = _quantile_ms(baseline_times, 0.50)
-        tiered_p99 = _quantile_ms(tiered_times, 0.99)
-        baseline_p99 = _quantile_ms(baseline_times, 0.99)
-        sections[section] = {
-            "baseline": {"p50_ms": baseline_p50, "p99_ms": baseline_p99},
-            "items": entries,
-            "speedup_p50": (
-                round(baseline_p50 / tiered_p50, 3) if tiered_p50 > 0 else None
-            ),
-            "speedup_p99": (
-                round(baseline_p99 / tiered_p99, 3) if tiered_p99 > 0 else None
-            ),
-            "tier0_fraction": round(tier0 / len(items), 3),
-            "tiered": {"p50_ms": tiered_p50, "p99_ms": tiered_p99},
-        }
-    return {
-        "cpu_count": os.cpu_count(),
-        "divergences": divergences,
-        "equivalence_ok": divergences == 0,
-        "programs": programs,
-        "repeat": repeat,
-        "sections": sections,
-        "seed": seed,
-        "suite": "compile",
-        "version": COMPILE_BENCH_VERSION,
-    }
-
-
-def format_compile_bench(doc: dict) -> str:
-    """Human-readable summary of one compile bench document."""
-    lines = [
-        f"suite compile: seed={doc['seed']} programs={doc['programs']} "
-        f"repeat={doc['repeat']} [cpu_count={doc['cpu_count']}]"
-    ]
-    header = (
-        f"{'item':<14} {'tier':<6} {'screening':<10} "
-        f"{'tiered_ms':>10} {'base_ms':>10} {'speedup':>8} {'ok':>3}"
-    )
-    lines.append(header)
-    lines.append("-" * len(header))
-    for section, body in sorted(doc["sections"].items()):
-        for entry in body["items"]:
-            speedup = entry["speedup"]
-            lines.append(
-                f"{entry['name']:<14} {entry['tier_used']:<6} "
-                f"{entry['screening']:<10} {entry['tiered_ms']:>10.3f} "
-                f"{entry['baseline_ms']:>10.3f} "
-                f"{'-' if speedup is None else f'{speedup:.3f}':>8} "
-                f"{'NO' if entry['divergent'] else 'yes':>3}"
-            )
-        lines.append(
-            f"[{section}] tier0 {body['tier0_fraction']:.0%}  "
-            f"p50 {body['tiered']['p50_ms']:.3f}ms vs "
-            f"{body['baseline']['p50_ms']:.3f}ms "
-            f"({body['speedup_p50']}x)  "
-            f"p99 {body['tiered']['p99_ms']:.3f}ms vs "
-            f"{body['baseline']['p99_ms']:.3f}ms "
-            f"({body['speedup_p99']}x)"
-        )
-    lines.append(
-        "equivalence: "
-        + ("ok" if doc["equivalence_ok"]
-           else f"FAILED ({doc['divergences']} divergent)")
     )
     return "\n".join(lines)
 

@@ -272,23 +272,19 @@ def _bench_main(argv: list[str]) -> int:
     from .bench import (
         BENCH_SUITES,
         format_bench,
-        format_compile_bench,
         format_speculation_bench,
         run_bench,
-        run_compile_bench,
         run_speculation_bench,
         write_bench,
     )
     from ..runtime.backends import BACKENDS, available_backends
 
     parser.add_argument(
-        "--suite", choices=sorted([*BENCH_SUITES, "compile", "speculation"]),
+        "--suite", choices=sorted([*BENCH_SUITES, "speculation"]),
         default="core",
         help="workload suite to measure (default: core); 'speculation' "
         "races the speculative backend against the in-order baseline "
-        "and ignores --backends/--chunk; 'compile' measures cold "
-        "analyze latency tiered vs tiering=off and ignores "
-        "--backends/--chunk/--jobs",
+        "and ignores --backends/--chunk",
     )
     parser.add_argument(
         "--backends", default=None, metavar="CSV",
@@ -312,16 +308,6 @@ def _bench_main(argv: list[str]) -> int:
         help="runs per (workload, backend); best is kept (default: 3)",
     )
     parser.add_argument(
-        "--programs", type=int, default=16,
-        help="fuzz-mix size for --suite compile (default: 16; ignored "
-        "by the execution suites)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0,
-        help="fuzz-mix seed for --suite compile (default: 0; ignored "
-        "by the execution suites)",
-    )
-    parser.add_argument(
         "--out", default=".", metavar="DIR",
         help="directory for BENCH_<suite>.json (default: current dir)",
     )
@@ -330,8 +316,6 @@ def _bench_main(argv: list[str]) -> int:
         parser.error("--jobs must be >= 1")
     if args.repeat < 1:
         parser.error("--repeat must be >= 1")
-    if args.programs < 1:
-        parser.error("--programs must be >= 1")
     if args.chunk_size is not None and args.chunk_size < 1:
         parser.error("--chunk-size must be >= 1")
     backends = (
@@ -345,14 +329,6 @@ def _bench_main(argv: list[str]) -> int:
     # Only argument validation routes to parser.error; a failure inside
     # the run itself must surface as the real traceback, not a usage
     # message.
-    if args.suite == "compile":
-        doc = run_compile_bench(
-            seed=args.seed, programs=args.programs, repeat=args.repeat
-        )
-        path = write_bench(doc, args.out)
-        print(format_compile_bench(doc))
-        print(f"wrote {path}")
-        return 0 if doc["equivalence_ok"] else 1
     if args.suite == "speculation":
         doc = run_speculation_bench(jobs=args.jobs, repeat=args.repeat)
         path = write_bench(doc, args.out)

@@ -323,7 +323,7 @@ class Summarizer:
             # Unconvertible gate: merge both branches conservatively (all
             # touched locations demoted to RW -- sound overestimation).
             # sorted: insertion order here decides downstream iteration
-            # order (and thus e.g. the first tier-0 screening miss), so
+            # order (e.g. the order a loop's arrays are planned in), so
             # it must not depend on per-process hash randomization
             for name in sorted(set(then_region.arrays) | set(else_region.arrays)):
                 merged = usr_union(

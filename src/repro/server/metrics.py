@@ -271,7 +271,6 @@ class ServerMetrics(_Registry):
     def __init__(self, clock=time.monotonic, ring_capacity: int = RING_CAPACITY):
         super().__init__(clock, ring_capacity)
         self._speculation = {"commits": 0, "rollbacks": 0}
-        self._tiers = {"tier0": 0, "tier1": 0}
 
     def shed(self) -> None:
         with self._lock:
@@ -287,18 +286,8 @@ class ServerMetrics(_Registry):
             self._speculation["commits"] += commits
             self._speculation["rollbacks"] += rollbacks
 
-    def tier(self, tier_used: str) -> None:
-        """Fold one analyze response's tier provenance in ('tier0' =
-        resolved entirely by the Tier-0 screen)."""
-        with self._lock:
-            if tier_used in self._tiers:
-                self._tiers[tier_used] += 1
-
     def _own_locked(self) -> dict:
-        return {
-            "speculation": dict(self._speculation),
-            "tiers": dict(self._tiers),
-        }
+        return {"speculation": dict(self._speculation)}
 
 
 class FrontTierMetrics(_Registry):
@@ -307,7 +296,7 @@ class FrontTierMetrics(_Registry):
     Same design rules as :class:`ServerMetrics` (one lock, schema-stable
     :meth:`snapshot`), but the counted events are proxy events: routing,
     replica fan-out, backend deaths and reroutes -- the front tier has
-    no engines, so pool/speculation/tier counters live on the backends
+    no engines, so pool/speculation counters live on the backends
     and surface through the aggregated topology stats instead.
     """
 

@@ -106,9 +106,6 @@ class _Worker:
                 rollbacks = getattr(result, "speculation_rollbacks", 0)
                 if commits or rollbacks:
                     self.pool.metrics.speculation(commits, rollbacks)
-                tier_used = getattr(result, "tier_used", "")
-                if tier_used:
-                    self.pool.metrics.tier(tier_used)
                 future.set_result(result)
             finally:
                 self.inbox.task_done()

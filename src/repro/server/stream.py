@@ -112,7 +112,7 @@ def build_stream_body(prev: dict, cur: dict, topology: str) -> dict:
     """One frame's ``stream`` document from two consecutive samples.
 
     Key set is schema-stable (pinned by the server tests): ``counters``
-    (cumulative deltas, including the nested errors/requests/tiers/
+    (cumulative deltas, including the nested errors/requests/
     speculation documents each tier publishes), ``gauges`` (current
     levels -- inflight, connections, plus whatever the sampling server
     injected: per-worker queue depths, the live admission budget,

@@ -140,15 +140,10 @@ def render_frame(frame: MetricsFrame, endpoint: str) -> str:
            if latency.get("invalid") else ""),
     ]
 
-    tiers = counters.get("tiers")
     speculation = counters.get("speculation")
-    if tiers or speculation:
-        tiers = tiers or {}
-        speculation = speculation or {}
+    if speculation:
         lines.append(
-            f"  tiers: +{tiers.get('tier0', 0)} tier0"
-            f" / +{tiers.get('tier1', 0)} tier1"
-            f"    speculation: +{speculation.get('commits', 0)} commit"
+            f"  speculation: +{speculation.get('commits', 0)} commit"
             f" / +{speculation.get('rollbacks', 0)} rollback"
         )
 

@@ -24,11 +24,10 @@ its caps and an error trace is the last thing to go.
 
 Phase attribution bridges the engine's compile span to the existing
 :mod:`repro.profiling` counters (``ir.parse``, ``analyzer.summarize``,
-``usr.build``, ``core.factor``, ``core.screen_static``).  The profiler
-is process-global, so only one compile at a time may own it: a
-non-blocking lock serializes attribution, and a compile that loses the
-race simply records no phase breakdown (best effort by design, never a
-stall).
+``usr.build``, ``core.factor``).  The profiler is process-global, so
+only one compile at a time may own it: a non-blocking lock serializes
+attribution, and a compile that loses the race simply records no phase
+breakdown (best effort by design, never a stall).
 """
 
 from __future__ import annotations
@@ -72,7 +71,6 @@ PHASE_TIMERS = {
     "summarize": "analyzer.summarize",
     "usr_build": "usr.build",
     "cascade": "core.factor",
-    "tier0_screen": "core.screen_static",
 }
 
 #: Retention classes in eviction order (lowest evicts first).

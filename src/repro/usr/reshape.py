@@ -129,9 +129,9 @@ def _reshape_intersect(node: Intersect) -> USR:
     return usr_intersect(*args)
 
 
-#: Reshape is a pure function of one hash-consed node, and both the
-#: Tier-0 screen and the Tier-1 factoring reshape the same equation
-#: summaries, so memoizing globally halves the work on escalated loops.
+#: Reshape is a pure function of one hash-consed node, and a loop's
+#: independence equations share summaries (per cold item, 215 of 1 491
+#: non-leaf calls hit on compile_cold's items, 521 of 4 196 on churn).
 _RESHAPE_MEMO = Memo("usr.reshape", max_size=200_000)
 
 

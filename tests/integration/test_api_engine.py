@@ -188,54 +188,79 @@ def test_cli_analyze_unknown_loop_errors(tmp_path, capsys):
     assert exc.value.code == 2
 
 
-# -- tiering and the analysis-cache key schema --------------------------------
-
-
-def test_tiering_knob_partitions_the_disk_cache(tmp_path):
-    """The v4 cache-key fix: two requests differing only in the
-    ``tiering`` knob must never serve each other's entries."""
-    config = EngineConfig(cache_dir=str(tmp_path))
-    Engine(config).analyze(AnalyzeRequest(source=SOURCE, loop="copy"))
-    off = Engine(config).analyze(
-        AnalyzeRequest(source=SOURCE, loop="copy", options={"tiering": False})
-    )
-    assert not off.cached
-    again_off = Engine(config).analyze(
-        AnalyzeRequest(source=SOURCE, loop="copy", options={"tiering": False})
-    )
-    assert again_off.cached
+# -- the analysis-cache key schema, and the knob that left it ------------------
 
 
 def test_cache_key_schema_is_pinned(tmp_path):
     """Pin what the key digests: cache + protocol versions, digest,
-    loop label and the sorted knob text (which must name 'tiering')."""
-    from repro.api.engine import AnalysisCache, _knob_text
+    loop label and the sorted knob text (exactly the six knobs)."""
+    from repro.api.engine import ANALYZER_KNOBS, AnalysisCache, _knob_text
     from repro.api.protocol import PROTOCOL_VERSION
 
-    assert api_cache.CACHE_VERSION == 4
-    knob_text = _knob_text(EngineConfig().analyzer_knobs())
-    assert "tiering=True" in knob_text
+    assert api_cache.CACHE_VERSION == 5
+    knobs = EngineConfig().analyzer_knobs()
+    assert tuple(knobs) == ANALYZER_KNOBS == (
+        "use_monotonicity", "use_reshaping", "use_civagg",
+        "interprocedural", "size_cap", "work_cap",
+    )
+    knob_text = _knob_text(knobs)
+    assert knob_text == (
+        "interprocedural=True|size_cap=None|use_civagg=True|"
+        "use_monotonicity=True|use_reshaping=True|work_cap=None"
+    )
     cache = AnalysisCache(str(tmp_path))
     key = cache.key("d1g3st", "copy", knob_text)
     assert key == "api-analyze-d1g3st-" + cache.digest(
         f"v{api_cache.CACHE_VERSION}\0p{PROTOCOL_VERSION}\0"
         f"d1g3st\0copy\0{knob_text}"
     )
-    # flipping only the tiering knob must move the key
-    flipped = dict(EngineConfig().analyzer_knobs(), tiering=False)
+    # a body persisted by a v4 engine may say tier0/resolved, which no
+    # engine answers any more: neither of the keys a v4 engine wrote
+    # for this digest/loop can be this key
+    for tiering in (True, False):
+        v4_text = _knob_text(dict(knobs, tiering=tiering))
+        assert key != "api-analyze-d1g3st-" + cache.digest(
+            f"v4\0p{PROTOCOL_VERSION}\0d1g3st\0copy\0{v4_text}"
+        )
+    # flipping any one knob must still move the key
+    flipped = dict(knobs, use_reshaping=False)
     assert cache.key("d1g3st", "copy", _knob_text(flipped)) != key
 
 
-def test_tiering_off_is_wire_visible_and_equivalent():
+def test_tiering_is_gone_on_every_door():
+    """One pipeline: the Tier-0 knob is not a config field, a request
+    option or an analyzer argument, and nothing under ``src/`` names
+    it."""
+    import re
+    from pathlib import Path
+
+    from repro.api.engine import ANALYZER_KNOBS
+    from repro.core.analyzer import HybridAnalyzer
+
+    with pytest.raises(TypeError, match="tiering"):
+        EngineConfig(tiering=False)
     engine = Engine(EngineConfig(use_disk_cache=False))
-    tiered = engine.analyze(AnalyzeRequest(source=SOURCE, loop="copy"))
-    baseline = engine.analyze(
-        AnalyzeRequest(source=SOURCE, loop="copy", options={"tiering": False})
+    with pytest.raises(TypeError, match="tiering"):
+        HybridAnalyzer(engine.parse(SOURCE), tiering=False)
+    with pytest.raises(TypeError) as rejected:
+        engine.analyze(
+            AnalyzeRequest(source=SOURCE, loop="copy", options={"tiering": False})
+        )
+    assert str(rejected.value) == (
+        "unknown analyzer option(s) ['tiering']; "
+        f"valid: {list(ANALYZER_KNOBS)}"
     )
-    assert baseline.tier_used == "tier1"
-    assert baseline.screening == "off"
-    assert tiered.screening in ("resolved", "escalated")
-    a, b = tiered.to_json(), baseline.to_json()
-    for field in ("tier_used", "screening", "escalation_reason"):
-        a.pop(field), b.pop(field)
-    assert a == b
+    assert len(ANALYZER_KNOBS) == 6
+    with pytest.raises(ModuleNotFoundError):
+        import repro.core.screening  # noqa: F401
+    # the default answer is what tiering=off used to answer
+    response = engine.analyze(AnalyzeRequest(source=SOURCE, loop="copy"))
+    assert (response.tier_used, response.screening,
+            response.escalation_reason) == ("tier1", "off", "")
+    # grep -rniE "tiering|screen_static|_TierTrace" src/  is empty
+    gone = re.compile("tiering|screen_static|_TierTrace", re.IGNORECASE)
+    src = Path(__file__).parent.parent.parent / "src"
+    assert [
+        str(path) for path in sorted(src.rglob("*.py"))
+        if gone.search(path.read_text())
+    ] == []

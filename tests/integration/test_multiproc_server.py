@@ -275,6 +275,39 @@ class TestErrorPaths:
             after = _admission_counts(hosted), _admission_counts(direct)
             assert _delta(before[0], after[0]) == _delta(before[1], after[1]), name
 
+    def test_removed_tiering_option_is_a_typed_error(self, hosted, direct):
+        """The analyzer option deleted with Tier-0 is an unknown option
+        like any other.  Unlike ``HOSTILE_LINES`` it is raised in a
+        worker, behind admission (so the front's own error counters do
+        not move and it cannot ride that loop): the answer is the same
+        typed error line from the fleet and from a single server, names
+        the six valid knobs, leaves nothing in flight, and the worker
+        serves the next request."""
+        from repro.api.engine import ANALYZER_KNOBS
+
+        line = _doc(kind="analyze", source=SOURCE, loop="target",
+                    options={"tiering": False})
+        with _client(hosted) as fleet, _client(direct) as single:
+            fleet_errors = _error_lines(fleet, [line], 0)
+            assert fleet_errors == _error_lines(single, [line], 0)
+            (raw,) = fleet_errors
+            error = json.loads(raw)
+            assert error["code"] == "bad_request"
+            assert error["message"] == (
+                "unknown analyzer option(s) ['tiering']; "
+                f"valid: {list(ANALYZER_KNOBS)}"
+            )
+            assert len(ANALYZER_KNOBS) == 6
+            for client in (fleet, single):
+                served = client.call(AnalyzeRequest(source=SOURCE, loop="target"))
+                assert served.to_json()["kind"] == "analyze"
+        for tier in (hosted, direct):
+            stats = _stats(tier)
+            assert stats.get("front", stats)["inflight"] == 0
+            for backend in stats.get("backends", []):
+                assert backend["state"] == "up"
+                assert backend["stats"]["inflight"] == 0
+
     def test_connection_survives_errors(self, hosted):
         with _client(hosted) as client:
             client.send_line("garbage")

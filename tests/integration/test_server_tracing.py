@@ -186,7 +186,8 @@ end
                 if compiles:
                     break
         assert compiles, "repeat request never reached the pool"
-        assert "tier_used" in compiles[0]["attrs"]
+        assert "cached" in compiles[0]["attrs"]
+        assert "tier_used" not in compiles[0]["attrs"]
         root = [s for s in doc["spans"]
                 if s["span_id"] == doc["root_span_id"]][0]
         # the pool's cache-locality probe saw the resident program

@@ -171,16 +171,16 @@ def test_v5_tier_fields_serialize(engine):
     response = engine.analyze(AnalyzeRequest(source=SOURCE, loop="target"))
     payload = response.to_json()
     assert payload["version"] == PROTOCOL_VERSION
-    assert payload["tier_used"] in ("tier0", "tier1")
-    assert payload["screening"] in ("resolved", "escalated")
-    # provenance coherence on the wire: tier0 iff the screen resolved,
-    # and an escalation reason appears exactly on escalation
-    resolved = payload["screening"] == "resolved"
-    assert (payload["tier_used"] == "tier0") == resolved
-    assert (payload["escalation_reason"] == "") == resolved
-    # byte-identical roundtrip with the new fields populated
+    # one pipeline since the Tier-0 screen was deleted: a fresh analyze
+    # carries exactly what tiering=off used to answer, still on the wire
+    assert payload["tier_used"] == "tier1"
+    assert payload["screening"] == "off"
+    assert payload["escalation_reason"] == ""
     text = response.canonical_text()
     assert _roundtrip(text, lambda p: AnalyzeResponse.from_json(p)) == text
+    # a document written while the screen existed still round-trips
+    old = dict(payload, tier_used="tier0", screening="resolved")
+    assert AnalyzeResponse.from_json(old).to_json() == old
 
 
 def test_v5_tier_fields_default_for_older_documents(engine):

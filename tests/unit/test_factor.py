@@ -215,99 +215,3 @@ class TestFillsArr:
         bad = {"K": 9, "SZ": 10, "N": 1, "B": [10]}
         assert s.evaluate(bad) != set()
         assert not p.evaluate(bad)
-
-
-class TestScreening:
-    """The Tier-0 screen (repro.core.screening) may only claim what the
-    Tier-1 pipeline would prove: ``screen_static(s, ctx)`` true implies
-    ``simplify(factor(s, ctx'))`` is PTRUE under the same knobs."""
-
-    @staticmethod
-    def _tier1_static(s, ctx):
-        from dataclasses import fields as dc_fields
-
-        knobs = {
-            f.name: getattr(ctx, f.name)
-            for f in dc_fields(FactorContext)
-            if not f.name.startswith("_")
-        }
-        return simplify(factor(s, FactorContext(**knobs))).is_true()
-
-    @staticmethod
-    def _random_usr(rng, depth=3):
-        build = TestScreening._random_usr
-        if depth == 0 or rng.random() < 0.3:
-            lo = rng.choice([1, sym("M"), sym("K") + 1])
-            hi = rng.choice([sym("N"), sym("M"), as_expr(rng.randrange(0, 9))])
-            return usr_leaf(interval(lo, hi))
-        kind = rng.randrange(5)
-        if kind == 0:
-            return usr_union(build(rng, depth - 1), build(rng, depth - 1))
-        if kind == 1:
-            return usr_intersect(build(rng, depth - 1), build(rng, depth - 1))
-        if kind == 2:
-            return usr_subtract(build(rng, depth - 1), build(rng, depth - 1))
-        if kind == 3:
-            cond = rng.choice([cmp_eq(sym("M"), 1), cmp_ne(sym("N"), 0)])
-            return usr_gate(cond, build(rng, depth - 1))
-        return usr_recurrence(
-            "i", 1, sym("N"),
-            usr_leaf(point(ArrayRef("A", [sym("i")])))
-            if rng.random() < 0.5 else build(rng, depth - 1),
-        )
-
-    def test_screen_never_overclaims_randomized(self):
-        import random
-
-        from repro.core.screening import screen_static
-
-        rng = random.Random(2024)
-        contexts = [
-            FactorContext(),
-            FactorContext(use_reshaping=False),
-            FactorContext(size_cap=3_000, work_cap=4_000),
-            FactorContext(work_cap=12),
-            FactorContext(monotone=frozenset({"A"})),
-        ]
-        claims = 0
-        for _ in range(200):
-            s = self._random_usr(rng)
-            for ctx in contexts:
-                if screen_static(s, ctx):
-                    claims += 1
-                    assert self._tier1_static(s, ctx), (
-                        f"screen overclaimed on {s}"
-                    )
-        # the property must not pass vacuously: the generator's shapes
-        # include some the screen does resolve
-        assert claims >= 10
-
-    def test_screen_resolves_known_static_shapes(self):
-        from repro.core.screening import screen_static
-
-        ctx = FactorContext()
-        sub = usr_subtract(
-            usr_leaf(interval(1, sym("N"))), usr_leaf(interval(1, sym("N")))
-        )
-        assert screen_static(sub, ctx)
-        assert self._tier1_static(sub, ctx)
-        gated = usr_gate(cmp_eq(as_expr(1), as_expr(2)), usr_leaf(interval(1, 5)))
-        assert screen_static(gated, ctx)
-        assert self._tier1_static(gated, ctx)
-
-    def test_screen_escalates_on_real_work(self):
-        from repro.core.screening import screen_static
-
-        # a genuinely non-empty summary must never screen as static
-        assert not screen_static(usr_leaf(interval(1, 5)), FactorContext())
-
-    def test_screen_escalates_under_tiny_budget(self):
-        from repro.core.screening import screen_static
-
-        sub = usr_subtract(
-            usr_leaf(interval(1, sym("N"))), usr_leaf(interval(1, sym("N")))
-        )
-        # deep/complex proofs are refused when the caps cannot cover
-        # them; escalation (not overclaim) is the safe direction
-        assert not screen_static(sub, FactorContext(max_depth=1))
-        assert not screen_static(sub, FactorContext(size_cap=1))

@@ -16,8 +16,7 @@ from repro.server.metrics import _BUCKET_RATIO
 
 SNAPSHOT_KEYS = {
     "coalesced", "completed", "connections", "errors", "inflight",
-    "latency", "requests", "shed", "speculation", "tiers", "uptime_s",
-    "warm_hits",
+    "latency", "requests", "shed", "speculation", "uptime_s", "warm_hits",
 }
 LATENCY_KEYS = {"count", "invalid", "mean_s", "p50_s", "p95_s", "p99_s",
                 "max_s"}
@@ -151,15 +150,6 @@ class TestServerMetrics:
         assert set(snap["requests"]) == VERB_KEYS
         assert set(snap["errors"]) == ERROR_CODES
         assert snap["speculation"] == {"commits": 0, "rollbacks": 0}
-        assert snap["tiers"] == {"tier0": 0, "tier1": 0}
-
-    def test_tier_counters(self):
-        metrics = ServerMetrics()
-        metrics.tier("tier0")
-        metrics.tier("tier0")
-        metrics.tier("tier1")
-        metrics.tier("warp9")  # unknown labels are ignored, not counted
-        assert metrics.snapshot()["tiers"] == {"tier0": 2, "tier1": 1}
 
     def test_counter_lifecycle(self):
         metrics = ServerMetrics()

@@ -17,7 +17,6 @@ def _frame(**overrides):
             "requests": {"analyze": 15, "execute": 7, "stats": 0,
                          "subscribe": 0, "unsubscribe": 0},
             "errors": {"overloaded": 2},
-            "tiers": {"tier0": 4, "tier1": 1},
             "speculation": {"commits": 2, "rollbacks": 1},
         },
         "gauges": {"inflight": 3, "connections": 2, "max_inflight": 16,
@@ -79,7 +78,8 @@ class TestRenderFrame:
         assert "w0" in text and "w2" in text
         assert "[########################] 4" in text
         assert "latency window: n=20" in text
-        assert "+4 tier0" in text and "+2 commit" in text
+        assert "speculation: +2 commit / +1 rollback" in text
+        assert "tier" not in text
         # no hot-shard line on the threads tier, no history line
         assert "hot shards" not in text
         assert "history" not in text

@@ -35,10 +35,6 @@ KNOWN_SERVING_VERSIONS = (1, 2, 3)
 #: Known BENCH_speculation.json document versions.
 KNOWN_SPECULATION_VERSIONS = (1,)
 
-#: Known BENCH_compile.json document versions.  Version 2 added the
-#: host's ``cpu_count``.
-KNOWN_COMPILE_VERSIONS = (1, 2)
-
 _TOP_KEYS = {
     "backends", "chunk", "equivalence_ok", "jobs", "parallel_wins",
     "repeat", "suite", "version", "workloads",
@@ -98,23 +94,6 @@ _SPECULATION_GAP_KEYS = _SPECULATION_COMMON_KEYS | {
 }
 _SPECULATION_CONFLICT_KEYS = _SPECULATION_COMMON_KEYS | {"loss"}
 
-# -- compile-trajectory shape (suite == "compile") ---------------------------
-_COMPILE_TOP_KEYS = {
-    "divergences", "equivalence_ok", "programs", "repeat", "sections",
-    "seed", "suite", "version",
-}
-_COMPILE_SECTIONS = {"fuzz", "workloads"}
-_COMPILE_SECTION_KEYS = {
-    "baseline", "items", "speedup_p50", "speedup_p99", "tier0_fraction",
-    "tiered",
-}
-_COMPILE_MODE_KEYS = {"p50_ms", "p99_ms"}
-_COMPILE_ITEM_KEYS = {
-    "baseline_ms", "divergent", "escalation_reason", "name", "screening",
-    "speedup", "tier_used", "tiered_ms",
-}
-_COMPILE_TIERS = ("tier0", "tier1")
-_COMPILE_SCREENINGS = ("resolved", "escalated", "off")
 _CHUNK_KEYS = {"policy", "size"}
 _WIN_KEYS = {"backend", "speedup", "workload"}
 _WORKLOAD_KEYS = {
@@ -342,100 +321,18 @@ def validate_speculation_doc(payload: dict) -> list:
     return errors
 
 
-def validate_compile_doc(payload: dict) -> list:
-    """Schema problems of one BENCH_compile document (empty = valid)."""
-    version = payload.get("version")
-    if version not in KNOWN_COMPILE_VERSIONS:
-        return [
-            f"document: unsupported compile-bench version "
-            f"{version!r} (this checker speaks "
-            f"{list(KNOWN_COMPILE_VERSIONS)})"
-        ]
-    top_keys = _COMPILE_TOP_KEYS | ({"cpu_count"} if version >= 2 else set())
-    errors = _key_errors("document", payload, top_keys)
-    if errors:
-        return errors
-    if version >= 2 and (
-        not isinstance(payload["cpu_count"], int) or payload["cpu_count"] < 1
-    ):
-        errors.append("document: 'cpu_count' must be a positive integer")
-    if not isinstance(payload["repeat"], int) or payload["repeat"] < 1:
-        errors.append("document: 'repeat' must be a positive integer")
-    if not isinstance(payload["programs"], int) or payload["programs"] < 1:
-        errors.append("document: 'programs' must be a positive integer")
-    if not isinstance(payload["divergences"], int) or payload["divergences"] < 0:
-        errors.append("document: 'divergences' must be an integer >= 0")
-    if not isinstance(payload["equivalence_ok"], bool):
-        errors.append("document: 'equivalence_ok' must be a boolean")
-    if payload.get("equivalence_ok") is not (payload.get("divergences") == 0):
-        errors.append(
-            "document: 'equivalence_ok' must be exactly 'divergences == 0'"
-        )
-    sections = payload["sections"]
-    if set(sections) != _COMPILE_SECTIONS:
-        errors.append(
-            f"document: sections cover {sorted(sections)}, expected "
-            f"exactly {sorted(_COMPILE_SECTIONS)}"
-        )
-        return errors
-    for section, body in sections.items():
-        errors.extend(_key_errors(f"section {section!r}", body,
-                                  _COMPILE_SECTION_KEYS))
-        if set(body) != _COMPILE_SECTION_KEYS:
-            continue
-        for mode in ("tiered", "baseline"):
-            errors.extend(_key_errors(
-                f"section {section!r} {mode}", body[mode], _COMPILE_MODE_KEYS
-            ))
-        fraction = body["tier0_fraction"]
-        if not isinstance(fraction, (int, float)) or not 0 <= fraction <= 1:
-            errors.append(
-                f"section {section!r}: 'tier0_fraction' must be in [0, 1]"
-            )
-        items = body["items"]
-        if not isinstance(items, list) or not items:
-            errors.append(f"section {section!r}: 'items' must be a "
-                          "non-empty list")
-            continue
-        for entry in items:
-            what = f"section {section!r} item {entry.get('name')!r}"
-            errors.extend(_key_errors(what, entry, _COMPILE_ITEM_KEYS))
-            if set(entry) != _COMPILE_ITEM_KEYS:
-                continue
-            if entry["tier_used"] not in _COMPILE_TIERS:
-                errors.append(f"{what}: unknown tier "
-                              f"{entry['tier_used']!r}")
-            if entry["screening"] not in _COMPILE_SCREENINGS:
-                errors.append(f"{what}: unknown screening verdict "
-                              f"{entry['screening']!r}")
-            # the hard invariant of the whole tier design, checked where
-            # the trajectory is checked: tier0 means no divergence is
-            # even *possible* to record, but any recorded divergence is
-            # a bug regardless of tier
-            if entry["divergent"]:
-                errors.append(f"{what}: plan divergence recorded -- "
-                              "screening changed an analysis answer")
-            for key in ("tiered_ms", "baseline_ms"):
-                if not isinstance(entry[key], (int, float)) or entry[key] < 0:
-                    errors.append(f"{what}: {key!r} must be >= 0")
-    return errors
-
-
 def validate_bench_doc(payload: dict) -> list:
     """Schema problems of one parsed BENCH document (empty = valid).
 
     Dispatches on the suite: the serving trajectory (``suite ==
-    "serving"``), the speculation trajectory (``suite ==
-    "speculation"``) and the compile trajectory (``suite ==
-    "compile"``) have their own shapes; everything else is an
+    "serving"``) and the speculation trajectory (``suite ==
+    "speculation"``) have their own shapes; everything else is an
     execution-backend trajectory.
     """
     if isinstance(payload, dict) and payload.get("suite") == "serving":
         return validate_serving_doc(payload)
     if isinstance(payload, dict) and payload.get("suite") == "speculation":
         return validate_speculation_doc(payload)
-    if isinstance(payload, dict) and payload.get("suite") == "compile":
-        return validate_compile_doc(payload)
     errors = _key_errors("document", payload, _TOP_KEYS)
     if errors:
         return errors

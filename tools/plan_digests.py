@@ -101,7 +101,7 @@ def compute(cold: bool = True) -> dict:
     from repro.api import AnalyzeRequest, Engine, EngineConfig
     from repro.symbolic.intern import clear_caches
 
-    engine = Engine(EngineConfig(use_disk_cache=False, tiering=False))
+    engine = Engine(EngineConfig(use_disk_cache=False))
     digests = {}
     try:
         for name, source, loop, options in items():
