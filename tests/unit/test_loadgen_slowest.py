@@ -48,6 +48,38 @@ class TestForceTrace:
         assert len(seen) == 8  # one trace per request, never reused
 
 
+class TestSummaryKeys:
+    """``loadgen --json`` prints this document; its key set is a
+    contract with whatever reads it."""
+
+    SUMMARY = {
+        "analyze_fraction", "clients", "completed", "connections", "errors",
+        "failures", "latency", "mode", "requests", "shed", "skew", "slowest",
+        "throughput_rps", "wall_s", "zipf_s",
+    }
+    LATENCY = {"max_s", "mean_s", "p50_s", "p95_s", "p99_s"}
+    SLOWEST = {"latency_s", "trace_id", "verb"}
+
+    @pytest.mark.parametrize("knobs", [
+        {},
+        {"clients": 4, "multiplex": 2, "skew": "zipf"},
+        {"mode": "open", "rate": 200.0},
+    ], ids=["closed", "multiplexed-zipf", "open"])
+    def test_exact_key_sets(self, hosted, knobs):
+        host, port = hosted.address
+        summary = run_load(
+            host, port, **{"clients": 2, "requests": 12, "seed": 3,
+                           "timeout": 60.0, **knobs},
+        )
+        assert set(summary) == self.SUMMARY
+        assert set(summary["latency"]) == self.LATENCY
+        assert summary["slowest"]
+        assert all(set(e) == self.SLOWEST for e in summary["slowest"])
+        assert summary["failures"] == [] and summary["errors"] == 0
+        assert summary["completed"] == summary["requests"] == 12
+        assert summary["zipf_s"] == (1.1 if "skew" in knobs else None)
+
+
 class TestSlowestSummary:
     def test_version_three_summary_carries_slowest(self, hosted):
         host, port = hosted.address
