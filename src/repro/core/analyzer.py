@@ -222,32 +222,11 @@ def _complexity_rank(label: str) -> int:
     return 2
 
 
-#: Memo for loop summarization: (id(program), label, interprocedural) ->
-#: (program, LoopAnalysisInput).  The program object is pinned inside the
-#: value so its id cannot be recycled while the entry lives.  Summaries
-#: are treated as immutable by every consumer (analyzer, executor,
-#: baseline), so sharing one instance across analyzer instances -- and
-#: across the repeated full-suite runs of the evaluation harness -- is
-#: safe.
-_SUMMARY_MEMO = Memo("core.summarize_loop", max_size=50_000)
-
 #: Memo for the factor->simplify->cascade pipeline, keyed on the
 #: (interned) USR plus every semantic knob of the factor context.  This
 #: is the analyzer's dominant cost; repeated analysis of the same loop
 #: (per-array reuse, ablation sweeps, batch re-runs) becomes a lookup.
 _CASCADE_MEMO = Memo("core.cascade_of", max_size=100_000)
-
-
-def _summarize_loop_cached(
-    program: Program, label: str, interprocedural: bool
-) -> LoopAnalysisInput:
-    key = (id(program), label, interprocedural)
-    cached = _SUMMARY_MEMO.get(key)
-    if cached is not None:
-        return cached[1]
-    analysis = summarize_loop(program, label, interprocedural=interprocedural)
-    _SUMMARY_MEMO.put(key, (program, analysis))
-    return analysis
 
 
 class HybridAnalyzer:
@@ -297,8 +276,8 @@ class HybridAnalyzer:
     @_profiling.timed("analyzer.analyze")
     def analyze(self, label: str) -> LoopPlan:
         with _profiling.timer("analyzer.summarize"):
-            analysis = _summarize_loop_cached(
-                self.program, label, self.interprocedural
+            analysis = summarize_loop(
+                self.program, label, interprocedural=self.interprocedural
             )
         plan = LoopPlan(
             label=label,

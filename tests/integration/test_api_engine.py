@@ -6,7 +6,9 @@ must orphan every persisted response; concurrent ``engine.map`` fan-out
 must produce exactly the single-threaded results.
 """
 
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -75,6 +77,20 @@ def test_compile_memo_evicts_oldest_at_capacity():
     newest = SOURCE.replace("+ 1", "+ 7")
     assert engine.compile(newest) is handles[-1]
     assert engine.compile(SOURCE.replace("+ 1", "+ 1")) is not handles[0]
+
+
+def test_evicted_programs_are_released():
+    """``compile_cache_size`` bounds what an engine keeps alive, not
+    only what it can find again: nothing below the compile memo may pin
+    a program the memo has evicted."""
+    engine = Engine(EngineConfig(use_disk_cache=False, compile_cache_size=4))
+    programs = []
+    for n in range(1, 13):
+        source = SOURCE.replace("+ 1", f"+ {n}")
+        engine.analyze(AnalyzeRequest(source=source, loop="copy"))
+        programs.append(weakref.ref(engine.compile(source).program))
+    gc.collect()
+    assert sum(ref() is not None for ref in programs) <= 4
 
 
 def test_disk_cache_serves_across_engines(tmp_path):

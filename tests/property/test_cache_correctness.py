@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import HybridAnalyzer, LoopPlan
+from repro.core import HybridAnalyzer, LoopPlan, analyzer
 from repro.evaluation.batch import BatchCache, analyze_benchmark
-from repro.symbolic import cache_stats, clear_caches
+from repro.ir.summarize import summarize_loop
+from repro.symbolic import clear_caches
 from repro.workloads import ALL_BENCHMARKS, BenchmarkSpec, LoopSpec
 
 
@@ -74,15 +75,25 @@ def test_interned_and_fresh_analysis_agree_across_suite():
     assert warm == fresh
 
 
-def test_slot_caches_on_survivors_of_a_clear_change_no_plan():
+def test_slot_caches_on_survivors_of_a_clear_change_no_plan(monkeypatch):
     """Loop summaries that survive a clear hold atoms whose cached
     expression, and comparisons whose cached negation, are pre-clear
     objects no intern table knows any more.  Planning over them through
     the emptied tables must equal a fully cold analysis."""
+    survivors: dict = {}
+
+    def summarize_once(program, label, interprocedural=True):
+        key = (id(program), label, interprocedural)
+        if key not in survivors:
+            survivors[key] = summarize_loop(program, label, interprocedural)
+        return survivors[key]
+
+    monkeypatch.setattr(analyzer, "summarize_loop", summarize_once)
     clear_caches()
-    _suite_fingerprints()  # fills core.summarize_loop and the slot caches
-    clear_caches(set(cache_stats()) - {"core.summarize_loop"})
+    _suite_fingerprints()  # fills `survivors` and the slot caches
+    clear_caches()
     mixed = _suite_fingerprints()
+    monkeypatch.undo()
     clear_caches()
     fresh = _suite_fingerprints()
     assert mixed == fresh
