@@ -3,7 +3,7 @@ export PYTHONPATH := src
 
 SMOKES := smoke-server smoke-multiproc smoke-streaming smoke-trace
 
-.PHONY: test test-fast bench bench-trajectory bench-schema plan-digests exec-digests serve serve-multiproc $(SMOKES) serving-trajectory docs-check api-surface examples batch fuzz clean
+.PHONY: test test-fast bench plan-digests exec-digests serve serve-multiproc $(SMOKES) docs-check api-surface examples batch fuzz clean
 
 ## Tier-1 verification: the full unit/property/integration/benchmark suite.
 test:
@@ -16,16 +16,6 @@ test-fast:
 ## Performance micro-benchmarks only (interning speedup, overheads, ...).
 bench:
 	$(PYTHON) -m pytest benchmarks -q
-
-## Regenerate the committed BENCH_core.json trajectory point (real
-## wall-clock per execution backend; exits non-zero on divergence).
-bench-trajectory:
-	$(PYTHON) -m repro.evaluation bench --suite core --jobs 4
-
-## Verify every BENCH_*.json trajectory file parses, matches the pinned
-## schema and is byte-stable canonical JSON.
-bench-schema:
-	$(PYTHON) tools/check_bench_schema.py
 
 ## Verify every pinned program still plans to the bytes recorded in
 ## tests/golden/plan_digests.json, cold and warm (the gate a "same plans,
@@ -56,12 +46,6 @@ serve-multiproc:
 ## SIGINT, and require a zero exit and the "shut down cleanly" line.
 $(SMOKES): smoke-%:
 	$(PYTHON) tools/smoke.py $*
-
-## Regenerate the committed BENCH_serving.json trajectory point (the
-## sharded-vs-shared pool A/B at three concurrency levels, plus the
-## multiproc front-tier A/B with its zipf hot-shard run).
-serving-trajectory:
-	$(PYTHON) -m repro.evaluation loadgen --bench --levels 4,16,32 --requests 400
 
 ## Verify README/ARCHITECTURE links and module-map paths resolve.
 docs-check:

@@ -1,9 +1,7 @@
 """Disk-cache and worker-pool primitives owned by the engine layer.
 
-These used to live in :mod:`repro.evaluation.batch`; the Engine facade
-(:mod:`repro.api.engine`) now owns cache policy and concurrency, and the
-batch/fuzz drivers consume them from here (the old import paths keep
-working as re-exports).
+The Engine facade (:mod:`repro.api.engine`) owns cache policy and
+concurrency; the batch/fuzz drivers consume these from here.
 
 * :class:`JsonDiskCache` -- a persistent key -> JSON-document store with
   atomic writes and a shared default location.  Subclasses own key

@@ -33,24 +33,16 @@ from dataclasses import asdict, dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from ..api import default_engine
-from ..api.cache import (  # re-exported for backward compatibility
-    CACHE_VERSION,
-    DEFAULT_CACHE_DIR,
-    JsonDiskCache,
-    parallel_map,
-)
+from ..api.cache import CACHE_VERSION, JsonDiskCache
 from ..workloads import ALL_BENCHMARKS, BenchmarkSpec
 from .model import measure_benchmark
 from .tables import _SUITE_PROCS
 
 __all__ = [
-    "CACHE_VERSION",
     "LoopResult",
     "BenchmarkResult",
     "BatchReport",
-    "JsonDiskCache",
     "BatchCache",
-    "parallel_map",
     "analyze_benchmark",
     "run_batch",
     "format_batch",

@@ -19,10 +19,6 @@ Usage::
     repro-eval fuzz --seeds 100 --shrink # minimize + store any failures
     repro-eval fuzz --seeds 100 --backend thread  # fuzz a real backend
 
-    repro-eval bench --suite core                  # BENCH_core.json
-    repro-eval bench --suite smoke --backends sequential,thread --jobs 2
-    repro-eval bench --suite speculation           # BENCH_speculation.json
-
     repro-eval analyze prog.loop --loop L1         # human-readable plan
     repro-eval analyze prog.loop --loop L1 --json  # AnalyzeResponse JSON
     cat prog.loop | repro-eval analyze - --loop L1 # source on stdin
@@ -30,7 +26,6 @@ Usage::
     repro-eval serve --port 7070 --workers 4       # network serving
     repro-eval serve --port 7070 --adaptive-admission  # AIMD budget
     repro-eval loadgen --port 7070 --clients 8 --requests 200
-    repro-eval loadgen --bench                     # BENCH_serving.json
 
     repro-eval top --port 7070                     # live dashboard
     repro-eval top --port 7070 --once              # one frame, no ANSI
@@ -261,93 +256,6 @@ def _fuzz_main(argv: list[str]) -> int:
     return 0 if report.ok else 1
 
 
-def _bench_main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro-eval bench",
-        description="Measure real wall-clock execution of the benchmark "
-        "workloads on every execution backend and write a schema-stable "
-        "BENCH_<suite>.json trajectory file; non-zero exit on any "
-        "backend/interpreter divergence.",
-    )
-    from .bench import (
-        BENCH_SUITES,
-        format_bench,
-        format_speculation_bench,
-        run_bench,
-        run_speculation_bench,
-        write_bench,
-    )
-    from ..runtime.backends import BACKENDS, available_backends
-
-    parser.add_argument(
-        "--suite", choices=sorted([*BENCH_SUITES, "speculation"]),
-        default="core",
-        help="workload suite to measure (default: core); 'speculation' "
-        "races the speculative backend against the in-order baseline "
-        "and ignores --backends/--chunk",
-    )
-    parser.add_argument(
-        "--backends", default=None, metavar="CSV",
-        help="comma-separated backend list "
-        f"(default: all available of {list(BACKENDS)})",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=4,
-        help="worker count for the parallel backends (default: 4)",
-    )
-    parser.add_argument(
-        "--chunk", choices=("static", "dynamic"), default="static",
-        help="chunk-scheduler policy (default: static)",
-    )
-    parser.add_argument(
-        "--chunk-size", type=int, default=None,
-        help="explicit chunk size (default: derived from --jobs)",
-    )
-    parser.add_argument(
-        "--repeat", type=int, default=3,
-        help="runs per (workload, backend); best is kept (default: 3)",
-    )
-    parser.add_argument(
-        "--out", default=".", metavar="DIR",
-        help="directory for BENCH_<suite>.json (default: current dir)",
-    )
-    args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
-    if args.repeat < 1:
-        parser.error("--repeat must be >= 1")
-    if args.chunk_size is not None and args.chunk_size < 1:
-        parser.error("--chunk-size must be >= 1")
-    backends = (
-        [b.strip() for b in args.backends.split(",") if b.strip()]
-        if args.backends
-        else available_backends()
-    )
-    unknown = [b for b in backends if b not in BACKENDS]
-    if unknown:
-        parser.error(f"unknown backend(s) {unknown}; valid: {list(BACKENDS)}")
-    # Only argument validation routes to parser.error; a failure inside
-    # the run itself must surface as the real traceback, not a usage
-    # message.
-    if args.suite == "speculation":
-        doc = run_speculation_bench(jobs=args.jobs, repeat=args.repeat)
-        path = write_bench(doc, args.out)
-        print(format_speculation_bench(doc))
-        print(f"wrote {path}")
-        return 0 if doc["equivalence_ok"] else 1
-    doc = run_bench(
-        suite=args.suite,
-        backends=backends,
-        jobs=args.jobs,
-        chunk={"policy": args.chunk, "size": args.chunk_size},
-        repeat=args.repeat,
-    )
-    path = write_bench(doc, args.out)
-    print(format_bench(doc))
-    print(f"wrote {path}")
-    return 0 if doc["equivalence_ok"] else 1
-
-
 def _serve_main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-eval serve",
@@ -373,11 +281,6 @@ def _serve_main(argv: list[str]) -> int:
     parser.add_argument(
         "--workers", type=int, default=4,
         help="engine pool width (default: 4; threads topology only)",
-    )
-    parser.add_argument(
-        "--sharding", choices=("digest", "shared"), default="digest",
-        help="pool discipline: per-worker engines routed by source "
-        "digest, or one shared engine round-robin (default: digest)",
     )
     parser.add_argument(
         "--queue-depth", type=int, default=None,
@@ -475,7 +378,6 @@ def _serve_main(argv: list[str]) -> int:
             backends=args.backends,
             replicas=args.replicas,
             backend_workers=args.backend_workers,
-            sharding=args.sharding,
             cache_dir=args.cache_dir,
             use_disk_cache=not args.no_cache,
             hot_rps=args.hot_rps,
@@ -490,7 +392,6 @@ def _serve_main(argv: list[str]) -> int:
             host=args.host,
             port=args.port,
             workers=args.workers,
-            sharding=args.sharding,
             queue_depth=queue_depth,
             max_inflight=max_inflight,
             adaptive_admission=args.adaptive_admission,
@@ -499,9 +400,8 @@ def _serve_main(argv: list[str]) -> int:
                 cache_dir=args.cache_dir, use_disk_cache=not args.no_cache
             ),
         )
-        banner = (
-            f"workers={args.workers}, sharding={args.sharding}"
-            + (", adaptive admission" if args.adaptive_admission else "")
+        banner = f"workers={args.workers}" + (
+            ", adaptive admission" if args.adaptive_admission else ""
         )
 
     async def _run() -> None:
@@ -655,22 +555,19 @@ def _loadgen_main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-eval loadgen",
         description="Drive a running repro-eval server with a seeded "
-        "workload mix and report throughput/latency -- or, with "
-        "--bench, self-host servers and write the BENCH_serving.json "
-        "sharded-vs-shared trajectory document.",
+        "workload mix and report throughput/latency.",
     )
     parser.add_argument(
-        "--host", default=None,
-        help="server host (default: 127.0.0.1; not valid with --bench)",
+        "--host", default="127.0.0.1",
+        help="server host (default: 127.0.0.1)",
     )
     parser.add_argument(
-        "--port", type=int, default=None,
-        help="server port (default: 7070; not valid with --bench)",
+        "--port", type=int, default=7070,
+        help="server port (default: 7070)",
     )
     parser.add_argument(
-        "--clients", type=int, default=None,
-        help="concurrent connections (default: 8; with --bench use "
-        "--levels instead)",
+        "--clients", type=int, default=8,
+        help="concurrent connections (default: 8)",
     )
     parser.add_argument(
         "--requests", type=int, default=200,
@@ -718,35 +615,8 @@ def _loadgen_main(argv: list[str]) -> int:
         "--json", action="store_true",
         help="emit the summary as a canonical JSON document",
     )
-    parser.add_argument(
-        "--bench", action="store_true",
-        help="self-hosted serving benchmark: sweep concurrency levels "
-        "against sharded and shared pools, run the multiproc front-tier "
-        "A/B, write BENCH_serving.json",
-    )
-    parser.add_argument(
-        "--levels", default="4,16,32", metavar="CSV",
-        help="--bench concurrency levels (default: 4,16,32)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=4,
-        help="--bench pool width (default: 4)",
-    )
-    parser.add_argument(
-        "--backends", type=int, default=4,
-        help="--bench multiproc section: backend processes (default: 4)",
-    )
-    parser.add_argument(
-        "--replicas", type=int, default=2,
-        help="--bench multiproc section: hot-shard replica width "
-        "(default: 2)",
-    )
-    parser.add_argument(
-        "--out", default=".", metavar="DIR",
-        help="--bench output directory for BENCH_serving.json (default: .)",
-    )
     args = parser.parse_args(argv)
-    if args.clients is not None and args.clients < 1:
+    if args.clients < 1:
         parser.error("--clients must be >= 1")
     if args.requests < 1:
         parser.error("--requests must be >= 1")
@@ -762,73 +632,12 @@ def _loadgen_main(argv: list[str]) -> int:
         parser.error("--multiplex only applies to closed-loop mode")
 
     from ..api import canonical_json
-    from ..server import (
-        format_serving,
-        run_load,
-        run_multiproc_bench,
-        run_serving_bench,
-        write_serving_bench,
-    )
-
-    if args.bench:
-        # the bench self-hosts its servers and always runs closed-loop;
-        # flags that only make sense against an external server are a
-        # user error, not something to silently ignore
-        if args.host is not None or args.port is not None:
-            parser.error("--bench self-hosts its servers; drop --host/--port")
-        if args.mode != "closed" or args.rate is not None:
-            parser.error("--bench always runs closed-loop; drop --mode/--rate")
-        if args.clients is not None:
-            parser.error("--bench sweeps --levels; drop --clients")
-        if args.skew != "uniform" or args.multiplex != 1:
-            parser.error(
-                "--bench runs its own uniform and zipf sections; drop "
-                "--skew/--multiplex"
-            )
-        if args.trace:
-            parser.error(
-                "--bench measures steady-state capacity; per-request "
-                "trace forcing would distort it -- drop --trace"
-            )
-        try:
-            levels = tuple(
-                int(piece) for piece in args.levels.split(",") if piece.strip()
-            )
-        except ValueError:
-            parser.error(f"--levels must be a CSV of integers (got {args.levels!r})")
-        if not levels or any(level < 1 for level in levels):
-            parser.error("--levels needs positive integers")
-        if args.workers < 1:
-            parser.error("--workers must be >= 1")
-        if args.backends < 1:
-            parser.error("--backends must be >= 1")
-        if args.replicas < 1:
-            parser.error("--replicas must be >= 1")
-        doc = run_serving_bench(
-            levels=levels,
-            requests_per_level=args.requests,
-            workers=args.workers,
-            seed=args.seed,
-            analyze_fraction=args.analyze_fraction,
-        )
-        doc["multiproc"] = run_multiproc_bench(
-            backends=args.backends,
-            replicas=args.replicas,
-            seed=args.seed,
-            analyze_fraction=args.analyze_fraction,
-        )
-        path = write_serving_bench(doc, args.out)
-        if args.json:
-            print(canonical_json(doc))
-        else:
-            print(format_serving(doc))
-            print(f"wrote {path}")
-        return 0 if doc["sharded_wins"] else 1
+    from ..server import run_load
 
     summary = run_load(
-        args.host if args.host is not None else "127.0.0.1",
-        args.port if args.port is not None else 7070,
-        clients=args.clients if args.clients is not None else 8,
+        args.host,
+        args.port,
+        clients=args.clients,
         requests=args.requests,
         mode=args.mode,
         rate=args.rate,
@@ -872,8 +681,6 @@ def main(argv: list[str] | None = None) -> int:
         return _fuzz_main(argv[1:])
     if argv and argv[0] == "analyze":
         return _analyze_main(argv[1:])
-    if argv and argv[0] == "bench":
-        return _bench_main(argv[1:])
     if argv and argv[0] == "serve":
         return _serve_main(argv[1:])
     if argv and argv[0] == "loadgen":
@@ -888,7 +695,6 @@ def main(argv: list[str] | None = None) -> int:
         "(or 'batch' to analyze the whole suite concurrently, "
         "'fuzz' to differential-fuzz the pipeline, "
         "'analyze' for a machine-readable single-loop analysis, "
-        "'bench' to measure the execution backends for real, "
         "'serve' to put the protocol on a TCP port, "
         "'loadgen' to drive a server under load, "
         "'top' for a live metrics dashboard, "
@@ -899,8 +705,8 @@ def main(argv: list[str] | None = None) -> int:
         nargs="+",
         choices=sorted(_TABLES) + sorted(FIGURES) + ["all"],
         help="which artifacts to regenerate (or the "
-        "'batch'/'fuzz'/'analyze'/'bench'/'serve'/'loadgen'/'top'/"
-        "'trace' subcommands)",
+        "'batch'/'fuzz'/'analyze'/'serve'/'loadgen'/'top'/'trace' "
+        "subcommands)",
     )
     parser.add_argument("--scale", type=int, default=1, help="dataset scale factor")
     args = parser.parse_args(argv)

@@ -118,8 +118,8 @@ def sequential_execute(
     """True in-order execution of the task's loop: every iteration
     observes all earlier iterations' writes and scalar updates.
 
-    This is the rollback path's re-execution (and the speculation
-    bench's timed baseline).  Returns ``(final_arrays, final_scalars)``.
+    This is the rollback path's re-execution (and the in-order
+    baseline ``bench/`` times).  Returns ``(final_arrays, final_scalars)``.
     *arrays* defaults to the task's pre-loop memory; the input mapping
     itself is never mutated.
     """

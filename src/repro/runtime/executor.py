@@ -493,9 +493,9 @@ class HybridExecutor:
 
         The task carries the pre-loop memory, the captured iteration
         list and CIV prefixes of the loop's first entry; ``decisions``
-        is left empty (callers pick their own merge strategies).  The
-        speculation benchmark times its in-order sequential baseline
-        over exactly this task.
+        is left empty (callers pick their own merge strategies).
+        ``bench/`` times its in-order sequential baseline over exactly
+        this task.
         """
         entries, _ = self._capture(params, arrays)
         return entries[0].task

@@ -29,7 +29,7 @@ heavy analysis back end:
   trace`` (``traceview.py``);
 * :class:`ServerClient` (``client.py``) -- a small blocking client;
 * :mod:`repro.server.loadgen` -- open-/closed-loop load generation
-  (uniform or zipf-skewed) and the ``BENCH_serving.json`` benchmarks.
+  (uniform or zipf-skewed) against a running server.
 
 The multi-process tier (``--topology multiproc``) stacks three more
 modules on the same transport (``lineserver.py``):
@@ -67,19 +67,7 @@ See ``docs/SERVER.md`` for the architecture and wire examples.
 
 from .client import ServerClient
 from .dispatch import AdmissionController, Dispatcher
-from .loadgen import (
-    SERVING_VERSION,
-    MixItem,
-    ZipfSampler,
-    build_mix,
-    format_serving,
-    make_request,
-    run_load,
-    run_multiproc_bench,
-    run_serving_bench,
-    serving_path,
-    write_serving_bench,
-)
+from .loadgen import MixItem, ZipfSampler, build_mix, make_request, run_load
 from .metrics import FrontTierMetrics, LatencyHistogram, ServerMetrics
 from .pool import EnginePool, PoolClosed, consistent_ring
 from .proxy import BackendDied, FrontTier
@@ -120,15 +108,9 @@ __all__ = [
     "serve_backend_command",
     "Router",
     "HotShardTracker",
-    "SERVING_VERSION",
     "MixItem",
     "ZipfSampler",
     "build_mix",
     "make_request",
     "run_load",
-    "run_serving_bench",
-    "run_multiproc_bench",
-    "write_serving_bench",
-    "format_serving",
-    "serving_path",
 ]

@@ -1,7 +1,7 @@
-"""Load generation and the serving benchmark (``BENCH_serving.json``).
+"""Load generation against a running server (``repro-eval loadgen``).
 
 Two client disciplines over a **seeded, deterministic workload mix**
-(bench workloads + fuzz-generated programs, analyze-heavy by default):
+(two fixed kernels + fuzz-generated programs, analyze-heavy by default):
 
 * **closed loop** -- each of C clients keeps exactly one request in
   flight (send, wait, repeat): measures the server's capacity at a
@@ -11,70 +11,38 @@ Two client disciplines over a **seeded, deterministic workload mix**
   latency degrades when offered load, not concurrency, is the control
   variable.
 
-:func:`run_serving_bench` is the self-hosted A/B: for each concurrency
-level it drives the same closed-loop mix against two pool disciplines
--- ``sharded`` (N workers, each owning an engine, digest-routed) and
-``shared`` (N workers serving one engine round-robin) -- with an
-engine compile cache deliberately smaller than the program working
-set.  A single shared engine cannot hold the working set and thrashes;
-the sharded pool partitions it (aggregate cache = N x per-engine
-cache) so nearly every request is a warm hit.  The resulting
-``BENCH_serving.json`` (throughput + latency percentiles per level,
-schema pinned by ``tools/check_bench_schema.py``) is the serving-side
-performance trajectory.
+:func:`run_load` drives either against a host and port and returns a
+JSON-safe summary (throughput, latency percentiles, the slowest served
+requests with their trace ids).  The repository's benchmark lives in
+``bench/``: it freezes its programs from :func:`build_mix` and times a
+server child from outside.
 """
 
 from __future__ import annotations
 
 import bisect
-import os
 import random
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional
 
-from ..api import (
-    AnalyzeRequest,
-    EngineConfig,
-    ErrorResponse,
-    ExecuteRequest,
-    canonical_json,
-)
-from ..evaluation.bench import BENCH_SUITES
+from ..api import AnalyzeRequest, ErrorResponse, ExecuteRequest
 from ..fuzz import generate_case
 from ..fuzz.generator import GeneratorConfig
 from .client import ServerClient
 from .lineserver import MAX_PIPELINED
-from .server import ServerThread
 from .tracing import mint_trace_id
 
 __all__ = [
-    "SERVING_VERSION",
     "SLOWEST_K",
     "MixItem",
     "ZipfSampler",
     "build_mix",
     "make_request",
     "run_load",
-    "run_serving_bench",
-    "run_multiproc_bench",
-    "write_serving_bench",
-    "format_serving",
-    "format_multiproc",
-    "serving_path",
 ]
-
-#: Bump on any change to the BENCH_serving.json document shape.
-#: Version 2: per-run summaries gain skew/zipf_s/connections, and the
-#: document gains the "multiproc" section (front tier vs single
-#: process, cold and zipf-skewed).
-#: Version 3: per-run summaries gain "slowest" -- the top-K slowest
-#: served requests with verb and trace id, so a tail outlier in a
-#: report is one ``repro-eval trace <id>`` away from its waterfall.
-SERVING_VERSION = 3
 
 #: How many of the slowest served requests each summary reports.
 SLOWEST_K = 5
@@ -101,36 +69,72 @@ class MixItem:
 
 
 #: Generator knobs for the load mix: the full feature weights of the
-#: fuzz grammar, but small bodies -- the serving benchmark measures the
-#: cache discipline, not worst-case analysis time.
+#: fuzz grammar, but small bodies -- load runs measure the serving
+#: path, not worst-case analysis time.
 _MIX_GENERATOR = GeneratorConfig(max_body_stmts=3)
 
 #: Analyzer caps for the generated programs (mirrors the fuzz oracle).
 _MIX_OPTIONS = {"size_cap": 3_000, "work_cap": 4_000}
+
+_SAXPY = """
+program saxpy
+param N
+array A(N), B(N)
+
+main
+  do i = 1, N @ bench
+    B[i] = (A[i] * 3) + i
+  end
+end
+"""
+
+_HISTOGRAM = """
+program histogram
+param N, K
+array H(K), V(N), IDX(N)
+
+main
+  do i = 1, N @ bench
+    H[IDX[i]] = H[IDX[i]] + V[i]
+  end
+end
+"""
+
+
+def _fixed_kernels() -> list:
+    """The two hand-written programs that head every mix: a
+    fully-parallel affine map and an indirect additive reduction, with
+    inputs that use no RNG so they are identical on every platform."""
+    return [
+        MixItem(
+            source=_SAXPY, loop="bench", params={"N": 1500},
+            arrays={"A": [(i * 13) % 97 for i in range(1500)]},
+        ),
+        MixItem(
+            source=_HISTOGRAM, loop="bench", params={"N": 800, "K": 16},
+            arrays={
+                "V": [(i * 5) % 43 for i in range(800)],
+                "IDX": [(i * 7919) % 16 + 1 for i in range(800)],
+            },
+        ),
+    ]
 
 
 def build_mix(
     seed: int = 0,
     programs: int = 16,
     include_workloads: bool = True,
-    generator: Optional[GeneratorConfig] = None,
 ) -> list:
-    """A deterministic list of *programs* distinct programs: the bench
-    smoke workloads (unless *include_workloads* is off) plus
+    """A deterministic list of *programs* distinct programs: the two
+    fixed kernels (unless *include_workloads* is off) plus
     fuzz-generated loop programs whose in-bounds guarantee makes them
     safe to execute."""
     if programs < 1:
         raise ValueError(f"programs must be >= 1 (got {programs})")
-    items = []
-    if include_workloads:
-        for workload in BENCH_SUITES["smoke"]():
-            items.append(MixItem(
-                source=workload.source, loop=workload.loop,
-                params=dict(workload.params), arrays=workload.arrays(),
-            ))
+    items = _fixed_kernels() if include_workloads else []
     fuzz_seed = seed * 100_000
     while len(items) < programs:
-        case = generate_case(fuzz_seed, generator or _MIX_GENERATOR)
+        case = generate_case(fuzz_seed, _MIX_GENERATOR)
         fuzz_seed += 1
         items.append(MixItem(
             source=case.source, loop=case.label,
@@ -241,34 +245,11 @@ def _request_meta(request) -> tuple:
 
 
 def _closed_loop(host, port, count, seed, mix, analyze_fraction, timeout,
-                 sampler=None, force_trace=False):
-    stats = _ClientStats()
-    rng = random.Random(seed)
-    try:
-        with ServerClient(host, port, timeout=timeout) as client:
-            for _ in range(count):
-                request = make_request(
-                    rng, mix, analyze_fraction, sampler, force_trace
-                )
-                verb, trace_id = _request_meta(request)
-                started = time.monotonic()
-                response = client.call(request)
-                stats.record(
-                    response, time.monotonic() - started, verb, trace_id
-                )
-    except (ConnectionError, OSError, ValueError) as exc:
-        # ValueError: the peer is not speaking the protocol (wrong
-        # port, version-skewed response) -- a transport-level failure
-        # from the load generator's point of view
-        stats.failures.append(f"{type(exc).__name__}: {exc}")
-    return stats
-
-
-def _multiplexed_loop(host, port, count, seed, mix, analyze_fraction, timeout,
-                      window, sampler=None, force_trace=False):
+                 window, sampler=None, force_trace=False):
     """*window* logical closed-loop clients sharing one pipelined
     connection: keep exactly *window* requests in flight, replacing each
-    response with the next send.  Responses arrive in request order, so
+    response with the next send (``window=1`` is the plain closed loop:
+    send, wait, repeat).  Responses arrive in request order, so
     per-request latency pairs with a FIFO of send timestamps.  This is
     how the load generator reaches hundreds-to-thousands of simulated
     clients without a thread and a socket per client."""
@@ -293,6 +274,9 @@ def _multiplexed_loop(host, port, count, seed, mix, analyze_fraction, timeout,
                 )
                 received += 1
     except (ConnectionError, OSError, ValueError) as exc:
+        # ValueError: the peer is not speaking the protocol (wrong
+        # port, version-skewed response) -- a transport-level failure
+        # from the load generator's point of view
         stats.failures.append(f"{type(exc).__name__}: {exc}")
     return stats
 
@@ -436,15 +420,10 @@ def run_load(
                     host, port, count, client_seed, mix, analyze_fraction,
                     timeout, interval_s, sampler, force_trace,
                 )
-            elif window > 1:
-                results[index] = _multiplexed_loop(
-                    host, port, count, client_seed, mix, analyze_fraction,
-                    timeout, window, sampler, force_trace,
-                )
             else:
                 results[index] = _closed_loop(
                     host, port, count, client_seed, mix, analyze_fraction,
-                    timeout, sampler, force_trace,
+                    timeout, window, sampler, force_trace,
                 )
         except Exception as exc:  # noqa: BLE001 -- a dead thread must still report
             stats = _ClientStats()
@@ -502,368 +481,3 @@ def run_load(
         "wall_s": round(wall_s, 6),
         "zipf_s": zipf_s if skew == "zipf" else None,
     }
-
-
-# -- the serving benchmark ---------------------------------------------------
-
-
-def run_serving_bench(
-    levels: tuple = (4, 16, 32),
-    requests_per_level: int = 600,
-    workers: int = 4,
-    seed: int = 0,
-    programs: int = 48,
-    analyze_fraction: float = 0.9,
-    compile_cache_size: int = 16,
-) -> dict:
-    """The sharded-vs-shared A/B at each concurrency level.
-
-    Both pool disciplines run the identical closed-loop mix; the
-    compile cache (per engine) is smaller than the program working set,
-    so the outcome measures exactly what digest sharding buys: the
-    sharded pool partitions the working set across N private caches
-    while the shared engine thrashes its single one.
-
-    The mix is fuzz-only with the grammar's full body sizes: analysis
-    is the dominant per-request cost (what the cache discipline
-    governs), and every program's execute stays tiny (trip counts <=
-    9), so tail latency measures caching rather than head-of-line
-    blocking behind long executions.
-    """
-    if not levels:
-        raise ValueError("need at least one concurrency level")
-    mix = build_mix(
-        seed, programs=programs, include_workloads=False,
-        generator=GeneratorConfig(),
-    )
-    engine_config = EngineConfig(
-        use_disk_cache=False, compile_cache_size=compile_cache_size
-    )
-    level_docs = [{"clients": int(c), "pools": {}} for c in sorted(levels)]
-    for discipline in ("sharded", "shared"):
-        hosted = ServerThread(
-            workers=workers,
-            sharding="digest" if discipline == "sharded" else "shared",
-            engine_config=engine_config,
-            queue_depth=4096,
-            max_inflight=8192,
-        ).start()
-        host, port = hosted.address
-        try:
-            # warm pass: every program analyzed twice, with the same
-            # knobs the traffic will carry, so steady-state levels
-            # measure the cache discipline, not first compiles
-            for _ in range(2):
-                with ServerClient(host, port) as client:
-                    for item in mix:
-                        client.call(AnalyzeRequest(
-                            source=item.source, loop=item.loop,
-                            options=item.options,
-                        ))
-            for level_doc in level_docs:
-                before = hosted.server.metrics.snapshot()
-                summary = run_load(
-                    host, port,
-                    clients=level_doc["clients"],
-                    requests=requests_per_level,
-                    mode="closed",
-                    seed=seed,
-                    mix=mix,
-                    analyze_fraction=analyze_fraction,
-                )
-                after = hosted.server.metrics.snapshot()
-                summary["warm_hits"] = after["warm_hits"] - before["warm_hits"]
-                summary["coalesced"] = after["coalesced"] - before["coalesced"]
-                level_doc["pools"][discipline] = summary
-        finally:
-            hosted.stop()
-    speedups = []
-    for level_doc in level_docs:
-        sharded = level_doc["pools"]["sharded"]["throughput_rps"]
-        shared = level_doc["pools"]["shared"]["throughput_rps"]
-        level_doc["speedup"] = round(sharded / shared, 3) if shared else None
-        if level_doc["speedup"] is not None:
-            speedups.append(level_doc["speedup"])
-    mean_speedup = round(sum(speedups) / len(speedups), 3) if speedups else None
-    return {
-        "analyze_fraction": analyze_fraction,
-        "compile_cache_size": compile_cache_size,
-        "levels": level_docs,
-        "mean_speedup": mean_speedup,
-        "mode": "closed",
-        "programs": programs,
-        "requests_per_level": requests_per_level,
-        "seed": seed,
-        "sharded_wins": bool(mean_speedup is not None and mean_speedup > 1.0),
-        "suite": "serving",
-        "version": SERVING_VERSION,
-        "workers": workers,
-    }
-
-
-def run_multiproc_bench(
-    backends: int = 4,
-    replicas: int = 2,
-    backend_workers: int = 1,
-    levels: tuple = (8, 32),
-    requests_per_level: int = 240,
-    seed: int = 0,
-    programs: int = 32,
-    analyze_fraction: float = 0.9,
-    zipf_clients: int = 64,
-    zipf_multiplex: int = 16,
-    zipf_requests: int = 600,
-    zipf_s: float = 1.2,
-    hot_rps: float = 8.0,
-) -> dict:
-    """The multi-process A/B: front tier over N backend processes vs a
-    single-process sharded pool with the same total worker count.
-
-    Two disciplines, each run on both systems from cold caches:
-
-    * **cold** -- uniform analyze-heavy closed loop over a fresh program
-      mix per concurrency level (every level's first sight of every
-      program pays a full compile), the GIL-bound workload the ISSUE
-      names;
-    * **zipf** -- one viral program dominating a skewed mix driven by
-      hundreds of multiplexed clients.  On the single process, every
-      cold compile holds the GIL and stalls the event loop, so even the
-      cache-warm hot requests queue behind it; the front tier isolates
-      compiles in backend processes and fans the hot digest across its
-      replica set, which is where latency isolation shows up.
-
-    The host's ``cpu_count`` is recorded in the document: on a
-    single-core host the cold section measures process overhead versus
-    GIL overhead (roughly parity), not parallel speedup -- the honest
-    reading of any result this benchmark reports.
-    """
-    from .proxy import FrontTier  # local: avoids a module cycle
-
-    if not levels:
-        raise ValueError("need at least one concurrency level")
-    levels = tuple(sorted(int(level) for level in levels))
-    single_workers = backends * backend_workers
-    engine_config = EngineConfig(use_disk_cache=False)
-    # distinct programs per level so every level is cold for both
-    # systems even though each system instance persists across levels
-    level_mixes = [
-        build_mix(
-            seed + 7919 * (i + 1), programs=programs,
-            include_workloads=False, generator=GeneratorConfig(),
-        )
-        for i in range(len(levels))
-    ]
-    zipf_mix = build_mix(
-        seed + 104_729, programs=programs,
-        include_workloads=False, generator=GeneratorConfig(),
-    )
-
-    def single_server():
-        return ServerThread(
-            workers=single_workers,
-            sharding="digest",
-            engine_config=engine_config,
-            queue_depth=4096,
-            max_inflight=8192,
-        )
-
-    def front_server(rps=hot_rps):
-        return ServerThread(server=FrontTier(
-            backends=backends,
-            replicas=replicas,
-            backend_workers=backend_workers,
-            use_disk_cache=False,
-            hot_rps=rps,
-        ))
-
-    # -- cold section ------------------------------------------------------
-    level_docs = [{"clients": c, "systems": {}} for c in levels]
-    for system, make in (("single", single_server), ("multiproc", front_server)):
-        hosted = make().start()
-        host, port = hosted.address
-        try:
-            for level_doc, mix in zip(level_docs, level_mixes):
-                level_doc["systems"][system] = run_load(
-                    host, port,
-                    clients=level_doc["clients"],
-                    requests=requests_per_level,
-                    mode="closed",
-                    seed=seed,
-                    mix=mix,
-                    analyze_fraction=analyze_fraction,
-                )
-        finally:
-            hosted.stop()
-    speedups = []
-    for level_doc in level_docs:
-        multi = level_doc["systems"]["multiproc"]["throughput_rps"]
-        single = level_doc["systems"]["single"]["throughput_rps"]
-        level_doc["speedup"] = round(multi / single, 3) if single else None
-        if level_doc["speedup"] is not None:
-            speedups.append(level_doc["speedup"])
-    cold_mean = round(sum(speedups) / len(speedups), 3) if speedups else None
-
-    # -- zipf hot-shard section --------------------------------------------
-    zipf_doc = {
-        "clients": zipf_clients,
-        "hot_rps": hot_rps,
-        "multiplex": zipf_multiplex,
-        "requests": zipf_requests,
-        "systems": {},
-        "zipf_s": zipf_s,
-    }
-    for system, make in (("single", single_server), ("multiproc", front_server)):
-        hosted = make().start()
-        host, port = hosted.address
-        try:
-            summary = run_load(
-                host, port,
-                clients=zipf_clients,
-                requests=zipf_requests,
-                mode="closed",
-                seed=seed,
-                mix=zipf_mix,
-                analyze_fraction=analyze_fraction,
-                skew="zipf",
-                zipf_s=zipf_s,
-                multiplex=zipf_multiplex,
-            )
-            if system == "multiproc":
-                with ServerClient(host, port) as client:
-                    front = client.stats().stats["front"]
-                summary["fanouts"] = front["fanouts"]
-                summary["front_coalesced"] = front["coalesced"]
-            zipf_doc["systems"][system] = summary
-        finally:
-            hosted.stop()
-    multi_lat = zipf_doc["systems"]["multiproc"]["latency"]
-    single_lat = zipf_doc["systems"]["single"]["latency"]
-    for quantile in ("p50_s", "p95_s"):
-        single_q, multi_q = single_lat[quantile], multi_lat[quantile]
-        key = quantile.replace("_s", "_speedup")
-        zipf_doc[key] = round(single_q / multi_q, 3) if multi_q else None
-    multi_rps = zipf_doc["systems"]["multiproc"]["throughput_rps"]
-    single_rps = zipf_doc["systems"]["single"]["throughput_rps"]
-    zipf_doc["throughput_speedup"] = (
-        round(multi_rps / single_rps, 3) if single_rps else None
-    )
-
-    return {
-        "analyze_fraction": analyze_fraction,
-        "backend_workers": backend_workers,
-        "backends": backends,
-        "cold": {"levels": level_docs, "mean_speedup": cold_mean},
-        "cpu_count": os.cpu_count(),
-        "multiproc_wins": bool(cold_mean is not None and cold_mean > 1.0),
-        "hot_shard_wins": bool(
-            zipf_doc["p50_speedup"] is not None and zipf_doc["p50_speedup"] > 1.0
-        ),
-        "programs": programs,
-        "replicas": replicas,
-        "requests_per_level": requests_per_level,
-        "seed": seed,
-        "single_workers": single_workers,
-        "zipf": zipf_doc,
-    }
-
-
-def serving_path(directory: str = ".") -> Path:
-    return Path(directory) / "BENCH_serving.json"
-
-
-def write_serving_bench(doc: dict, directory: str = ".") -> Path:
-    """Serialize *doc* to BENCH_serving.json in canonical form."""
-    path = serving_path(directory)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(canonical_json(doc) + "\n")
-    return path
-
-
-def format_serving(doc: dict) -> str:
-    """Human-readable summary of one serving-bench document."""
-    lines = [
-        f"serving bench: workers={doc['workers']} programs={doc['programs']} "
-        f"analyze={doc['analyze_fraction']:.0%} "
-        f"cache={doc['compile_cache_size']}/engine "
-        f"requests/level={doc['requests_per_level']}"
-    ]
-    header = (
-        f"{'clients':>7} {'pool':<8} {'rps':>9} {'p50_ms':>8} "
-        f"{'p95_ms':>8} {'p99_ms':>8} {'warm':>6} {'err':>4}"
-    )
-    lines.append(header)
-    lines.append("-" * len(header))
-    for level in doc["levels"]:
-        for discipline in ("sharded", "shared"):
-            entry = level["pools"][discipline]
-            lat = entry["latency"]
-            lines.append(
-                f"{level['clients']:>7} {discipline:<8} "
-                f"{entry['throughput_rps']:>9.1f} "
-                f"{lat['p50_s'] * 1e3:>8.2f} {lat['p95_s'] * 1e3:>8.2f} "
-                f"{lat['p99_s'] * 1e3:>8.2f} {entry['warm_hits']:>6} "
-                f"{entry['errors']:>4}"
-            )
-        if level["speedup"] is not None:
-            lines.append(f"{'':>7} sharded/shared speedup: {level['speedup']:.3f}x")
-    verdict = "beats" if doc["sharded_wins"] else "does NOT beat"
-    lines.append(
-        f"digest-sharded pooling {verdict} the shared engine "
-        f"(mean speedup {doc['mean_speedup']})"
-    )
-    if "multiproc" in doc:
-        lines.append("")
-        lines.append(format_multiproc(doc["multiproc"]))
-    return "\n".join(lines)
-
-
-def format_multiproc(doc: dict) -> str:
-    """Human-readable summary of the multiproc bench section."""
-    lines = [
-        f"multiproc bench: {doc['backends']} backends x "
-        f"{doc['backend_workers']} worker(s) (replicas={doc['replicas']}) "
-        f"vs single process x {doc['single_workers']} workers "
-        f"[cpu_count={doc['cpu_count']}]"
-    ]
-    header = (
-        f"{'section':<8} {'clients':>7} {'system':<10} {'rps':>9} "
-        f"{'p50_ms':>8} {'p95_ms':>8} {'err':>4}"
-    )
-    lines.append(header)
-    lines.append("-" * len(header))
-
-    def row(section, clients, system, entry):
-        lat = entry["latency"]
-        return (
-            f"{section:<8} {clients:>7} {system:<10} "
-            f"{entry['throughput_rps']:>9.1f} "
-            f"{lat['p50_s'] * 1e3:>8.2f} {lat['p95_s'] * 1e3:>8.2f} "
-            f"{entry['errors']:>4}"
-        )
-
-    for level in doc["cold"]["levels"]:
-        for system in ("single", "multiproc"):
-            lines.append(row("cold", level["clients"], system,
-                             level["systems"][system]))
-        if level["speedup"] is not None:
-            lines.append(
-                f"{'':>16} multiproc/single throughput: {level['speedup']:.3f}x"
-            )
-    zipf = doc["zipf"]
-    for system in ("single", "multiproc"):
-        lines.append(row(f"zipf{zipf['zipf_s']}", zipf["clients"], system,
-                         zipf["systems"][system]))
-    lines.append(
-        f"{'':>16} hot-shard p50 speedup {zipf['p50_speedup']}x, "
-        f"p95 {zipf['p95_speedup']}x, throughput "
-        f"{zipf['throughput_speedup']}x "
-        f"(fanouts={zipf['systems']['multiproc'].get('fanouts', 0)})"
-    )
-    cold_verdict = "beats" if doc["multiproc_wins"] else "does NOT beat"
-    hot_verdict = "isolates" if doc["hot_shard_wins"] else "does NOT isolate"
-    lines.append(
-        f"front tier {cold_verdict} the single process on the cold mix "
-        f"(mean {doc['cold']['mean_speedup']}x) and {hot_verdict} "
-        f"hot-shard latency under zipf skew"
-    )
-    return "\n".join(lines)

@@ -8,14 +8,8 @@ decision (which shard) happens up front on the event loop; the heavy
 work (parse, summaries, planning, execution) happens on a worker that
 has, with high probability, already paid for it.
 
-Two routing modes exist so the win is measurable rather than asserted:
-
-* ``sharding="digest"`` (the real mode): every worker owns a private
-  :class:`~repro.api.Engine`; the ring maps digests to workers.
-* ``sharding="shared"`` (the baseline the serving benchmark compares
-  against): every worker serves from one shared engine and requests are
-  routed round-robin, i.e. a conventional "one big cache + pool of
-  threads" server.
+Every worker owns a private :class:`~repro.api.Engine`; the ring maps
+digests to workers.
 
 Workers communicate through bounded :class:`queue.Queue`\\ s; the pool
 itself never blocks a caller -- a full queue raises :class:`queue.Full`
@@ -64,7 +58,7 @@ def consistent_ring(shards: int, vnodes: int = _VNODES) -> list:
 
 
 class _Worker:
-    """One shard: a thread, a bounded inbox and (usually) an engine."""
+    """One shard: a thread, a bounded inbox and an engine."""
 
     def __init__(self, index: int, engine: Engine, depth: int, pool: "EnginePool"):
         self.index = index
@@ -112,40 +106,29 @@ class _Worker:
 
 
 class EnginePool:
-    """N worker threads with digest-sharded (or shared) engines."""
+    """N worker threads, each with its own engine, routed by digest."""
 
     def __init__(
         self,
         workers: int = 4,
         engine_config: Optional[EngineConfig] = None,
         queue_depth: int = 128,
-        sharding: str = "digest",
         metrics: Optional[ServerMetrics] = None,
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1 (got {workers})")
         if queue_depth < 1:
             raise ValueError(f"queue_depth must be >= 1 (got {queue_depth})")
-        if sharding not in ("digest", "shared"):
-            raise ValueError(
-                f"sharding must be 'digest' or 'shared' (got {sharding!r})"
-            )
-        self.sharding = sharding
         self.queue_depth = queue_depth  # per-worker capacity (for
         # utilization math in the adaptive-admission control loop)
         self.metrics = metrics or ServerMetrics()
         config = engine_config or EngineConfig()
-        if sharding == "shared":
-            shared = Engine(config)
-            engines = [shared] * workers
-        else:
-            engines = [Engine(config) for _ in range(workers)]
         self._workers = [
-            _Worker(i, engines[i], queue_depth, self) for i in range(workers)
+            _Worker(i, Engine(config), queue_depth, self)
+            for i in range(workers)
         ]
         self._ring = consistent_ring(workers)
         self._points = [point for point, _ in self._ring]
-        self._round_robin = 0
         self._lock = threading.Lock()
         self._started = False
         self._closed = False
@@ -204,8 +187,8 @@ class EnginePool:
         # release the engines' global cache-registry entries so retired
         # pools (benchmarks and tests create them routinely) don't pin
         # their compiled programs for the process lifetime
-        for engine in {id(w.engine): w.engine for w in self._workers}.values():
-            engine.close()
+        for worker in self._workers:
+            worker.engine.close()
 
     # -- routing --------------------------------------------------------
     @property
@@ -213,14 +196,7 @@ class EnginePool:
         return len(self._workers)
 
     def shard_for(self, digest: str) -> int:
-        """The shard that owns *digest* (consistent hashing), or the
-        next round-robin shard in ``shared`` mode / for digest-less
-        work."""
-        if self.sharding == "shared" or not digest:
-            with self._lock:
-                shard = self._round_robin % len(self._workers)
-                self._round_robin += 1
-            return shard
+        """The shard that owns *digest* (consistent hashing)."""
         point = int(digest[:16], 16)
         index = bisect.bisect_right(self._points, point)
         if index == len(self._points):
@@ -234,9 +210,7 @@ class EnginePool:
         return self._workers[shard].inbox.qsize()
 
     def analysis_cache_counts(self) -> list:
-        """Per-worker engine analysis-cache outcomes (``shared``
-        sharding reports the one engine once per worker, mirroring the
-        per-worker queue-depth listing)."""
+        """Per-worker engine analysis-cache outcomes."""
         return [w.engine.analysis_cache_counts() for w in self._workers]
 
     # -- submission ------------------------------------------------------

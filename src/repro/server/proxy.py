@@ -256,7 +256,6 @@ class FrontTier(LineServer):
         replicas: int = 2,
         backend_command=None,
         backend_workers: int = 2,
-        sharding: str = "digest",
         cache_dir: Optional[str] = None,
         use_disk_cache: bool = True,
         hot_rps: float = 32.0,
@@ -293,7 +292,6 @@ class FrontTier(LineServer):
             if backend_command is None:
                 backend_command = serve_backend_command(
                     workers=backend_workers,
-                    sharding=sharding,
                     cache_dir=cache_dir,
                     use_disk_cache=use_disk_cache,
                 )

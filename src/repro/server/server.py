@@ -68,7 +68,6 @@ class ReproServer(LineServer):
         engine_config: Optional[EngineConfig] = None,
         queue_depth: int = 128,
         max_inflight: int = 256,
-        sharding: str = "digest",
         max_request_bytes: int = MAX_REQUEST_BYTES,
         adaptive_admission: bool = False,
         sample_interval_s: float = 0.5,
@@ -84,7 +83,6 @@ class ReproServer(LineServer):
             workers=workers,
             engine_config=engine_config,
             queue_depth=queue_depth,
-            sharding=sharding,
             metrics=self.metrics,
         )
         controller = (

@@ -46,7 +46,6 @@ READY_PATTERN = re.compile(r"listening on ([0-9.]+):([0-9]+)")
 
 def serve_backend_command(
     workers: int = 2,
-    sharding: str = "digest",
     cache_dir: Optional[str] = None,
     use_disk_cache: bool = True,
     trace_sample: float = 0.0,
@@ -63,7 +62,7 @@ def serve_backend_command(
         argv = [
             sys.executable, "-m", "repro.evaluation", "serve",
             "--host", "127.0.0.1", "--port", "0",
-            "--workers", str(workers), "--sharding", sharding,
+            "--workers", str(workers),
         ]
         if cache_dir is not None:
             argv += ["--cache-dir", cache_dir]

@@ -1,4 +1,4 @@
-"""The loadgen's v3 summary additions: the slowest-requests table and
+"""The loadgen summary: its key sets, the slowest-requests table and
 the client-minted force-sampled trace context.
 
 ``--trace`` exists so an operator can correlate a slow loadgen request
@@ -13,7 +13,7 @@ import pytest
 
 from repro.api import AnalyzeRequest, EngineConfig, ExecuteRequest
 from repro.server import ServerThread, build_mix, make_request
-from repro.server.loadgen import SERVING_VERSION, SLOWEST_K, run_load
+from repro.server.loadgen import SLOWEST_K, run_load
 
 
 @pytest.fixture(scope="module")
@@ -86,7 +86,6 @@ class TestSlowestSummary:
         summary = run_load(
             host, port, clients=2, requests=12, seed=3, timeout=60.0,
         )
-        assert SERVING_VERSION == 3
         slowest = summary["slowest"]
         assert 1 <= len(slowest) <= SLOWEST_K
         assert all(set(e) == {"latency_s", "trace_id", "verb"}

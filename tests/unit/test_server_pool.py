@@ -1,9 +1,9 @@
 """EnginePool routing and lifecycle, and the engine's LRU compile memo.
 
 Digest routing must be a stable pure function (same digest -> same
-shard, across pool instances), reasonably balanced, and 'shared' mode
-must round-robin.  The compile memo backing each engine must be LRU
-(hot entries survive cold bursts) and safe under concurrent access.
+shard, across pool instances) and reasonably balanced.  The compile
+memo backing each engine must be LRU (hot entries survive cold bursts)
+and safe under concurrent access.
 """
 
 import threading
@@ -60,13 +60,6 @@ class TestConsistentRouting:
             counts[pool.shard_for(digest)] += 1
         assert min(counts) > 2000 / 4 * 0.5  # no starving shard
 
-    def test_shared_mode_round_robins(self):
-        pool = EnginePool(workers=3, sharding="shared")
-        digest = _digests(1)[0]
-        assert [pool.shard_for(digest) for _ in range(6)] == [0, 1, 2, 0, 1, 2]
-        # one engine object behind every shard
-        assert len({id(pool.engine_for(i)) for i in range(3)}) == 1
-
     def test_digest_mode_has_private_engines(self):
         pool = EnginePool(workers=3)
         assert len({id(pool.engine_for(i)) for i in range(3)}) == 3
@@ -76,8 +69,6 @@ class TestConsistentRouting:
             EnginePool(workers=0)
         with pytest.raises(ValueError):
             EnginePool(queue_depth=0)
-        with pytest.raises(ValueError):
-            EnginePool(sharding="banana")
 
 
 class TestPoolLifecycle:
