@@ -81,6 +81,10 @@ def _apply_binop(op, left, right):
 
 
 class LadderMachine(Machine):
+    def _exec_body(self, stmts, frame):
+        for stmt in stmts:
+            self._exec(stmt, frame)
+
     def _exec(self, stmt, frame):
         self.work += 1
         if self._active_record is not None:
@@ -258,6 +262,42 @@ def agree(program, **inputs):
     new = observe(Machine, program, **inputs)
     assert new == observe(LadderMachine, program, **inputs)
     return new
+
+
+# -- the reference is independent ---------------------------------------------------
+
+
+@pytest.mark.parametrize("traced", ["outer", None])
+def test_the_reference_runs_none_of_the_machines_execution_core(traced, monkeypatch):
+    """``agree`` compares two implementations only while the reference
+    shares no execution code with ``Machine``: every unit of work of a
+    reference run is a call of ``LadderMachine._exec``, and whatever
+    ``Machine`` executes and evaluates with is never entered (call
+    counts, taken on a program with loops, calls and offsets)."""
+    calls = {"ladder": 0, "machine": 0}
+
+    def counted(key, method):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return method(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(
+        LadderMachine, "_exec", counted("ladder", LadderMachine._exec)
+    )
+    for name in _MACHINE_CORE:
+        monkeypatch.setattr(Machine, name, counted("machine", getattr(Machine, name)))
+    program = parse_program(NESTED_AND_CALLS)
+    inputs = dict(params={"N": 6}, arrays={"A": list(range(32))}, trace_label=traced)
+    seen = observe(LadderMachine, program, **inputs)
+    assert seen["error"] is None
+    assert calls == {"ladder": seen["work"], "machine": 0}
+    observe(Machine, program, **inputs)
+    assert calls["machine"] > 0  # the counter does see the machine's own runs
+
+
+#: what ``Machine`` executes statements and evaluates expressions with
+_MACHINE_CORE = ("_exec_body", "_exec", "_eval", "_load", "_store")
 
 
 # -- generated programs -----------------------------------------------------------
