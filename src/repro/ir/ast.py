@@ -220,6 +220,12 @@ class Program:
     subroutines: dict[str, Subroutine] = field(default_factory=dict)
     main: tuple[IRStmt, ...] = ()
     name: str = "program"
+    #: code :class:`~repro.ir.interp.Machine` generated for this program:
+    #: it dies with it and is never compared, printed or pickled
+    _lowered: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_lowered": {}}
 
     def array_decl(self, name: str) -> Optional[ArrayDecl]:
         for decl in self.arrays:

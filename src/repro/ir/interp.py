@@ -1,6 +1,6 @@
-"""Reference interpreter for the loop IR.
+"""The IR machine: runs programs as Python code generated from them.
 
-The interpreter plays three roles in the reproduction:
+It plays three roles in the reproduction:
 
 1. **ground truth**: sequential execution defines the correct final
    memory state against which every parallelization is checked;
@@ -12,33 +12,31 @@ The interpreter plays three roles in the reproduction:
    per-loop iteration work is recorded so the simulated multiprocessor
    (:mod:`repro.runtime.scheduler`) can schedule iterations.
 
+Nothing here walks a statement or an expression.  :mod:`repro.ir.lower`
+writes each body (``Program.main``, a subroutine's, a labelled loop's)
+and each expression the machine needs itself (array extents, labelled
+loops' bounds and conditions, call arguments) as a Python function, in
+one variant for when an iteration record is active and one for when none
+is.  :meth:`Machine._code` compiles a variant the first time it is
+*executed* -- never at analysis time -- and keeps it in
+``Program._lowered``: the code lives as long as its program, and a
+program is lowered once however many machines run it.  What stays here
+is what that code returns to: labelled loops (the ``loop_executor``
+hook, tracing, work and trip counts), calls (argument binding) and the
+per-iteration seams the backends drive (:meth:`Machine.iteration_values`,
+:meth:`Machine.run_iteration`).
+
 Arrays are dense Python lists indexed 1-based, Fortran style.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
-from .ast import (
-    ArrayRead,
-    AssignArray,
-    AssignScalar,
-    BinOp,
-    Call,
-    Do,
-    If,
-    Intrinsic,
-    IRExpr,
-    IRStmt,
-    Num,
-    Program,
-    Subroutine,
-    UnaryOp,
-    Var,
-    While,
-)
+from .. import profiling as _profiling
+from .ast import Call, Do, IRExpr, IRStmt, Program, While
+from .lower import lower
 
 __all__ = [
     "Machine", "IterationRecord", "LoopTrace", "RunResult", "InterpError",
@@ -203,18 +201,20 @@ class Machine:
             LoopTrace(trace_label) if trace_label else None
         )
         self._active_record: Optional[IterationRecord] = None
+        #: the program's generated code, shared by every machine running it
+        self._codes: dict = program._lowered
         self.arrays: dict[str, list[int]] = {}
         for decl in program.arrays:
-            size = self._const_or_param(decl.size)
+            size = self._eval(decl.size, _Frame(dict(self.params), {}))
             provided = arrays.get(decl.name) if arrays else None
             data = list(provided) if provided is not None else []
-            if len(data) < size:
-                data.extend([0] * (size - len(data)))
+            if len(data) > max(size, 0):
+                raise ValueError(
+                    f"array {decl.name!r} is declared with extent {size} "
+                    f"but {len(data)} values were supplied"
+                )
+            data.extend([0] * (size - len(data)))
             self.arrays[decl.name] = data
-
-    def _const_or_param(self, expr: IRExpr) -> int:
-        frame = _Frame(dict(self.params), {})
-        return self._eval(expr, frame)
 
     # -- public API -------------------------------------------------------
     def run(self) -> RunResult:
@@ -269,36 +269,25 @@ class Machine:
         else:
             raise TypeError(f"unsupported loop {loop!r}")
 
-    # -- execution ----------------------------------------------------------
+    # -- generated code -----------------------------------------------------
+    def _code(self, node: Union[tuple, IRExpr]) -> Callable:
+        """The function generated for *node* (a statement tuple or an
+        expression), in the variant for whether a record is active;
+        lowered on first use.  Threads racing to a first use may each
+        lower it -- the results are interchangeable and the last one
+        stored stays."""
+        key = (id(node), self._active_record is not None)
+        entry = self._codes.get(key)
+        if entry is None:
+            # the entry holds *node*, so its id cannot be reused meanwhile
+            entry = self._codes[key] = (node, _generate(node, key[1]))
+        return entry[1]
+
     def _exec_body(self, stmts: tuple[IRStmt, ...], frame: _Frame) -> None:
-        for stmt in stmts:
-            self._exec(stmt, frame)
+        self._code(stmts)(self, frame)
 
-    def _exec(self, stmt: IRStmt, frame: _Frame) -> None:
-        self.work += 1
-        record = self._active_record
-        if record is not None:
-            record.work += 1
-        try:
-            handler = _EXEC[type(stmt)]
-        except KeyError:
-            raise InterpError(f"unknown statement {stmt!r}") from None
-        handler(self, stmt, frame)
-
-    def _exec_assign_scalar(self, stmt: AssignScalar, frame: _Frame) -> None:
-        frame.scalars[stmt.name] = self._eval(stmt.expr, frame)
-
-    def _exec_assign_array(self, stmt: AssignArray, frame: _Frame) -> None:
-        index = self._eval(stmt.index, frame)
-        # Evaluate RHS first: reads happen before the write.
-        value = self._eval(stmt.expr, frame)
-        self._store(stmt.array, index, value, frame, update=stmt.is_update)
-
-    def _exec_if(self, stmt: If, frame: _Frame) -> None:
-        if self._eval(stmt.cond, frame) != 0:
-            self._exec_body(stmt.then_body, frame)
-        else:
-            self._exec_body(stmt.else_body, frame)
+    def _eval(self, expr: IRExpr, frame: _Frame) -> int:
+        return self._code(expr)(self, frame)
 
     def _exec_loop(self, stmt, frame: _Frame) -> None:
         label = stmt.label
@@ -364,146 +353,43 @@ class Machine:
         inner.update(scalars)
         self._exec_body(callee.body, _Frame(inner, arrays))
 
-    # -- memory ----------------------------------------------------------------
-    def _load(self, array: str, index: int, frame: _Frame) -> int:
-        try:
-            name, offset = frame.arrays[array]
-        except KeyError:
-            raise InterpError(f"unbound array {array!r}") from None
-        loc = offset + index
-        data = self.arrays[name]
-        if not (1 <= loc <= len(data)):
-            raise InterpError(f"{name}[{loc}] out of bounds (size {len(data)})")
-        rec = self._active_record
-        if rec is not None:
-            written = rec.writes.get(name)
-            if not written or loc not in written:
-                rec.exposed_reads.setdefault(name, set()).add(loc)
-        return data[loc - 1]
 
-    def _store(
-        self, array: str, index: int, value: int, frame: _Frame, update: bool
-    ) -> None:
-        try:
-            name, offset = frame.arrays[array]
-        except KeyError:
-            raise InterpError(f"unbound array {array!r}") from None
-        loc = offset + index
-        data = self.arrays[name]
-        if not (1 <= loc <= len(data)):
-            raise InterpError(f"{name}[{loc}] out of bounds (size {len(data)})")
-        rec = self._active_record
-        if rec is not None:
-            rec.writes.setdefault(name, set()).add(loc)
-            if update:
-                rec.updates.setdefault(name, set()).add(loc)
-        data[loc - 1] = value
+# -- what the generated code calls -----------------------------------------------
 
-    # -- expressions --------------------------------------------------------------
-    def _eval(self, expr: IRExpr, frame: _Frame) -> int:
-        try:
-            handler = _EVAL[type(expr)]
-        except KeyError:
-            raise InterpError(f"unknown expression {expr!r}") from None
-        return handler(self, expr, frame)
-
-    def _eval_num(self, expr: Num, frame: _Frame) -> int:
-        return expr.value
-
-    def _eval_var(self, expr: Var, frame: _Frame) -> int:
-        if expr.name in frame.scalars:
-            return frame.scalars[expr.name]
-        if expr.name in self.params:
-            return self.params[expr.name]
-        raise InterpError(f"unbound scalar {expr.name!r}")
-
-    def _eval_array_read(self, expr: ArrayRead, frame: _Frame) -> int:
-        index = self._eval(expr.index, frame)
-        return self._load(expr.array, index, frame)
-
-    def _eval_binop(self, expr: BinOp, frame: _Frame) -> int:
-        left = self._eval(expr.left, frame)
-        op = expr.op
-        apply = _BINOPS.get(op)
-        if apply is not None:
-            return apply(left, self._eval(expr.right, frame))
-        # Not in the table: the short-circuit forms, whose right operand
-        # runs only when the left one leaves the result open.
-        if op == "and":
-            return 1 if (left != 0 and self._eval(expr.right, frame) != 0) else 0
-        if op == "or":
-            return 1 if (left != 0 or self._eval(expr.right, frame) != 0) else 0
-        self._eval(expr.right, frame)
-        raise InterpError(f"unknown operator {op!r}")
-
-    def _eval_unary(self, expr: UnaryOp, frame: _Frame) -> int:
-        value = self._eval(expr.arg, frame)
-        try:
-            apply = _UNARY_OPS[expr.op]
-        except KeyError:
-            raise InterpError(f"unknown unary {expr.op!r}") from None
-        return apply(value)
-
-    def _eval_intrinsic(self, expr: Intrinsic, frame: _Frame) -> int:
-        values = [self._eval(a, frame) for a in expr.args]
-        try:
-            apply = _INTRINSICS[expr.name]
-        except KeyError:
-            raise InterpError(f"unknown intrinsic {expr.name!r}") from None
-        return apply(values)
+_UNSET = object()
 
 
-def _floordiv(left: int, right: int) -> int:
-    if right == 0:
-        raise InterpError("division by zero")
-    return left // right
+def _unbound(machine: Machine, name: str) -> int:
+    """The value of a scalar its frame does not hold: a program
+    parameter's, or an error."""
+    try:
+        return machine.params[name]
+    except KeyError:
+        raise InterpError(f"unbound scalar {name!r}") from None
 
 
-def _mod(left: int, right: int) -> int:
-    if right == 0:
-        raise InterpError("modulo by zero")
-    return left % right
+def _bad_access(machine: Machine, frame: _Frame, array: str, loc: int) -> None:
+    """The error of an access that failed its bounds check."""
+    try:
+        name, _ = frame.arrays[array]
+    except KeyError:
+        raise InterpError(f"unbound array {array!r}") from None
+    size = len(machine.arrays[name])
+    raise InterpError(f"{name}[{loc}] out of bounds (size {size})")
 
 
-#: eager binary operators (``and``/``or`` short-circuit in
-#: :meth:`Machine._eval_binop`); comparisons produce 0/1, not bools
-_BINOPS: dict[str, Callable[[int, int], int]] = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": _floordiv,
-    "%": _mod,
-    "==": lambda left, right: 1 if left == right else 0,
-    "!=": lambda left, right: 1 if left != right else 0,
-    "<": lambda left, right: 1 if left < right else 0,
-    "<=": lambda left, right: 1 if left <= right else 0,
-    ">": lambda left, right: 1 if left > right else 0,
-    ">=": lambda left, right: 1 if left >= right else 0,
-}
-
-_UNARY_OPS: dict[str, Callable[[int], int]] = {
-    "-": operator.neg,
-    "not": lambda value: 0 if value else 1,
-}
-
-_INTRINSICS: dict[str, Callable[[list], int]] = {"min": min, "max": max}
-
-#: ``type(node) -> handler(machine, node, frame)``, one table per family;
-#: a node type missing from its table is an "unknown statement/expression"
-_EXEC: dict[type, Callable] = {
-    AssignScalar: Machine._exec_assign_scalar,
-    AssignArray: Machine._exec_assign_array,
-    If: Machine._exec_if,
-    Do: Machine._exec_loop,
-    While: Machine._exec_loop,
-    Call: Machine._exec_call,
-}
-
-_EVAL: dict[type, Callable] = {
-    Num: Machine._eval_num,
-    Var: Machine._eval_var,
-    ArrayRead: Machine._eval_array_read,
-    BinOp: Machine._eval_binop,
-    UnaryOp: Machine._eval_unary,
-    Intrinsic: Machine._eval_intrinsic,
-}
+@_profiling.timed("ir.lower")
+def _generate(node: Union[tuple, IRExpr], recording: bool) -> Callable:
+    """Lower *node* and compile the result: ``run(machine, frame)``."""
+    lowered = lower(node, recording)
+    namespace = {
+        "K": lowered.consts,
+        "InterpError": InterpError,
+        "UNSET": _UNSET,
+        "NOBIND": (None, 0),
+        "unbound": _unbound,
+        "bad_access": _bad_access,
+        "fuel": lambda: _WHILE_FUEL,
+    }
+    exec(compile(lowered.source, "<lowered>", "exec"), namespace)
+    return namespace["run"]

@@ -93,6 +93,29 @@ def test_evicted_programs_are_released():
     assert sum(ref() is not None for ref in programs) <= 4
 
 
+def test_evicted_programs_take_their_generated_code_with_them():
+    """Executing a program generates code for it, kept on the program
+    itself: an evicted program must not survive through that code, nor
+    the code through anything process-wide."""
+    engine = Engine(EngineConfig(use_disk_cache=False, compile_cache_size=4))
+    programs, codes = [], []
+    for n in range(1, 13):
+        compiled = engine.compile(SOURCE.replace("+ 1", f"+ {n}"))
+        report = compiled.execute("copy", {"N": 8}, {"B": [n] * 100}, jobs=2)
+        assert report.parallel and report.correct
+        generated = [run for _, run in compiled.program._lowered.values()]
+        assert generated
+        programs.append(weakref.ref(compiled.program))
+        codes.append([weakref.ref(run.__code__) for run in generated])
+    del compiled, generated
+    gc.collect()
+    alive = [ref() is not None for ref in programs]
+    assert sum(alive) <= 4
+    for program_alive, refs in zip(alive, codes):
+        if not program_alive:
+            assert all(ref() is None for ref in refs)
+
+
 def test_disk_cache_serves_across_engines(tmp_path):
     config = EngineConfig(cache_dir=str(tmp_path))
     first = Engine(config).analyze(AnalyzeRequest(source=SOURCE, loop="copy"))

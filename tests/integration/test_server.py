@@ -218,6 +218,20 @@ class TestErrorPaths:
             assert isinstance(response, ErrorResponse)
             assert response.code == "bad_request"
 
+    def test_overlong_input_array_is_bad_request(self, hosted):
+        """More values than ``B(200)`` declares: the caller's mistake,
+        named on the wire, not an ``internal`` error."""
+        arrays = dict(ARRAYS, B=[2] * 201)
+        with _client(hosted) as client:
+            response = client.call(ExecuteRequest(
+                source=SOURCE, loop="target", params=PARAMS, arrays=arrays
+            ))
+        assert isinstance(response, ErrorResponse)
+        assert response.code == "bad_request"
+        assert response.message == (
+            "array 'B' is declared with extent 200 but 201 values were supplied"
+        )
+
     def test_error_schema_is_stable(self, hosted):
         with _client(hosted) as client:
             client.send_line("oops")

@@ -1,27 +1,32 @@
-"""The table-dispatched interpreter is the ``isinstance`` ladder it replaced.
+"""The machine's generated code does what the tree-walker it replaced did.
 
-:class:`~repro.ir.interp.Machine` finds a node's handler in a table keyed
-by ``type(node)`` (binary operators in an operator table).
-``LadderMachine`` below is the execution core as it stood before -- the
+:class:`~repro.ir.interp.Machine` runs a program as Python functions
+that :mod:`repro.ir.lower` writes from its bodies.  ``LadderMachine``
+below is the execution core as it stood before any of that -- the
 ``isinstance`` ladders of ``_exec``/``_eval``, the string ``if``-chain of
 ``_apply_binop``, ``_resolve``-based memory access, separate DO and
-while loops -- kept here only, as the reference.  Both machines must
-agree on everything a run can be observed by: final arrays and scalars,
-``work``, ``loop_work``, ``loop_trips``, every traced iteration's record
-(writes / exposed reads / updates / work) and, when a run fails, the
-exact ``InterpError`` text and how far the run got.
+while loops -- kept here only, as the reference: the one tree-walking
+evaluator left in the repository.  It overrides every method ``Machine``
+executes or evaluates with, so a reference run enters no generated code
+(``test_the_reference_runs_none_of_the_machines_execution_core`` counts
+that).  Both machines must agree on everything a run can be observed
+by: final arrays and scalars, ``work``, ``loop_work``, ``loop_trips``,
+every traced iteration's record (writes / exposed reads / updates /
+work) and, when a run fails, the exact ``InterpError`` text and how far
+the run got.
 
-Mutation check: swapping two entries of ``interp._BINOPS`` (``+``/``-``,
-or ``<``/``<=``) makes ``test_expressions_agree`` and
-``test_generated_programs_agree`` fail;
-``test_a_swapped_operator_is_caught`` keeps that sensitivity pinned.
+Mutation check: swapping two entries of the emitter's operator table
+``lower.BINOP_SOURCE`` (``+``/``-``, or ``<``/``<=``) makes
+``test_expressions_agree``, ``test_generated_programs_agree`` and six
+more tests here fail; ``test_a_swapped_operator_is_caught`` keeps that
+sensitivity pinned.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.fuzz import generate_case
-from repro.ir import interp, parse_program
+from repro.ir import interp, lower, parse_program
 from repro.ir.ast import (
     ARITH_OPS,
     BOOL_OPS,
@@ -297,13 +302,13 @@ def test_the_reference_runs_none_of_the_machines_execution_core(traced, monkeypa
 
 
 #: what ``Machine`` executes statements and evaluates expressions with
-_MACHINE_CORE = ("_exec_body", "_exec", "_eval", "_load", "_store")
+_MACHINE_CORE = ("_exec_body", "_eval", "_code")
 
 
 # -- generated programs -----------------------------------------------------------
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 50_000))
 def test_generated_programs_agree(seed):
     case = generate_case(seed)
@@ -357,17 +362,15 @@ def test_expressions_agree(expr):
 
 
 def test_a_swapped_operator_is_caught(monkeypatch):
-    program = parse_program(
-        "program p\narray R(2)\nmain\n  R[1] = 7 - 2\n  R[2] = 3 < 3\nend\n"
-    )
-    agree(program)
+    source = "program p\narray R(2)\nmain\n  R[1] = 7 - 2\n  R[2] = 3 < 3\nend\n"
+    agree(parse_program(source))
     for a, b in (("+", "-"), ("<", "<=")):
-        swapped = {a: interp._BINOPS[b], b: interp._BINOPS[a]}
+        swapped = {a: lower.BINOP_SOURCE[b], b: lower.BINOP_SOURCE[a]}
         with monkeypatch.context() as patch:
-            for op, apply in swapped.items():
-                patch.setitem(interp._BINOPS, op, apply)
+            for op, text in swapped.items():
+                patch.setitem(lower.BINOP_SOURCE, op, text)
             with pytest.raises(AssertionError):
-                agree(program)
+                agree(parse_program(source))  # a fresh program: nothing lowered yet
 
 
 # -- hand cases: every InterpError, text for text ------------------------------------
@@ -507,3 +510,185 @@ def test_nested_loops_calls_and_offsets_agree(traced):
     )
     assert seen["error"] is None
     assert seen["loop_trips"] == {"outer": 6, "inner": 12, "drain": 2, "empty": 0}
+
+
+# -- hand cases: what an emitter can get wrong and a tree-walker cannot --------------
+#
+# Each body runs as the one iteration of a labelled loop, traced (the
+# recording variant of the generated code) and untraced (the plain one).
+
+_FAR = ArrayRead("A", Num(99999))
+_FAR_ERROR = "A[99999] out of bounds (size 4)"
+
+
+def both_variants(*body, subs=(), **inputs):
+    program = Program(
+        params=("N",),
+        arrays=(ArrayDecl("A", Num(4)), ArrayDecl("B", Num(4))),
+        subroutines={sub.name: sub for sub in subs},
+        main=(Do("i", _ONE, _ONE, tuple(body), "t"),),
+    )
+    inputs.setdefault("params", {"N": 4})
+    inputs.setdefault("arrays", {"A": [3, 0, -2, 5]})
+    traced = agree(program, trace_label="t", **inputs)
+    untraced = agree(program, **inputs)
+    assert traced["error"] == untraced["error"]
+    assert traced["arrays"] == untraced["arrays"]
+    return traced
+
+
+@pytest.mark.parametrize("expr, message", [
+    # only the right operand needs statements: the left one still runs first
+    (BinOp("+", Var("u"), _FAR), "unbound scalar 'u'"),
+    (BinOp("+", _FAR, Var("u")), _FAR_ERROR),
+    (BinOp("<", Var("u"), _FAR), "unbound scalar 'u'"),
+    (BinOp("/", Var("u"), Num(0)), "unbound scalar 'u'"),
+    (BinOp("/", _ONE, BinOp("%", _ONE, Var("u"))), "unbound scalar 'u'"),
+    (BinOp("%", _FAR, Num(0)), _FAR_ERROR),
+    (BinOp("**", Var("u"), _FAR), "unbound scalar 'u'"),
+    (BinOp("**", _ONE, _FAR), _FAR_ERROR),
+    (Intrinsic("min", (_ONE, Var("u"), _FAR)), "unbound scalar 'u'"),
+    (Intrinsic("abs", (Var("u"),)), "unbound scalar 'u'"),
+    (UnaryOp("~", Var("u")), "unbound scalar 'u'"),
+    (ArrayRead("B", BinOp("+", Var("u"), _FAR)), "unbound scalar 'u'"),
+    (BinOp("and", Var("u"), _FAR), "unbound scalar 'u'"),
+    (BinOp("or", BinOp("and", _ONE, _FAR), Var("u")), _FAR_ERROR),
+])
+def test_operands_run_left_to_right(expr, message):
+    assert both_variants(AssignScalar("r", expr))["error"] == message
+    assert both_variants(If(expr, (), ()))["error"] == message
+
+
+@pytest.mark.parametrize("index, value, message", [
+    (Var("u"), _FAR, "unbound scalar 'u'"),
+    (Var("u"), Var("nope"), "unbound scalar 'u'"),
+    (Num(0), Var("u"), "unbound scalar 'u'"),  # the value, then the bounds
+    (Num(0), BinOp("/", _ONE, Num(0)), "division by zero"),
+    (_FAR, Var("u"), _FAR_ERROR),
+])
+def test_a_store_evaluates_index_then_value_then_checks(index, value, message):
+    assert both_variants(AssignArray("B", index, value))["error"] == message
+    seen = both_variants(AssignArray("Z", index, value))  # unbound comes last too
+    assert seen["error"] == message
+
+
+@pytest.mark.parametrize("expr, value", [
+    (BinOp("and", Num(0), _FAR), 0),
+    (BinOp("or", _ONE, BinOp("/", _ONE, Num(0))), 1),
+    (BinOp("or", _ONE, _FAR), 1),
+    (BinOp("and", BinOp("or", Num(0), ArrayRead("A", Num(2))), _FAR), 0),
+    (BinOp("or", Num(7), AlienExpr()), 1),
+    (UnaryOp("not", BinOp("and", Num(0), Var("nope"))), 1),
+])
+def test_a_decided_short_circuit_runs_no_right_side(expr, value):
+    seen = both_variants(AssignArray("B", _ONE, expr))
+    assert seen["error"] is None and seen["arrays"]["B"][0] == value
+    (record,) = seen["trace"]
+    assert 99999 not in record.exposed_reads.get("A", ())
+    as_condition = both_variants(
+        If(expr, (AssignArray("B", _ONE, _ONE),), (AssignArray("B", _ONE, Num(0)),))
+    )
+    assert as_condition["arrays"]["B"][0] == value
+
+
+def test_a_record_names_only_the_arrays_it_touched():
+    seen = both_variants(
+        If(BinOp("==", Var("i"), Num(2)),
+           (AssignArray("A", _ONE, ArrayRead("B", _ONE)),),
+           (AssignArray("B", Num(2), Num(5), is_update=True),)),
+        AssignScalar("r", ArrayRead("B", Num(2))),  # its own write: not exposed
+    )
+    (record,) = seen["trace"]
+    assert (record.writes, record.updates, record.exposed_reads) == (
+        {"B": {2}}, {"B": {2}}, {}
+    )
+
+
+_INNER = Subroutine("inner", ("k",), ("Y",), (
+    AssignArray("Y", Var("k"), BinOp("+", ArrayRead("Y", Var("k")), Num(10)),
+                is_update=True),
+))
+_OUTER = Subroutine("outer", ("k",), ("X",), (
+    Call("inner", (CallArg(scalar=Var("k")), CallArg(array="X", offset=_ONE))),
+    AssignArray("X", _ONE, ArrayRead("X", Num(2))),
+))
+
+
+@pytest.mark.parametrize("k, error", [(1, None), (3, "A[5] out of bounds (size 4)")])
+def test_offsets_add_up_two_calls_deep(k, error):
+    seen = both_variants(
+        Call("outer", (CallArg(scalar=Num(k)), CallArg(array="A", offset=_ONE))),
+        subs=(_INNER, _OUTER),
+    )
+    assert seen["error"] == error
+    if error is None:  # A[1+1+1] += 10, then A[1+1] = A[1+2]
+        assert seen["arrays"]["A"] == [3, 8, 8, 5]
+        assert seen["trace"][0].exposed_reads == {"A": {3}}
+
+
+@pytest.mark.parametrize("cond", [
+    _ONE,
+    BinOp("<", ArrayRead("A", Num(2)), _ONE),  # needs statements in the loop
+])
+def test_runaway_while_inside_a_loop_body(cond, monkeypatch):
+    monkeypatch.setattr(interp, "_WHILE_FUEL", 7)
+    seen = both_variants(While(cond, (AssignScalar("k", _ONE),)))
+    assert seen["error"] == "while loop  ran away"
+    assert seen["work"] == 1 + 1 + 7
+    labelled = both_variants(While(cond, (), "spin"))
+    assert labelled["error"] == "while loop spin ran away"
+
+
+def test_a_foreign_node_fails_when_it_runs_not_when_it_is_lowered():
+    dormant = both_variants(
+        If(Num(0), (AlienStmt(),), (AssignScalar("r", _ONE),)),
+        AssignScalar("q", BinOp("and", Num(0), AlienExpr())),
+    )
+    assert dormant["error"] is None and dormant["work"] == 1 + 3
+    reached = both_variants(AssignScalar("r", _ONE), If(_ONE, (AlienStmt(),)))
+    assert reached["error"] == "unknown statement <alien stmt>"
+    assert reached["work"] == 1 + 3  # the foreign statement was counted
+
+
+def test_nesting_deeper_than_python_allows():
+    """Blocks past the emitter's depth limit go back through the
+    machine; expressions past its inline limit through temporaries."""
+    body = (AssignArray("B", Var("j29"), BinOp("+", ArrayRead("B", Var("j29")), _ONE)),)
+    for level in reversed(range(30)):
+        loop = Do(f"j{level}", _ONE, Num(2 if level == 29 else 1), body)
+        body = (If(_ONE, (loop,)),)
+    expr = Var("i")
+    for level in range(250):
+        expr = BinOp("+", expr, Num(level))
+    seen = both_variants(*body, AssignArray("B", Num(3), expr))
+    assert seen["error"] is None
+    assert seen["arrays"]["B"] == [1, 1, 1 + sum(range(250)), 0]
+    assert seen["work"] == 1 + 2 * 30 + 2 + 1
+
+
+SHARED_FRAME = """
+program p
+array A(8)
+main
+  s = 1
+  do i = 1, 3 @ a
+    s = s + i
+  end
+  A[1] = s + i
+  do k = 1, 2
+    do j = 1, 2 @ b
+      s = s * 2
+    end
+    A[k + 1] = s + j
+  end
+end
+"""
+
+
+@pytest.mark.parametrize("traced", ["a", "b", None])
+def test_scalars_set_by_a_labelled_loop_are_read_after_it(traced):
+    """A labelled loop's body is its own function sharing the frame: the
+    code around it must not go on with its own copies of the scalars."""
+    seen = agree(parse_program(SHARED_FRAME), trace_label=traced)
+    assert seen["error"] is None
+    assert seen["arrays"]["A"][:3] == [7 + 3, 28 + 2, 112 + 2]

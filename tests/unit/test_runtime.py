@@ -3,14 +3,24 @@ inspector, and the conditional-parallelization executor."""
 
 import copy
 import dataclasses
+import pickle
+import sys
+import threading
 
 import pytest
 
 from repro.api import Engine, EngineConfig
 from repro.core import analyze_loop
+from repro.evaluation import profile
 from repro.fuzz import generate_case, run_case
 from repro.ir import parse_program
-from repro.ir.interp import IterationRecord, LoopTrace, copy_arrays
+from repro.ir.interp import (
+    InterpError,
+    IterationRecord,
+    LoopTrace,
+    Machine,
+    copy_arrays,
+)
 from repro.runtime import (
     CostModel,
     HybridExecutor,
@@ -20,6 +30,7 @@ from repro.runtime import (
     schedule_parallel,
 )
 from repro.runtime.backends import BACKENDS
+from repro.runtime.backends.base import execute_positions
 
 
 class TestScheduler:
@@ -475,3 +486,156 @@ class TestInputsAndCopies:
         result = run_case(case, backend="thread", jobs=2)
         assert result.outcome != "crash", result.detail
         assert case.arrays == saved
+
+    WIDENED = """
+program widened
+param N
+array A(N), B(N)
+main
+  do i = 1, N @ l
+    B[i] = A[i + 5]
+  end
+end
+"""
+
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_an_input_longer_than_its_extent_is_rejected(self, backend):
+        """Twenty values for ``A(10)`` would make ``A[i + 5]`` legal: the
+        declared program, not the supplied data, sets the bounds."""
+        engine = Engine(EngineConfig(use_disk_cache=False))
+        compiled = engine.compile(self.WIDENED)
+        with pytest.raises(ValueError, match=(
+            "array 'A' is declared with extent 10 but 20 values were supplied"
+        )):
+            compiled.execute(
+                "l", {"N": 10}, {"A": list(range(20))}, backend=backend, jobs=2
+            )
+        with pytest.raises(InterpError, match=r"A\[11\] out of bounds \(size 10\)"):
+            compiled.execute(
+                "l", {"N": 10}, {"A": list(range(10))}, backend=backend, jobs=2
+            )
+        engine.close()
+
+
+REBIND_SRC = """
+program rebind
+param N
+array A(8), B(8)
+
+subroutine sweep(X[], Y[])
+  do i = 1, N @ tgt
+    X[i] = X[i] + 1
+  end
+  Y[2] = X[1]
+end
+
+main
+  do k = 1, 2
+    call sweep(A[], B[])
+    B[k + 2] = A[1]
+  end
+  B[1] = A[1]
+end
+"""
+
+
+class TestGeneratedCode:
+    """The machine runs code generated from the program and kept on it
+    (``Program._lowered``): what holds for that code beyond computing
+    the right values."""
+
+    def test_arrays_rebound_by_the_loop_hook_are_seen_at_once(self):
+        """The hook swaps ``machine.arrays`` for fresh lists (what the
+        parallel re-run does with the backend's result): the statement
+        after the loop, after the call around it and after the loop
+        around that all read the new memory, and write into it."""
+        def hook(machine, stmt, frame):
+            arrays = copy_arrays(machine.arrays)
+            arrays["A"][0] += 10
+            machine.arrays = arrays
+
+        machine = Machine(
+            parse_program(REBIND_SRC), params={"N": 4},
+            loop_executor=hook, loop_executor_label="tgt",
+        )
+        first = machine.arrays
+        result = machine.run()
+        assert result.arrays["A"][0] == 20
+        assert result.arrays["B"][:4] == [20, 20, 10, 20]
+        assert first["B"] == [0] * 8  # nothing was written to the old lists
+
+    @pytest.mark.parametrize("snapshot", [True, False])
+    def test_every_isolated_iteration_starts_from_the_pre_state(self, snapshot):
+        """``execute_positions`` swaps (or restores) the machine's memory
+        between iterations of one compiled body."""
+        program = parse_program(
+            "program p\narray A(4)\nmain\n  do i = 1, 3 @ l\n"
+            "    A[1] = A[1] + i\n    A[i + 1] = A[1]\n  end\nend\n"
+        )
+        compiled = Engine(EngineConfig(use_disk_cache=False)).compile(program)
+        task = compiled.executor("l").capture_task({}, {"A": [5]})
+        outcomes = execute_positions(task, range(3), per_iteration_snapshot=snapshot)
+        assert [o.values for o in outcomes] == [
+            {"A": {1: 5 + i, i + 1: 5 + i}} for i in (1, 2, 3)
+        ]
+        assert task.pre_arrays == {"A": [5, 0, 0, 0]}
+
+    def test_a_lowered_program_pickles_as_if_it_never_ran(self):
+        compiled = Engine(EngineConfig(use_disk_cache=False)).compile(EXEC_SRC)
+        task = compiled.executor("l").capture_task({"N": 8, "OFF": 0}, {})
+        fresh = dataclasses.replace(task, program=parse_program(EXEC_SRC))
+        assert task.program._lowered and not fresh.program._lowered
+        blob = pickle.dumps(task)
+        assert len(blob) <= len(pickle.dumps(fresh))
+        back = pickle.loads(blob)
+        assert back == task and back.program._lowered == {}
+        assert copy.copy(task.program)._lowered == {}
+
+    def test_threads_racing_to_a_first_execute_agree(self):
+        """Eight threads lower and run one cold program at once; racing
+        lowerings may repeat work, never corrupt it."""
+        case = generate_case(11)
+        serial = _untimed(
+            Engine(EngineConfig(use_disk_cache=False))
+            .compile(case.source)
+            .execute(case.label, case.params, case.arrays, backend="sequential")
+        )
+        compiled = Engine(EngineConfig(use_disk_cache=False)).compile(case.source)
+        compiled.plan(case.label)
+        assert not compiled.program._lowered
+        barrier = threading.Barrier(8)
+        reports = []
+
+        def first_execute():
+            barrier.wait(timeout=30)
+            reports.append(_untimed(compiled.execute(
+                case.label, case.params, case.arrays, backend="sequential"
+            )))
+
+        threads = [threading.Thread(target=first_execute) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert reports == [serial] * 8
+
+    def test_lowering_is_lazy_and_happens_once(self):
+        """``Engine.compile`` and ``plan`` generate nothing; the first
+        execute does, under the ``ir.lower`` timer; the second finds it
+        all there."""
+        compiled = Engine(EngineConfig(use_disk_cache=False)).compile(EXEC_SRC)
+        compiled.plan("l")
+        assert compiled.program._lowered == {}
+        lowered = []
+        for _ in range(2):
+            with profile.profiling():
+                compiled.execute("l", {"N": 8, "OFF": 0}, {}, backend="thread", jobs=2)
+            lowered.append(profile.snapshot().calls.get("ir.lower", 0))
+        assert lowered[0] == len(compiled.program._lowered) > 0
+        assert lowered[1] == 0
