@@ -26,10 +26,13 @@ plan-digests:
 ## Verify every pinned execute (91 paper loops on thread, 32 mix programs
 ## on all five backends, the quick kernel matrix) still yields the
 ## ExecutionReport recorded in tests/golden/exec_digests.json, every
-## field but wall_s (the gate a "same reports, less time" change to the
-## interpreter, executor or a backend is reviewed against).
+## field but wall_s, under two hash seeds (the gate a "same reports, less
+## time" change to the emitter, the machine, the executor or a backend is
+## reviewed against; `tools/exec_digests.py --lowered` hashes the generated
+## code itself).
 exec-digests:
-	$(PYTHON) tools/exec_digests.py --check
+	PYTHONHASHSEED=0 $(PYTHON) tools/exec_digests.py --check
+	PYTHONHASHSEED=1 $(PYTHON) tools/exec_digests.py --check
 
 ## Serve the analyze/execute protocol on TCP port 7070 (Ctrl-C for a
 ## graceful shutdown that drains in-flight requests).

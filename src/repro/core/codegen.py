@@ -8,11 +8,12 @@ predicates become parallel and/or-reductions, and the per-symbol
 cascades are chained so "the first successful predicate disables the
 evaluation of the rest".
 
-Our runtime executes cascades directly (the interpreter plays the role
-of the generated code), so this module produces the *plan* of that
-generated code -- an ordered, deduplicated test schedule with slice and
-placement information -- both as a structured object the executor's
-behaviour can be checked against and as printable pseudo-code.
+Here only the loop bodies are generated code (:mod:`repro.ir.lower`);
+the executor still evaluates cascades directly, so this module produces
+the *plan* of their generated code -- an ordered, deduplicated test
+schedule with slice and placement information -- both as a structured
+object the executor's behaviour can be checked against and as printable
+pseudo-code.
 """
 
 from __future__ import annotations

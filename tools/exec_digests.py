@@ -24,12 +24,24 @@ reports, less time" must leave every digest where it is::
 
     python tools/exec_digests.py --check   # CI + tests/regression
     python tools/exec_digests.py --write   # deliberate re-pin
+
+The reports come out of Python code generated from each program
+(``repro.ir.lower``), which must not depend on the hash seed either::
+
+    python tools/exec_digests.py --lowered
+
+generates the code of every unit ``Machine`` can compile for the 26
+paper programs, the kernel sources and the ``mix`` programs -- both
+variants, nothing executed -- and prints one sha256 over all of it; CI
+and ``tests/regression`` require the same line under ``PYTHONHASHSEED``
+0 and 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import sys
 
@@ -92,6 +104,57 @@ def compute(runnable: list) -> dict:
     return digests
 
 
+def generated_units(program):
+    """``Lowered`` for every unit of *program* the machine can compile,
+    both variants, in program order: array extents, ``main``, subroutine
+    bodies, then whatever generated code hands back to the machine
+    (labelled loops' bounds, conditions and bodies, call arguments,
+    bodies nested past the emitter's depth limit)."""
+    from repro.ir.ast import Call, Do, While
+    from repro.ir.lower import lower
+
+    pending = [decl.size for decl in program.arrays] + [program.main]
+    pending += [sub.body for sub in program.subroutines.values()]
+    while pending:
+        node = pending.pop(0)
+        plain = lower(node, False)
+        yield plain
+        yield lower(node, True)
+        for const in plain.consts:
+            if isinstance(const, Do):
+                pending += [const.lower, const.upper, const.body]
+            elif isinstance(const, While):
+                pending += [const.cond, const.body]
+            elif isinstance(const, Call):
+                pending += [expr for arg in const.args
+                            for expr in (arg.offset, arg.scalar) if expr is not None]
+            else:
+                pending.append(const)
+
+
+def lowered_line() -> str:
+    """One line naming the generated code of every pinned program."""
+    from benchinputs import kernel_items, load_pool
+    from repro.ir import parse_program
+    from repro.workloads import ALL_BENCHMARKS
+
+    sources = dict.fromkeys(
+        [bench.source for bench in ALL_BENCHMARKS]
+        + [item.source for item in kernel_items(0, quick=True)]
+        + [item.source for item in load_pool("mix")]
+    )
+    digest = hashlib.sha256()
+    functions = lines = 0
+    for source in sources:
+        for unit in generated_units(parse_program(source)):
+            compile(unit.source, "<lowered>", "exec")
+            digest.update(unit.source.encode())
+            functions += 1
+            lines += unit.source.count("\n")
+    return (f"exec-digests: lowered {len(sources)} programs to {functions} "
+            f"functions, {lines} lines, sha256 {digest.hexdigest()}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     mode = parser.add_mutually_exclusive_group(required=True)
@@ -99,8 +162,14 @@ def main(argv=None) -> int:
                       help="re-pin tests/golden/exec_digests.json")
     mode.add_argument("--check", action="store_true",
                       help="compare one pass with the golden file")
+    mode.add_argument("--lowered", action="store_true",
+                      help="print one sha256 over the generated code of "
+                           "every pinned program (no execution)")
     args = parser.parse_args(argv)
 
+    if args.lowered:
+        print(lowered_line())
+        return 0
     runnable, skipped = items()
     if args.write and skipped:
         parser.error(f"--write needs every backend; cannot run {skipped[:3]}...")
