@@ -201,8 +201,6 @@ class Machine:
             LoopTrace(trace_label) if trace_label else None
         )
         self._active_record: Optional[IterationRecord] = None
-        #: the program's generated code, shared by every machine running it
-        self._codes: dict = program._lowered
         self.arrays: dict[str, list[int]] = {}
         for decl in program.arrays:
             size = self._eval(decl.size, _Frame(dict(self.params), {}))
@@ -276,11 +274,12 @@ class Machine:
         lowered on first use.  Threads racing to a first use may each
         lower it -- the results are interchangeable and the last one
         stored stays."""
+        codes = self.program._lowered
         key = (id(node), self._active_record is not None)
-        entry = self._codes.get(key)
+        entry = codes.get(key)
         if entry is None:
             # the entry holds *node*, so its id cannot be reused meanwhile
-            entry = self._codes[key] = (node, _generate(node, key[1]))
+            entry = codes[key] = (node, _generate(node, key[1]))
         return entry[1]
 
     def _exec_body(self, stmts: tuple[IRStmt, ...], frame: _Frame) -> None:
@@ -356,9 +355,6 @@ class Machine:
 
 # -- what the generated code calls -----------------------------------------------
 
-_UNSET = object()
-
-
 def _unbound(machine: Machine, name: str) -> int:
     """The value of a scalar its frame does not hold: a program
     parameter's, or an error."""
@@ -378,18 +374,21 @@ def _bad_access(machine: Machine, frame: _Frame, array: str, loc: int) -> None:
     raise InterpError(f"{name}[{loc}] out of bounds (size {size})")
 
 
+#: the globals of every generated function, beside its own ``K``
+_GLOBALS = {
+    "InterpError": InterpError,
+    "UNSET": object(),
+    "NOBIND": (None, 0),
+    "unbound": _unbound,
+    "bad_access": _bad_access,
+    "fuel": lambda: _WHILE_FUEL,
+}
+
+
 @_profiling.timed("ir.lower")
 def _generate(node: Union[tuple, IRExpr], recording: bool) -> Callable:
     """Lower *node* and compile the result: ``run(machine, frame)``."""
     lowered = lower(node, recording)
-    namespace = {
-        "K": lowered.consts,
-        "InterpError": InterpError,
-        "UNSET": _UNSET,
-        "NOBIND": (None, 0),
-        "unbound": _unbound,
-        "bad_access": _bad_access,
-        "fuel": lambda: _WHILE_FUEL,
-    }
+    namespace = dict(_GLOBALS, K=lowered.consts)
     exec(compile(lowered.source, "<lowered>", "exec"), namespace)
     return namespace["run"]

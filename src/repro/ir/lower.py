@@ -99,13 +99,14 @@ def lower(node: Union[tuple, IRExpr], recording: bool) -> Lowered:
     """*node* -- a statement tuple or an expression -- as source; with
     *recording* the code keeps the machine's active iteration record."""
     emitter = _Emitter(recording)
-    if isinstance(node, tuple):
+    counting = isinstance(node, tuple)
+    if counting:
         emitter.indent = 2  # inside ``def`` and ``try``
         for stmt in node:
             emitter.statement(stmt)
     else:
         emitter.emit(f"return {emitter.value(node)[0]}")
-    return Lowered(emitter.source(isinstance(node, tuple)), tuple(emitter.consts))
+    return Lowered(emitter.source(counting), tuple(emitter.consts))
 
 
 class _Emitter:

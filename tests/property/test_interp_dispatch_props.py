@@ -272,6 +272,10 @@ def agree(program, **inputs):
 # -- the reference is independent ---------------------------------------------------
 
 
+#: what ``Machine`` executes statements and evaluates expressions with
+_MACHINE_CORE = ("_exec_body", "_eval", "_code")
+
+
 @pytest.mark.parametrize("traced", ["outer", None])
 def test_the_reference_runs_none_of_the_machines_execution_core(traced, monkeypatch):
     """``agree`` compares two implementations only while the reference
@@ -299,10 +303,6 @@ def test_the_reference_runs_none_of_the_machines_execution_core(traced, monkeypa
     assert calls == {"ladder": seen["work"], "machine": 0}
     observe(Machine, program, **inputs)
     assert calls["machine"] > 0  # the counter does see the machine's own runs
-
-
-#: what ``Machine`` executes statements and evaluates expressions with
-_MACHINE_CORE = ("_exec_body", "_eval", "_code")
 
 
 # -- generated programs -----------------------------------------------------------

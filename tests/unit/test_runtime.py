@@ -635,7 +635,7 @@ class TestGeneratedCode:
         lowered = []
         for _ in range(2):
             with profile.profiling():
-                compiled.execute("l", {"N": 8, "OFF": 0}, {}, backend="thread", jobs=2)
+                compiled.execute("l", {"N": 8, "OFF": 0}, {}, backend="sequential")
             lowered.append(profile.snapshot().calls.get("ir.lower", 0))
         assert lowered[0] == len(compiled.program._lowered) > 0
         assert lowered[1] == 0

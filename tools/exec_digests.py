@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import sys
 
@@ -143,16 +142,16 @@ def lowered_line() -> str:
         + [item.source for item in kernel_items(0, quick=True)]
         + [item.source for item in load_pool("mix")]
     )
-    digest = hashlib.sha256()
-    functions = lines = 0
-    for source in sources:
-        for unit in generated_units(parse_program(source)):
-            compile(unit.source, "<lowered>", "exec")
-            digest.update(unit.source.encode())
-            functions += 1
-            lines += unit.source.count("\n")
-    return (f"exec-digests: lowered {len(sources)} programs to {functions} "
-            f"functions, {lines} lines, sha256 {digest.hexdigest()}")
+    texts = [
+        unit.source
+        for source in sources
+        for unit in generated_units(parse_program(source))
+    ]
+    for text in texts:
+        compile(text, "<lowered>", "exec")
+    lines = sum(text.count("\n") for text in texts)
+    return (f"exec-digests: lowered {len(sources)} programs to {len(texts)} "
+            f"functions, {lines} lines, sha256 {_sha(''.join(texts))}")
 
 
 def main(argv=None) -> int:
