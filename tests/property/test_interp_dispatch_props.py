@@ -17,9 +17,9 @@ the run got.
 
 Mutation check: swapping two entries of the emitter's operator table
 ``lower.BINOP_SOURCE`` (``+``/``-``, or ``<``/``<=``) makes
-``test_expressions_agree``, ``test_generated_programs_agree`` and six
-more tests here fail; ``test_a_swapped_operator_is_caught`` keeps that
-sensitivity pinned.
+``test_expressions_agree``, ``test_generated_programs_agree`` and at
+least six more tests here fail; ``test_a_swapped_operator_is_caught``
+keeps that sensitivity pinned.
 """
 
 import pytest
