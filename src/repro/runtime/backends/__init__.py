@@ -5,22 +5,24 @@ under which per-array transforms); a backend decides *how* the
 validated iterations actually execute:
 
 =============  ==============================================================
-``sequential``  in-order reference execution, one flat copy of the
-                pre-loop memory per iteration (the correctness baseline
-                every other backend is differentially tested against)
-``thread``      chunked execution on a thread pool: one copy of the
-                pre-loop memory per chunk, O(writes) undo-log state
-                restoration between iterations
-``process``     chunked execution on a persistent process pool; the
+``sequential``  in-order reference execution, every iteration isolated on
+                its own flat copy of the pre-loop memory (the correctness
+                baseline every other backend is differentially tested
+                against, and the only place isolation is kept for its own
+                sake)
+``thread``      chunked execution on a kept thread pool: a chunk runs in
+                order, in place, on its one copy of the pre-loop memory
+                and returns one outcome
+``process``     the same chunks on a persistent process pool; the
                 pre-loop memory travels once per run through a
                 shared-memory segment, so multi-core machines get real
                 (GIL-free) parallelism
 ``numpy``       whole-loop vectorization for fully-parallel (all-``shared``)
                 DO loops: one NumPy gather/compute/scatter per statement
 ``speculative`` optimistic LRPD execution: chunks run in parallel with
-                shadow access marking, the LRPD test validates the marks,
-                and a conflict rolls back via the undo log and re-executes
-                the loop sequentially in order
+                per-iteration shadow access marking, the LRPD test
+                validates the marks, and a conflict rolls back via the
+                undo log and re-executes the loop sequentially in order
 =============  ==============================================================
 
 Select a backend through :class:`repro.api.EngineConfig` /
@@ -38,6 +40,7 @@ from .base import (
     ExecutionBackend,
     IterationOutcome,
     LoopTask,
+    execute_chunk,
     execute_positions,
     last_scalars,
     merge_outcomes,
@@ -66,6 +69,7 @@ __all__ = [
     "ThreadBackend",
     "VectorizedBackend",
     "available_backends",
+    "execute_chunk",
     "execute_positions",
     "get_backend",
     "last_scalars",

@@ -10,34 +10,29 @@ memory.  The contract every backend must meet, pinned by
     *for any task, the merged memory is identical to the reference
     interpreter's sequential execution.*
 
-Iteration semantics are the paper's conditional-parallelization model:
-every iteration observes the pre-loop memory snapshot (plus its own
-writes), and the per-array merge rules reconstruct the final state in
-iteration order -- direct writes for shared arrays, iteration-ordered
-write-back for privatized arrays (= dynamic last value), and delta
-accumulation for reductions.
+The model is the paper's conditional parallelization: a unit of work
+observes the pre-loop memory plus its own writes, and the per-array
+rules of :func:`merge_outcomes` rebuild the final state in order --
+direct writes for shared arrays, ordered write-back for privatized
+arrays (= dynamic last value), delta accumulation for reductions.
 
-Array memory is ``name -> dense list of ints``, so every snapshot here
-is :func:`~repro.ir.interp.copy_arrays`: one flat C-level copy per
-array, O(memory) but with no Python-level work per element.
-``task.pre_arrays`` itself is never written to.  Two execution modes
-share :func:`execute_positions`:
+* :func:`execute_chunk` -- the production unit (``thread``,
+  ``process``): a chunk's iterations run in order, in place, on the
+  chunk's one copy of the pre-loop memory and come back as **one**
+  outcome.  Inside a chunk that is the sequential loop; across chunks a
+  ``shared`` array is flow- and output-independent, a ``private``
+  array's reads are covered by the reading iteration's own writes, and
+  a ``reduction`` location sees only additive updates (chunk-final -
+  pre = the sum of its deltas) or one iteration's plain accesses alone
+  (the EXT-RRED enabling condition) -- so a chunk is one iteration of
+  the coarsened loop and the rules apply to it verbatim;
+* :func:`execute_positions` -- one outcome per *iteration*, each a chunk
+  of one isolated from the rest, for the two callers that want that on
+  purpose: the ``sequential`` reference backend (see its module for
+  why) and the ``speculative`` backend's per-iteration LRPD marks.
 
-* ``per_iteration_snapshot=True`` -- the reference mode: every
-  iteration runs against its own fresh copy of the pre-loop memory
-  (exactly what :class:`~repro.runtime.executor.HybridExecutor` always
-  did): one O(memory) copy per iteration;
-* ``per_iteration_snapshot=False`` -- the chunked production mode: the
-  worker's :class:`~repro.ir.interp.Machine` copies the pre-state once
-  per chunk and each iteration's writes are *undone* before the next
-  one starts.  Restoring only the written locations is O(writes)
-  instead of O(memory) per iteration, which is where the chunked
-  backends' real speedup over the reference backend comes from.  Writes
-  are the only mutations an iteration makes to array memory, so undo
-  provably restores the exact pre-state.
-
-:func:`merge_outcomes` makes one more copy, the memory it merges into
-and returns.
+Every snapshot is :func:`~repro.ir.interp.copy_arrays`, one flat C-level
+copy per array; ``task.pre_arrays`` itself is never written to.
 """
 
 from __future__ import annotations
@@ -48,7 +43,7 @@ from typing import Optional, Sequence
 
 from ...ir.ast import Program
 from ...ir.interp import IterationRecord, Machine, _Frame, copy_arrays
-from .chunking import ChunkSpec
+from .chunking import ChunkSpec, plan_chunks
 
 __all__ = [
     "LoopTask",
@@ -56,6 +51,8 @@ __all__ = [
     "BackendRun",
     "BackendUnsupported",
     "ExecutionBackend",
+    "ChunkedBackend",
+    "execute_chunk",
     "execute_positions",
     "merge_outcomes",
     "last_scalars",
@@ -97,11 +94,12 @@ class LoopTask:
 
 @dataclass
 class IterationOutcome:
-    """Plain-data result of one iteration (picklable across processes)."""
+    """Plain-data result of one iteration -- or of one chunk, which is
+    one iteration of the coarsened loop (picklable across processes)."""
 
-    #: position in the iteration order (the merge key)
+    #: position in the iteration order (the merge key; a chunk's last)
     position: int
-    #: the iteration value itself
+    #: the iteration value at that position
     iteration: int
     #: array -> sorted written locations
     writes: dict
@@ -173,17 +171,13 @@ class ExecutionBackend:
 # -- shared iteration machinery ----------------------------------------------
 
 
-def execute_positions(
-    task: LoopTask,
-    positions: Sequence[int],
-    per_iteration_snapshot: bool,
-    record_exposed: bool = False,
-) -> list:
-    """Execute the given iteration *positions* of *task* in isolation.
-
-    Returns one :class:`IterationOutcome` per position, in the order
-    given.  See the module docstring for the two snapshot modes.
-    """
+def _execute_groups(task: LoopTask, groups, isolate=None, record_exposed=False) -> list:
+    """One :class:`IterationOutcome` per group of positions, keyed by
+    the group's last: a group runs in order, in place, under one record.
+    *isolate* starts every group from the pre-loop memory: a fresh copy
+    of it (``"snapshot"``), or the one copy with the group's writes
+    restored afterwards (``"undo"``; writes are the only mutations, so
+    that is exact)."""
     loop = task.program.find_loop(task.label)
     if loop is None:
         raise ValueError(f"no loop labelled {task.label!r}")
@@ -191,28 +185,29 @@ def execute_positions(
     machine = Machine(task.program, params=task.params, arrays=pre_arrays)
     local = machine.arrays  # Machine copied pre_arrays into fresh lists
     outcomes = []
-    for pos in positions:
-        if per_iteration_snapshot:
+    for group in groups:
+        if isolate == "snapshot":
             machine.arrays = local = copy_arrays(pre_arrays)
-        iteration = task.iterations[pos]
-        scalars = dict(task.pre_scalars)
-        if task.index_name is not None:
-            scalars[task.index_name] = iteration
-        for name in task.civ_names:
-            scalars[name] = task.civ_values[name][pos]
-        record = IterationRecord(iteration=iteration)
-        machine.run_iteration(loop.body, _Frame(scalars, task.frame_arrays), record)
-        values = {
-            arr: {loc: local[arr][loc - 1] for loc in locs}
-            for arr, locs in record.writes.items()
-        }
+        last = group[-1]
+        record = IterationRecord(iteration=task.iterations[last])
+        for pos in group:
+            # scalars start every iteration from the loop's entry values
+            scalars = dict(task.pre_scalars)
+            if task.index_name is not None:
+                scalars[task.index_name] = task.iterations[pos]
+            for name in task.civ_names:
+                scalars[name] = task.civ_values[name][pos]
+            machine.run_iteration(loop.body, _Frame(scalars, task.frame_arrays), record)
         outcomes.append(
             IterationOutcome(
-                position=pos,
-                iteration=iteration,
+                position=last,
+                iteration=record.iteration,
                 writes={a: sorted(l) for a, l in record.writes.items()},
                 updates={a: sorted(l) for a, l in record.updates.items()},
-                values=values,
+                values={
+                    arr: {loc: local[arr][loc - 1] for loc in locs}
+                    for arr, locs in record.writes.items()
+                },
                 scalars=scalars,
                 exposed=(
                     {a: sorted(l) for a, l in record.exposed_reads.items()}
@@ -221,40 +216,89 @@ def execute_positions(
                 ),
             )
         )
-        if not per_iteration_snapshot:
-            # Undo this iteration's writes: O(writes) restore instead of
-            # an O(memory) snapshot for the next iteration.
+        if isolate == "undo":
             for arr, locs in record.writes.items():
-                source = pre_arrays[arr]
-                target = local[arr]
+                source, target = pre_arrays[arr], local[arr]
                 for loc in locs:
                     target[loc - 1] = source[loc - 1]
     return outcomes
 
 
-def merge_outcomes(
-    pre_arrays: dict, outcomes: Sequence[IterationOutcome], decisions: dict
-) -> dict:
-    """Reconstruct the final memory from per-iteration outcomes.
+def execute_chunk(task: LoopTask, positions: Sequence[int]) -> IterationOutcome:
+    """Run the contiguous, non-empty *positions* of *task* in order and
+    in place: one outcome for the whole chunk (the module docstring says
+    why that is sound)."""
+    return _execute_groups(task, (positions,))[0]
 
-    Applies the per-array merge rules in iteration order -- identical to
-    the rules the executor always applied, so any backend's merged
-    memory is comparable against the sequential ground truth.
+
+def execute_positions(
+    task: LoopTask,
+    positions: Sequence[int],
+    per_iteration_snapshot: bool,
+    record_exposed: bool = False,
+) -> list:
+    """Execute the given iteration *positions* of *task* in isolation --
+    each a chunk of one, started from the pre-loop memory (a fresh copy
+    of it with ``per_iteration_snapshot``, else an O(writes) undo).
+
+    Returns one :class:`IterationOutcome` per position, in the order
+    given.
     """
-    merged = copy_arrays(pre_arrays)
+    return _execute_groups(
+        task, ((pos,) for pos in positions),
+        "snapshot" if per_iteration_snapshot else "undo", record_exposed,
+    )
+
+
+class ChunkedBackend(ExecutionBackend):
+    """A pool backend whose unit is the chunk: carve the iteration
+    space, have :meth:`run_chunks` produce one outcome a chunk, fold
+    them in chunk order."""
+
+    def run_chunks(self, task: LoopTask, chunks: list, jobs: int) -> list:
+        raise NotImplementedError
+
+    def execute(self, task, jobs=None, chunk=None) -> BackendRun:
+        jobs = default_jobs(jobs)
+        chunks = plan_chunks(len(task.iterations), jobs, chunk)
+        outcomes = self.run_chunks(task, chunks, jobs) if chunks else []
+        return BackendRun(
+            arrays=merge_outcomes(task.pre_arrays, outcomes, task.decisions),
+            final_scalars=last_scalars(outcomes),
+            chunks=len(chunks),
+            jobs=min(jobs, len(chunks)) or jobs,
+        )
+
+
+def merge_outcomes(
+    pre_arrays: dict,
+    outcomes: Sequence[IterationOutcome],
+    decisions: dict,
+    merged: Optional[dict] = None,
+    undo: Optional[list] = None,
+) -> dict:
+    """Reconstruct the final memory from outcomes (one an iteration or
+    one a chunk): the per-array merge rules, applied in position order
+    to *merged* (default: a fresh copy of *pre_arrays*).  A list given
+    as *undo* collects ``(array, location, value before)`` per location
+    in first-touch order -- the speculative backend's rollback log.
+    """
+    if merged is None:
+        merged = copy_arrays(pre_arrays)
+    touched: set = set()
     for out in sorted(outcomes, key=lambda o: o.position):
         for arr, locs in out.writes.items():
-            strategy = decisions.get(arr, "private")
-            updates = out.updates.get(arr, ())
-            update_set = set(updates)
-            values = out.values[arr]
+            reduction = decisions.get(arr, "private") == "reduction"
+            update_set = set(out.updates.get(arr, ())) if reduction else ()
+            values, target, pre = out.values[arr], merged[arr], pre_arrays[arr]
             for loc in locs:
-                if strategy == "reduction" and loc in update_set:
-                    merged[arr][loc - 1] += (
-                        values[loc] - pre_arrays[arr][loc - 1]
-                    )
+                if undo is not None and (arr, loc) not in touched:
+                    touched.add((arr, loc))
+                    undo.append((arr, loc, target[loc - 1]))
+                if loc in update_set:
+                    target[loc - 1] += values[loc] - pre[loc - 1]
                 else:
-                    merged[arr][loc - 1] = values[loc]
+                    target[loc - 1] = values[loc]
     return merged
 
 

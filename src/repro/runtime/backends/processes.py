@@ -2,7 +2,9 @@
 
 Chunks are dispatched to a persistent pool of worker *processes*, so
 interpreter work genuinely runs in parallel on multi-core machines (no
-GIL).  Two mechanisms keep the per-run cost proportional to the work,
+GIL).  A chunk goes out as its ``range`` of positions and comes back as
+one outcome (:func:`~repro.runtime.backends.base.execute_chunk`); two
+mechanisms keep the rest of the per-run cost proportional to the work,
 not the memory:
 
 * **shared-memory pre-state** -- the pre-loop array memory is published
@@ -20,7 +22,8 @@ not the memory:
 The pool itself outlives individual runs (created lazily, resized on
 demand, shut down at interpreter exit), so back-to-back executions --
 the equivalence suite, the benchmark harness -- pay process start-up
-once, not per loop.
+once, not per loop.  A pool whose worker died is retired, not kept: the
+run that finds it broken repeats its chunks on a fresh one.
 """
 
 from __future__ import annotations
@@ -31,21 +34,12 @@ import itertools
 import pickle
 import threading
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from multiprocessing import get_all_start_methods, get_context, shared_memory
 from typing import Optional
 
-from ...ir.interp import copy_arrays
-from .base import (
-    BackendRun,
-    ExecutionBackend,
-    LoopTask,
-    default_jobs,
-    execute_positions,
-    last_scalars,
-    merge_outcomes,
-)
-from .chunking import ChunkSpec, plan_chunks
+from .base import ChunkedBackend, LoopTask, execute_chunk, execute_positions
 
 __all__ = ["ProcessBackend", "execute_chunks"]
 
@@ -60,18 +54,20 @@ _WORKER_CACHE_SIZE = 4
 _POOL: Optional[ProcessPoolExecutor] = None
 _POOL_WORKERS = 0
 _POOL_LOCK = threading.Lock()
-#: pools replaced by a larger resize, kept alive until interpreter exit
-#: so concurrent callers still holding them can finish their in-flight
-#: chunk maps (shutting them down mid-map would break the engine's
-#: thread-safety contract)
+#: pools replaced (by a larger one, or because a worker died), kept until
+#: interpreter exit so concurrent callers still holding them can finish
+#: their in-flight chunk maps (shutting them down mid-map would break the
+#: engine's thread-safety contract)
 _RETIRED_POOLS: list = []
 _RUN_TOKENS = itertools.count()
 
 
-def _pool(jobs: int) -> ProcessPoolExecutor:
+def _pool(jobs: int, broken=None) -> ProcessPoolExecutor:
+    """The kept pool; replaced first when it has fewer than *jobs*
+    workers or is the one the caller found *broken*."""
     global _POOL, _POOL_WORKERS
     with _POOL_LOCK:
-        if _POOL is None or _POOL_WORKERS < jobs:
+        if _POOL is None or _POOL is broken or _POOL_WORKERS < jobs:
             if _POOL is not None:
                 _RETIRED_POOLS.append(_POOL)
             method = "fork" if "fork" in get_all_start_methods() else "spawn"
@@ -161,11 +157,10 @@ def _worker_chunk(payload) -> list:
     """Top-level chunk entry point (must be importable by workers)."""
     token, setup_blob, positions = payload
     state = _materialize(token, setup_blob)
+    if not state["marked"]:
+        return [execute_chunk(state["task"], positions)]
     return execute_positions(
-        state["task"],
-        positions,
-        per_iteration_snapshot=False,
-        record_exposed=state["record_exposed"],
+        state["task"], positions, per_iteration_snapshot=False, record_exposed=True
     )
 
 
@@ -173,41 +168,44 @@ def _worker_chunk(payload) -> list:
 
 
 def execute_chunks(
-    task: LoopTask, chunks: list, jobs: int, record_exposed: bool = False
+    task: LoopTask, chunks: list, jobs: int, marked: bool = False
 ) -> list:
     """Run *chunks* of *task* on the persistent process pool.
 
-    Returns the flattened :class:`IterationOutcome` list in chunk order.
-    ``record_exposed`` makes workers ship each iteration's expose-read
-    marks back with its outcome -- the speculative backend's optimistic
-    run uses this; the plain process backend leaves it off.
+    Returns the outcomes in chunk order: one
+    :class:`~repro.runtime.backends.base.IterationOutcome` a chunk, or
+    with ``marked`` -- the speculative backend's optimistic run -- one an
+    iteration, each isolated and carrying its expose-read marks.  When
+    a worker has died the pool is replaced and the chunks, pure functions
+    of the task, run once more.
     """
     shm, layout = _pack_arrays(task.pre_arrays)
     setup = {
         # the pre-loop memory travels through the segment, not the pickle
         "task": replace(task, pre_arrays=None) if shm is not None else task,
-        "record_exposed": record_exposed,
+        "marked": marked,
         "shm_name": shm.name if shm is not None else None,
         "layout": layout,
     }
     token = next(_RUN_TOKENS)
     setup_blob = pickle.dumps(setup)
+    payloads = [(token, setup_blob, c) for c in chunks]
     try:
         pool = _pool(jobs)
-        payloads = [(token, setup_blob, list(c)) for c in chunks]
-        return [
-            o
-            for chunk_result in pool.map(_worker_chunk, payloads)
-            for o in chunk_result
-        ]
+        try:
+            results = list(pool.map(_worker_chunk, payloads))
+        except BrokenProcessPool:  # a worker died: once more, on a fresh pool
+            results = list(_pool(jobs, pool).map(_worker_chunk, payloads))
+        return [o for chunk_result in results for o in chunk_result]
     finally:
         if shm is not None:
             shm.close()
             shm.unlink()
 
 
-class ProcessBackend(ExecutionBackend):
+class ProcessBackend(ChunkedBackend):
     name = "process"
+    run_chunks = staticmethod(execute_chunks)
 
     @classmethod
     def available(cls) -> bool:
@@ -216,26 +214,3 @@ class ProcessBackend(ExecutionBackend):
         except (ImportError, OSError):  # pragma: no cover - exotic hosts
             return False
         return True
-
-    def execute(
-        self,
-        task: LoopTask,
-        jobs: Optional[int] = None,
-        chunk: Optional[ChunkSpec] = None,
-    ) -> BackendRun:
-        jobs = default_jobs(jobs)
-        chunks = plan_chunks(len(task.iterations), jobs, chunk)
-        if not chunks:
-            return BackendRun(
-                arrays=copy_arrays(task.pre_arrays),
-                final_scalars={},
-                chunks=0,
-                jobs=jobs,
-            )
-        outcomes = execute_chunks(task, chunks, jobs)
-        return BackendRun(
-            arrays=merge_outcomes(task.pre_arrays, outcomes, task.decisions),
-            final_scalars=last_scalars(outcomes),
-            chunks=len(chunks),
-            jobs=min(jobs, len(chunks)),
-        )

@@ -7,17 +7,18 @@ markings afterwards.  This module is that fallback as a real execution
 backend:
 
 1. **optimistic run** -- chunks of the iteration space execute in
-   parallel through the shared undo-log machinery
+   parallel, every iteration isolated by undoing its writes
    (:func:`~repro.runtime.backends.base.execute_positions` with
-   ``record_exposed=True``), so every outcome carries its shadow marks:
-   written locations and expose-read locations per array.  Large
-   iteration spaces go to the persistent process pool (real, GIL-free
-   parallelism); small ones stay on threads or inline, where pool
-   overhead would dominate;
+   ``record_exposed=True``; LRPD marks are per iteration by definition,
+   so this run keeps one outcome an iteration where ``thread`` and
+   ``process`` keep one a chunk): written locations and expose-read
+   locations per array.  Large iteration spaces go to the persistent
+   process pool (real, GIL-free parallelism); small ones stay on the
+   kept thread pool or inline, where pool overhead would dominate;
 2. **commit attempt** -- the outcomes are applied to a working copy of
    memory in iteration order under the usual per-array merge rules,
    with an undo log recording each location's pre-value on first touch
-   (O(writes) state, like the chunked backends' restore);
+   (O(writes) state);
 3. **validation** -- :func:`~repro.runtime.speculation.lrpd_marks`
    analyzes the marks.  Arrays the runtime already licensed as
    reductions are exempt (their delta-merge is valid regardless of
@@ -40,7 +41,6 @@ equivalence suite holds this backend to that claim on every case.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 from ...ir.interp import Machine, _Frame, copy_arrays
@@ -52,8 +52,10 @@ from .base import (
     default_jobs,
     execute_positions,
     last_scalars,
+    merge_outcomes,
 )
 from .chunking import ChunkSpec, plan_chunks
+from .threads import map_chunks
 from . import processes
 
 __all__ = [
@@ -76,32 +78,15 @@ PROCESS_MIN_ITERS = 64
 def apply_outcomes(
     working: dict, pre_arrays: dict, outcomes, decisions: dict
 ) -> list:
-    """Apply speculative outcomes to *working* memory, in iteration
-    order, under the per-array merge rules -- the commit attempt.
+    """Apply speculative outcomes to *working* memory (it must start as
+    a copy of *pre_arrays*), in iteration order, under the per-array
+    merge rules -- the commit attempt.
 
     Returns the undo log: ``(array, location, pre_value)`` per location
-    in first-touch order, O(writes) in size.  *working* must start as a
-    copy of *pre_arrays*; after a successful validation it holds
-    exactly what :func:`~repro.runtime.backends.base.merge_outcomes`
-    would have produced.
+    in first-touch order, O(writes) in size.
     """
     undo: list = []
-    touched: set = set()
-    for out in sorted(outcomes, key=lambda o: o.position):
-        for arr, locs in out.writes.items():
-            strategy = decisions.get(arr, "private")
-            update_set = set(out.updates.get(arr, ()))
-            values = out.values[arr]
-            target = working[arr]
-            pre = pre_arrays[arr]
-            for loc in locs:
-                if (arr, loc) not in touched:
-                    touched.add((arr, loc))
-                    undo.append((arr, loc, target[loc - 1]))
-                if strategy == "reduction" and loc in update_set:
-                    target[loc - 1] += values[loc] - pre[loc - 1]
-                else:
-                    target[loc - 1] = values[loc]
+    merge_outcomes(pre_arrays, outcomes, decisions, working, undo)
     return undo
 
 
@@ -152,15 +137,9 @@ class SpeculativeBackend(ExecutionBackend):
         jobs = default_jobs(jobs)
         n = len(task.iterations)
         chunks = plan_chunks(n, jobs, chunk)
-        if not chunks:
-            return BackendRun(
-                arrays=copy_arrays(task.pre_arrays),
-                final_scalars={},
-                chunks=0,
-                jobs=jobs,
-                speculation=_doc(True, 0, (), 0, ()),
-            )
-        outcomes, workers = self._optimistic_run(task, chunks, jobs, n)
+        outcomes, workers = (
+            self._optimistic_run(task, chunks, jobs, n) if chunks else ([], jobs)
+        )
 
         # Licensed reductions are exempt from validation: their
         # delta-merge is sound however iterations overlap, so marking
@@ -178,25 +157,19 @@ class SpeculativeBackend(ExecutionBackend):
         undo = apply_outcomes(working, task.pre_arrays, outcomes,
                               task.decisions)
         if verdict.success:
-            return BackendRun(
-                arrays=working,
-                final_scalars=last_scalars(outcomes),
-                chunks=len(chunks),
-                jobs=workers,
-                speculation=_doc(
-                    True, 0, verdict.privatized,
-                    verdict.traced_accesses, (),
-                ),
-            )
-        rollback(working, undo)
-        arrays, final_scalars = sequential_execute(task, arrays=working)
+            arrays, final_scalars = working, last_scalars(outcomes)
+        else:
+            rollback(working, undo)
+            arrays, final_scalars = sequential_execute(task, arrays=working)
         return BackendRun(
             arrays=arrays,
             final_scalars=final_scalars,
             chunks=len(chunks),
             jobs=workers,
+            # a failed verdict privatizes nothing, a passed one has no conflicts
             speculation=_doc(
-                False, 1, (), verdict.traced_accesses, verdict.conflicts,
+                verdict.success, not verdict.success, verdict.privatized,
+                verdict.traced_accesses, verdict.conflicts,
             ),
         )
 
@@ -209,9 +182,7 @@ class SpeculativeBackend(ExecutionBackend):
             and len(chunks) > 1
             and processes.ProcessBackend.available()
         ):
-            outcomes = processes.execute_chunks(
-                task, chunks, jobs, record_exposed=True
-            )
+            outcomes = processes.execute_chunks(task, chunks, jobs, marked=True)
             return outcomes, min(jobs, len(chunks))
 
         def run_chunk(positions):
@@ -219,13 +190,8 @@ class SpeculativeBackend(ExecutionBackend):
                 task, positions, per_iteration_snapshot=False, record_exposed=True
             )
 
-        workers = min(jobs, len(chunks))
-        if workers == 1 or n <= INLINE_MAX_ITERS:
-            chunk_outcomes = [run_chunk(c) for c in chunks]
-            workers = 1
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                chunk_outcomes = list(pool.map(run_chunk, chunks))
+        workers = 1 if n <= INLINE_MAX_ITERS else min(jobs, len(chunks))
+        chunk_outcomes = map_chunks(run_chunk, chunks, workers)
         return [o for result in chunk_outcomes for o in result], workers
 
 

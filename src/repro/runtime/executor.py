@@ -18,28 +18,28 @@ executor reproduces what the paper's generated OpenMP code does:
 6. report timings from the simulated multiprocessor, including the
    runtime-test overhead that the paper's RTov columns measure.
 
-Parallel execution is simulated faithfully: every iteration runs against
-a snapshot of the pre-loop memory, then per-array merge rules reconstruct
-the final state (direct writes for shared arrays, iteration-ordered
-write-back for privatized arrays = dynamic last value, delta accumulation
-for reductions).  A wrong analysis therefore produces a wrong final
-memory and is caught by the ground-truth comparison.
+Parallel execution is real: a backend runs the loop's iterations (the
+reference backend each in isolation from the pre-loop memory, the pool
+backends a chunk at a time), then per-array merge rules reconstruct the
+final state (direct writes for shared arrays, ordered write-back for
+privatized arrays = dynamic last value, delta accumulation for
+reductions).  A wrong analysis therefore produces a wrong final memory
+and is caught by the ground-truth comparison.
 
-The caller's arrays are never written to and never kept: each of the two
-whole-program runs (ground truth, parallel re-run) hands them to a
-:class:`~repro.ir.interp.Machine`, which makes the one copy it works on.
-Every snapshot after that is :func:`~repro.ir.interp.copy_arrays` -- a
-flat C-level copy per array, O(memory) with no Python-level work per
-element.  One execute of a loop entered once makes six of them outside
-the backend (per run: the machine's copy, the loop-entry snapshot --
-predicate environment in the first run, ``LoopTask.pre_arrays`` in the
-second -- and the ``RunResult``) plus the backend's own (``thread``: one
-per chunk and the merge target); a loop entered *n* times snapshots its
-entry *n* times per run.
+The ground-truth run executes the plain body and keeps each iteration's
+work; only the LRPD test reads per-iteration access records, so they
+come from one recording re-run of the capture, made when an exact
+fallback actually reaches it.
+
+The caller's arrays are never written to and never kept: each
+whole-program run hands them to a :class:`~repro.ir.interp.Machine`,
+which makes the one copy it works on; docs/ARCHITECTURE.md counts the
+O(memory) copies of one execute.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -171,9 +171,11 @@ class ExecutionReport:
 class _LoopEntry:
     """One entry into the target loop during the sequential run: its
     frozen entry state with the iterations and CIV prefixes it went on
-    to produce, and the access record of each iteration."""
+    to produce, each iteration's work and -- from a recording capture
+    only -- each iteration's access record."""
 
     task: LoopTask
+    costs: list[float]
     records: list[IterationRecord]
 
     def env(self, plan: LoopPlan) -> dict:
@@ -229,11 +231,11 @@ class HybridExecutor:
     def run(self, params: dict, arrays: dict) -> ExecutionReport:
         label = self.plan.label
         # 1. Sequential ground-truth run (also captures, per entry into
-        #    the target loop, the pre-loop state, per-iteration
-        #    work/accesses, and CIV prefix values).
+        #    the target loop, the pre-loop state, per-iteration work and
+        #    CIV prefix values).
         entries, seq_result = self._capture(params, arrays)
         seq_arrays = seq_result.arrays
-        iter_costs = [float(r.work) for entry in entries for r in entry.records]
+        iter_costs = [c for entry in entries for c in entry.costs]
         seq_work = float(sum(iter_costs))
 
         report = ExecutionReport(
@@ -277,9 +279,17 @@ class HybridExecutor:
         # 3. Per-array decisions via cascades / exact fallbacks; a test
         #    holds only when it holds at every entry.
         stats = EvalStats()
-        traces = [LoopTrace(label, entry.records) for entry in entries]
+
+        @functools.cache
+        def lrpd_traces() -> list:
+            # Only the LRPD test reads access records; the first array
+            # to reach it pays for one recording re-capture (the same
+            # program on the same input: the same iterations).
+            recorded, _ = self._capture(params, arrays, recording=True)
+            return [LoopTrace(label, entry.records) for entry in recorded]
+
         decisions = {
-            array: self._decide_array(array, aplan, envs, stats, report, traces)
+            array: self._decide_array(array, aplan, envs, stats, report, lrpd_traces)
             for array, aplan in self.plan.arrays.items()
         }
         report.test_overhead = float(stats.total_steps)
@@ -330,10 +340,12 @@ class HybridExecutor:
             decisions=decisions,
         )
 
-    def _capturing_seq(self, machine: Machine, stmt, frame) -> _LoopEntry:
-        """Run one entry of the target loop in order, recording it."""
+    def _capturing_seq(self, machine: Machine, stmt, frame, recording) -> _LoopEntry:
+        """Run one entry of the target loop in order, keeping each
+        iteration's work (the plain and the recording body count the
+        same) and, with *recording*, its access record."""
         civs = {info.name: [] for info in self.plan.civs}
-        entry = _LoopEntry(self._loop_task(machine, stmt, frame, [], civs, {}), [])
+        entry = _LoopEntry(self._loop_task(machine, stmt, frame, [], civs, {}), [], [])
 
         def record_civs():
             for name, prefix in civs.items():
@@ -341,16 +353,21 @@ class HybridExecutor:
 
         for i in machine.iteration_values(stmt, frame):
             record_civs()
-            record = IterationRecord(iteration=i)
+            record = IterationRecord(iteration=i) if recording else None
+            before = machine.work
             machine.run_iteration(stmt.body, frame, record)
-            entry.records.append(record)
+            entry.costs.append(float(machine.work - before))
+            if recording:
+                entry.records.append(record)
             entry.task.iterations.append(i)
         record_civs()  # final CIV values (the paper's CIV@5)
         return entry
 
-    def _capture(self, params: dict, arrays: dict) -> tuple[list, RunResult]:
+    def _capture(
+        self, params: dict, arrays: dict, recording: bool = False
+    ) -> tuple[list, RunResult]:
         """The in-order run of the whole program with the target loop
-        recorded: (one :class:`_LoopEntry` per time it was entered, the
+        captured: (one :class:`_LoopEntry` per time it was entered, the
         run's result)."""
         entries: list[_LoopEntry] = []
         result = Machine(
@@ -358,7 +375,7 @@ class HybridExecutor:
             params=params,
             arrays=arrays,
             loop_executor=lambda m, s, f: entries.append(
-                self._capturing_seq(m, s, f)
+                self._capturing_seq(m, s, f, recording)
             ),
             loop_executor_label=self.plan.label,
         ).run()
@@ -390,7 +407,7 @@ class HybridExecutor:
         envs: list,
         stats: EvalStats,
         report: ExecutionReport,
-        traces: list,
+        traces,
     ) -> ArrayDecision:
         if aplan.needs_exact:
             return self._exact_fallback(array, aplan, envs, report, traces)
@@ -445,7 +462,7 @@ class HybridExecutor:
         aplan: ArrayPlan,
         envs: list,
         report: ExecutionReport,
-        traces: list,
+        traces,
     ) -> ArrayDecision:
         # Hoistable inspector evaluation (its memo models the paper's
         # HOIST-USR loops) or LRPD speculation, per the chosen strategy.
@@ -464,7 +481,7 @@ class HybridExecutor:
         # traced accesses; a misspeculation re-runs the loop serially
         # (charged by ExecutionReport.parallel_time).
         report.used_speculation = True
-        verdicts = [lrpd_test(trace) for trace in traces]
+        verdicts = [lrpd_test(trace) for trace in traces()]
         report.speculation_overhead += float(
             sum(v.traced_accesses for v in verdicts)
         )

@@ -22,6 +22,7 @@ from repro.ir.interp import (
     copy_arrays,
 )
 from repro.runtime import (
+    ArrayDecision,
     CostModel,
     HybridExecutor,
     Inspector,
@@ -29,8 +30,13 @@ from repro.runtime import (
     lrpd_test,
     schedule_parallel,
 )
-from repro.runtime.backends import BACKENDS
-from repro.runtime.backends.base import execute_positions
+from repro.runtime.backends import BACKENDS, plan_chunks
+from repro.runtime.backends.base import (
+    execute_chunk,
+    execute_positions,
+    merge_outcomes,
+)
+from repro.runtime.backends.speculative import sequential_execute
 
 
 class TestScheduler:
@@ -315,6 +321,107 @@ end
         assert 0.0 <= r.rtov(4, cost) < 1.0
 
 
+LRPD_SRC = """
+program p
+param N
+array Z(128), KX(64), KZ(64), W(64)
+main
+  do n = 1, N @ l
+    Z[KX[n]] = W[n] + Z[KZ[n]]
+  end
+end
+"""
+LRPD_INDEPENDENT = {
+    "KX": [2 * i + 1 for i in range(64)],
+    "KZ": [2 * i + 2 for i in range(64)],
+    "W": [3] * 64,
+}
+LRPD_DEPENDENT = {
+    "KX": [i + 1 for i in range(64)],
+    "KZ": [max(1, i) for i in range(64)],
+    "W": [3] * 64,
+}
+
+
+class _RaisingInspector(Inspector):
+    def check_empty(self, usr, env):
+        raise KeyError("a symbol the environment does not bind")
+
+
+class TestOnDemandRecords:
+    """The ground-truth capture runs the plain body and keeps work
+    counts; per-iteration access records come from one recording
+    re-capture, made only when the LRPD test is reached."""
+
+    @staticmethod
+    def _run(arrays, always_record=False, **kwargs):
+        """(report without ``wall_s``, recording flag of each
+        ``_capture`` call).  *always_record* makes every capture a
+        recording one -- what the executor did before records became
+        on-demand."""
+        prog = _build(LRPD_SRC)
+        ex = HybridExecutor(
+            prog, analyze_loop(prog, "l"), backend="thread", jobs=2, **kwargs
+        )
+        calls = []
+        capture = ex._capture
+
+        def counting(params, arrays, recording=False):
+            calls.append(recording)
+            return capture(params, arrays, recording or always_record)
+
+        ex._capture = counting
+        return _untimed(ex.run({"N": 8}, arrays)), calls
+
+    def test_a_cascade_validated_execute_captures_once(self):
+        prog = _build(EXEC_SRC.replace("B[i]", "A[i]"))
+        ex = HybridExecutor(prog, analyze_loop(prog, "l"))
+        calls = []
+        capture = ex._capture
+        ex._capture = lambda *a, **k: calls.append(k) or capture(*a, **k)
+        r = ex.run({"N": 8, "OFF": 100}, {})
+        assert r.parallel and r.decisions["A"].via == "predicate"
+        assert calls == [{}]
+
+    def test_an_inspector_validated_execute_captures_once(self):
+        report, calls = self._run(LRPD_INDEPENDENT)
+        assert report.parallel and report.decisions["Z"].via == "inspector"
+        assert report.inspector_overhead == 344.0
+        assert calls == [False]
+
+    @pytest.mark.parametrize("kwargs", [
+        {"exact_strategy": "tls"}, {"inspector": _RaisingInspector()},
+    ], ids=["tls", "raising-inspector"])
+    @pytest.mark.parametrize("arrays, strategy, misspeculated", [
+        (LRPD_INDEPENDENT, "shared", False),
+        (LRPD_DEPENDENT, "dependent", True),
+    ], ids=["independent", "dependent"])
+    def test_an_lrpd_execute_recaptures_once_and_reports_the_same(
+        self, kwargs, arrays, strategy, misspeculated
+    ):
+        report, calls = self._run(arrays, **kwargs)
+        assert calls == [False, True]
+        # the values the per-iteration-recording executor reported
+        assert report.speculation_overhead == 40.0
+        assert report.decisions["Z"] == ArrayDecision("Z", strategy, "speculation")
+        assert (report.used_speculation, report.misspeculated) == (True, misspeculated)
+        assert report.parallel is not misspeculated and report.correct
+        assert report.iteration_costs == [1.0] * 8 and report.seq_work == 8.0
+        always, _ = self._run(arrays, always_record=True, **kwargs)
+        assert report == always
+
+    def test_capture_task_is_the_recording_captures_task(self):
+        prog = _build(LRPD_SRC)
+        ex = HybridExecutor(prog, analyze_loop(prog, "l"))
+        task = ex.capture_task({"N": 8}, LRPD_INDEPENDENT)
+        (entry,), _ = ex._capture({"N": 8}, LRPD_INDEPENDENT, recording=True)
+        assert task == entry.task
+        assert task.iterations == list(range(1, 9)) and task.index_name == "n"
+        assert task.decisions == {} and task.pre_scalars == {"N": 8}
+        assert [r.work for r in entry.records] == entry.costs == [1.0] * 8
+        assert ex._capture({"N": 8}, LRPD_INDEPENDENT)[0][0].records == []
+
+
 REENTER_VARYING = """
 program p
 param N
@@ -566,18 +673,32 @@ class TestGeneratedCode:
 
     @pytest.mark.parametrize("snapshot", [True, False])
     def test_every_isolated_iteration_starts_from_the_pre_state(self, snapshot):
-        """``execute_positions`` swaps (or restores) the machine's memory
-        between iterations of one compiled body."""
+        """The reference backend's unit (``snapshot``): ``execute_positions``
+        swaps the machine's memory between iterations of one compiled
+        body, so each starts from the pre-state.  The production unit
+        (not ``snapshot``): ``execute_chunk`` runs the same iterations in
+        place and hands back one outcome per chunk, whose merge is the
+        in-order memory."""
         program = parse_program(
             "program p\narray A(4)\nmain\n  do i = 1, 3 @ l\n"
             "    A[1] = A[1] + i\n    A[i + 1] = A[1]\n  end\nend\n"
         )
         compiled = Engine(EngineConfig(use_disk_cache=False)).compile(program)
         task = compiled.executor("l").capture_task({}, {"A": [5]})
-        outcomes = execute_positions(task, range(3), per_iteration_snapshot=snapshot)
-        assert [o.values for o in outcomes] == [
-            {"A": {1: 5 + i, i + 1: 5 + i}} for i in (1, 2, 3)
-        ]
+        if snapshot:
+            outcomes = execute_positions(task, range(3), per_iteration_snapshot=True)
+            assert [o.values for o in outcomes] == [
+                {"A": {1: 5 + i, i + 1: 5 + i}} for i in (1, 2, 3)
+            ]
+        else:
+            chunks = plan_chunks(3, jobs=1)
+            outcomes = [execute_chunk(task, chunk) for chunk in chunks]
+            assert len(outcomes) == len(chunks) == 1
+            assert (outcomes[0].position, outcomes[0].iteration) == (2, 3)
+            assert outcomes[0].values == {"A": {1: 11, 2: 6, 3: 8, 4: 11}}
+            assert outcomes[0].scalars == {"i": 3}
+            merged = merge_outcomes(task.pre_arrays, outcomes, task.decisions)
+            assert merged == sequential_execute(task)[0] == {"A": [11, 6, 8, 11]}
         assert task.pre_arrays == {"A": [5, 0, 0, 0]}
 
     def test_a_lowered_program_pickles_as_if_it_never_ran(self):
