@@ -13,18 +13,22 @@ It plays three roles in the reproduction:
    (:mod:`repro.runtime.scheduler`) can schedule iterations.
 
 Nothing here walks a statement or an expression.  :mod:`repro.ir.lower`
-writes each body (``Program.main``, a subroutine's, a labelled loop's)
+writes each body (``Program.main``, a subroutine's), each labelled loop
 and each expression the machine needs itself (array extents, labelled
 loops' bounds and conditions, call arguments) as a Python function, in
 one variant for when an iteration record is active and one for when none
 is.  :meth:`Machine._code` compiles a variant the first time it is
 *executed* -- never at analysis time -- and keeps it in
 ``Program._lowered``: the code lives as long as its program, and a
-program is lowered once however many machines run it.  What stays here
-is what that code returns to: labelled loops (the ``loop_executor``
+program is lowered once however many machines run it (a process worker
+keeps the program it unpickled, see ``backends/processes.py``).  A
+labelled loop's function -- its *loop unit* -- owns the iteration loop:
+it binds arrays and scalars once and runs the body inline once per value
+it is handed, so nothing is re-established per iteration.  What stays
+here is what that code returns to: labelled loops (the ``loop_executor``
 hook, tracing, work and trip counts), calls (argument binding) and the
-per-iteration seams the backends drive (:meth:`Machine.iteration_values`,
-:meth:`Machine.run_iteration`).
+seam the backends and the executor drive a loop through
+(:meth:`Machine.iteration_values`, :meth:`Machine.run_loop`).
 
 Arrays are dense Python lists indexed 1-based, Fortran style.
 """
@@ -32,7 +36,7 @@ Arrays are dense Python lists indexed 1-based, Fortran style.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .. import profiling as _profiling
 from .ast import Call, Do, IRExpr, IRStmt, Program, While
@@ -228,49 +232,55 @@ class Machine:
             loop_trips=dict(self.loop_trips),
         )
 
-    def run_iteration(
+    def run_loop(
         self,
-        body: tuple[IRStmt, ...],
+        loop: IRStmt,
         frame: _Frame,
-        record: Optional[IterationRecord],
-    ) -> None:
-        """Execute *body* once in *frame* with *record* collecting its
-        accesses and work (``None``: unrecorded); the previously active
-        record is back in place afterwards, also on error."""
+        values: Iterable,
+        record: Optional[IterationRecord] = None,
+        fresh: Optional[dict] = None,
+        costs: Optional[list] = None,
+        civs: Sequence[tuple] = (),
+    ):
+        """Run labelled *loop*'s body in *frame* once per value of
+        *values*, through its loop unit (:meth:`repro.ir.lower._Emitter.
+        loop_unit` says what a value, *fresh*, *costs* and *civs* are),
+        with *record* collecting the accesses and work of all of them
+        (``None``: unrecorded); the previously active record is back in
+        place afterwards, also on error.  Returns the last value run."""
         previous = self._active_record
         self._active_record = record
         try:
-            self._exec_body(body, frame)
+            return self._code(loop)(self, frame, values, fresh, costs, civs)
         finally:
             self._active_record = previous
 
-    def iteration_values(self, loop: IRStmt, frame: _Frame) -> Iterator[int]:
-        """The iteration values of *loop* entered in *frame*, one per
-        trip, for a caller that runs the body between values: a DO
-        loop's index values (bound in the frame before each is
-        yielded), or 1, 2, ... for as long as a while loop's condition
-        holds."""
+    def iteration_values(self, loop: IRStmt, frame: _Frame) -> Iterable[int]:
+        """The iteration values of *loop* entered in *frame*, for
+        :meth:`run_loop`: a DO loop's index values, or 1, 2, ... for as
+        long as a while loop's condition holds in the frame (evaluated
+        when the next value is asked for, so between bodies)."""
         if isinstance(loop, Do):
-            scalars, index = frame.scalars, loop.index
             lower = self._eval(loop.lower, frame)
-            upper = self._eval(loop.upper, frame)
-            for i in range(lower, upper + 1):
-                scalars[index] = i
-                yield i
-        elif isinstance(loop, While):
-            trips = 0
-            while self._eval(loop.cond, frame) != 0:
-                trips += 1
-                if trips > _WHILE_FUEL:
-                    raise InterpError(f"while loop {loop.label or ''} ran away")
-                yield trips
-        else:
-            raise TypeError(f"unsupported loop {loop!r}")
+            return range(lower, self._eval(loop.upper, frame) + 1)
+        if isinstance(loop, While):
+            return self._while_trips(loop, frame)
+        raise TypeError(f"unsupported loop {loop!r}")
+
+    def _while_trips(self, loop: While, frame: _Frame) -> Iterator[int]:
+        trips = 0
+        while self._eval(loop.cond, frame) != 0:
+            trips += 1
+            if trips > _WHILE_FUEL:
+                raise InterpError(f"while loop {loop.label or ''} ran away")
+            yield trips
 
     # -- generated code -----------------------------------------------------
-    def _code(self, node: Union[tuple, IRExpr]) -> Callable:
-        """The function generated for *node* (a statement tuple or an
-        expression), in the variant for whether a record is active;
+    def _code(self, node: Union[tuple, IRStmt, IRExpr]) -> Callable:
+        """The function generated for *node* (a statement tuple, a
+        labelled loop or an expression; a loop's has ``assigns``, see
+        :class:`~repro.ir.lower.Lowered`, as an attribute), in the
+        variant for whether a record is active;
         lowered on first use.  Threads racing to a first use may each
         lower it -- the results are interchangeable and the last one
         stored stays."""
@@ -303,15 +313,16 @@ class Machine:
             and self.trace is not None
         )
         work_before = self.work
-        trips = 0
-        for i in self.iteration_values(stmt, frame):
-            trips += 1
-            if tracing:
+        values = self.iteration_values(stmt, frame)
+        if tracing:  # a record per iteration: one value at a time
+            trips = 0
+            for trips, i in enumerate(values, 1):
                 record = IterationRecord(iteration=i)
-                self.run_iteration(stmt.body, frame, record)
+                self.run_loop(stmt, frame, (i,), record)
                 self.trace.iterations.append(record)
-            else:
-                self._exec_body(stmt.body, frame)
+        else:  # under whatever record is active
+            last = self._code(stmt)(self, frame, values, None, None, ())
+            trips = len(values) if isinstance(stmt, Do) else last or 0
         if label:
             self.loop_work[label] = (
                 self.loop_work.get(label, 0) + self.work - work_before
@@ -386,9 +397,12 @@ _GLOBALS = {
 
 
 @_profiling.timed("ir.lower")
-def _generate(node: Union[tuple, IRExpr], recording: bool) -> Callable:
-    """Lower *node* and compile the result: ``run(machine, frame)``."""
+def _generate(node: Union[tuple, IRStmt, IRExpr], recording: bool) -> Callable:
+    """Lower *node* and compile the result: ``run(machine, frame)``, a
+    labelled loop's with the values to run after them."""
     lowered = lower(node, recording)
     namespace = dict(_GLOBALS, K=lowered.consts)
     exec(compile(lowered.source, "<lowered>", "exec"), namespace)
-    return namespace["run"]
+    run = namespace["run"]
+    run.assigns = None if lowered.consts else lowered.assigns
+    return run

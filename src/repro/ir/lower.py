@@ -1,14 +1,21 @@
-"""Lower IR bodies and expressions to Python source.
+"""Lower IR bodies, loops and expressions to Python source.
 
-:func:`lower` turns one *unit* -- a statement tuple (``Program.main``, a
-subroutine's or a labelled loop's body) or a single expression (an array
-extent, a labelled loop's bound or condition, a call argument) -- into
-the text of ``def run(m, f)``, which does to machine ``m`` in frame ``f``
-what walking the tree would: the same values, per-statement work counts
-and per-iteration access records, the same errors with the same texts at
-the same point of the run.  :class:`~repro.ir.interp.Machine` compiles
-and caches that text; this module only writes it, from tuples and lists
-in program order, so it is the same under every hash seed.
+:func:`lower` turns one *unit* into the text of a function ``run`` that
+does to machine ``m`` in frame ``f`` what walking the tree would: the
+same values, per-statement work counts and access records, the same
+errors with the same texts at the same point of the run.  Three kinds:
+
+* a statement tuple (``Program.main``, a subroutine's body, a body past
+  ``_MAX_DEPTH``) -- ``run(m, f)``;
+* a single expression (an array extent, a labelled loop's bound or
+  condition, a call argument) -- ``run(m, f)`` returning its value;
+* a labelled ``do``/``while`` -- the **loop unit**, ``run(m, f, values,
+  fresh, costs, civs)``: the body inline, once per value handed, with
+  arrays and scalars bound once (:meth:`_Emitter.loop_unit`).
+
+:class:`~repro.ir.interp.Machine` compiles and caches that text; this
+module only writes it, from tuples and lists in program order, so it is
+the same under every hash seed.
 
 * A statement is ``w += 1`` and its effect; ``w`` is flushed into
   ``m.work`` (and the record's) before control leaves the function and
@@ -27,7 +34,7 @@ in program order, so it is the same under every hash seed.
 * Unlabelled ``do``/``while``/``if`` nest in place.  Labelled loops and
   calls go back to the machine (``m._exec_loop`` / ``m._exec_call``, the
   statement handed over as ``K[n]``), where the loop hook, tracing and
-  the per-iteration seams live, and bodies nested deeper than
+  the loop bookkeeping live, and bodies nested deeper than
   ``_MAX_DEPTH`` through ``m._exec_body``.  What such a call may have
   replaced -- ``m.arrays`` by a hook, scalars by a body sharing the
   frame -- is bound again right after it.
@@ -56,6 +63,7 @@ from .ast import (
     If,
     Intrinsic,
     IRExpr,
+    IRStmt,
     Num,
     UnaryOp,
     Var,
@@ -89,24 +97,33 @@ _ARRAYS, _SCALARS = "<arrays>", "<scalars>"
 class Lowered(NamedTuple):
     """One unit as Python source."""
 
-    #: the text of ``def run(m, f)``
+    #: the text of ``def run(m, f)`` (a loop unit's takes more)
     source: str
     #: IR nodes the text hands back to the machine, as ``K[n]``
     consts: tuple
+    #: arrays the text assigns, by their names in the frame -- all the
+    #: unit can write, provided it hands nothing back (no ``consts``)
+    assigns: tuple
 
 
-def lower(node: Union[tuple, IRExpr], recording: bool) -> Lowered:
-    """*node* -- a statement tuple or an expression -- as source; with
-    *recording* the code keeps the machine's active iteration record."""
+def lower(node: Union[tuple, IRStmt, IRExpr], recording: bool) -> Lowered:
+    """*node* -- a statement tuple, a labelled loop or an expression --
+    as source; with *recording* the code keeps the machine's active
+    iteration record."""
     emitter = _Emitter(recording)
-    counting = isinstance(node, tuple)
-    if counting:
+    params = "m, f"
+    counting = not isinstance(node, IRExpr)
+    if isinstance(node, (Do, While)):
+        params = emitter.loop_unit(node)
+    elif counting:
         emitter.indent = 2  # inside ``def`` and ``try``
         for stmt in node:
             emitter.statement(stmt)
     else:
         emitter.emit(f"return {emitter.value(node)[0]}")
-    return Lowered(emitter.source(counting), tuple(emitter.consts))
+    return Lowered(
+        emitter.source(params, counting), tuple(emitter.consts), tuple(emitter.assigns)
+    )
 
 
 class _Emitter:
@@ -118,6 +135,8 @@ class _Emitter:
         self.consts: list = []
         self.arrays: list = []  # names, in order of first use
         self.scalars: list = []
+        self.assigns: list = []  # arrays assigned to, in order of first assignment
+        self.restarts = False  # may a scalar's value differ after the unit's text ran
         self.uses_fuel = False
         self.flush = ["m.work += w"] + ["R.work += w"] * recording
 
@@ -144,7 +163,7 @@ class _Emitter:
     def fail(self, message: str) -> None:
         self.emit(f"raise InterpError({message!r})")
 
-    def source(self, counting: bool) -> str:
+    def source(self, params: str, counting: bool) -> str:
         binds = {
             _ARRAYS: ["MA = m.arrays"] + [
                 f"a{k}, o{k} = FA.get({name!r}, NOBIND); "
@@ -162,7 +181,7 @@ class _Emitter:
                      "E = R.exposed_reads", "U = R.updates"]
         if self.uses_fuel:
             head.append("FUEL = fuel()")
-        out = ["def run(m, f):"]
+        out = [f"def run({params}):"]
         out += ["    " + line for line in head + binds[_ARRAYS] + binds[_SCALARS]]
         if counting:
             out += ["    w = 0", "    try:"] + ["        pass"] * (not self.lines)
@@ -336,12 +355,14 @@ class _Emitter:
         """Hand over to the machine, then bind again what a loop hook
         (``m.arrays``) or a body sharing this frame (scalars) may have
         replaced."""
+        self.restarts |= scalars
         for line in self.flush + ["w = 0", call, _ARRAYS] + [_SCALARS] * scalars:
             self.emit(line)
 
     def _assign_scalar(self, stmt: AssignScalar) -> None:
         src = self.value(stmt.expr)[0]
         local = f"v{self.slot(self.scalars, stmt.name)}"
+        self.restarts = True
         self.emit(f"S[{stmt.name!r}] = {local} = {src}")
 
     def _assign_array(self, stmt: AssignArray) -> None:
@@ -351,6 +372,7 @@ class _Emitter:
                 index = self.pin(index)
             value = self.pin(value)
         loc, k = self.locate(stmt.array, index)
+        self.slot(self.assigns, stmt.array)
         if self.recording:
             self.note("W", k, loc)
             if stmt.is_update:
@@ -372,9 +394,46 @@ class _Emitter:
         else:
             self._while(stmt)
 
+    def loop_unit(self, stmt: Union[Do, While]) -> str:
+        """The loop unit of labelled *stmt*: its body once per value of
+        ``values`` (bound to a DO loop's index; a while loop's are only
+        counted), in one function that binds arrays and scalars once.
+        ``civs`` is ``(scalar, prefix values)`` pairs.  With ``fresh``,
+        a dict, every iteration starts from a copy of it as the frame's
+        scalars, the next value of each *prefix* on top (a body that
+        assigns no scalar needs, and gets, no such restart); with a
+        ``costs`` list, every iteration appends the work it did, and
+        beforehand to each *prefix* its scalar's value on entry.
+        Returns the function's parameters; the function, the last value
+        it ran."""
+        self.indent = 2  # inside ``def`` and ``try``
+        self.block(stmt.body)
+        head = [(2, "x = None"), (2, "for x in values:")]
+        if self.restarts:
+            head += [
+                (3, "if fresh is not None:"),
+                (4, "S = f.scalars = dict(fresh)"),
+                (4, "for name, prefix in civs: S[name] = next(prefix)"),
+                (4, _SCALARS),
+            ]
+        if type(stmt) is Do:
+            local = f"v{self.slot(self.scalars, stmt.index)}"
+            head.append((3, f"S[{stmt.index!r}] = {local} = x"))
+        self.lines[:0] = head + [
+            (3, "if costs is not None:"),
+            (4, "for name, prefix in civs: prefix.append(S.get(name, 0))"),
+            (4, "b = m.work + w"),
+        ]
+        self.lines += [
+            (3, "if costs is not None: costs.append(float(m.work + w - b))"),
+            (2, "return x"),
+        ]
+        return "m, f, values, fresh, costs, civs"
+
     def _do(self, stmt: Do) -> None:
         (lower_, _), (upper, _) = self.sequence((stmt.lower, stmt.upper))
         local = f"v{self.slot(self.scalars, stmt.index)}"
+        self.restarts = True
         self.emit(f"for {local} in range({lower_}, {upper} + 1):")
         self.indent += 1
         self.emit(f"S[{stmt.index!r}] = {local}")

@@ -18,14 +18,12 @@ arrays (= dynamic last value), delta accumulation for reductions.
 
 * :func:`execute_chunk` -- the production unit (``thread``,
   ``process``): a chunk's iterations run in order, in place, on the
-  chunk's one copy of the pre-loop memory and come back as **one**
-  outcome.  Inside a chunk that is the sequential loop; across chunks a
-  ``shared`` array is flow- and output-independent, a ``private``
-  array's reads are covered by the reading iteration's own writes, and
-  a ``reduction`` location sees only additive updates (chunk-final -
-  pre = the sum of its deltas) or one iteration's plain accesses alone
-  (the EXT-RRED enabling condition) -- so a chunk is one iteration of
-  the coarsened loop and the rules apply to it verbatim;
+  chunk's one copy of the pre-loop memory through the loop's generated
+  loop unit and come back as **one** outcome -- a chunk is one iteration
+  of the coarsened loop and the rules apply to it verbatim.  It is
+  copied out by diffing the arrays the loop assigns against the pre-loop
+  memory where that is exact (:func:`_diffable`), else from an access
+  record; docs/ARCHITECTURE.md ("Copying a chunk out") says why, once;
 * :func:`execute_positions` -- one outcome per *iteration*, each a chunk
   of one isolated from the rest, for the two callers that want that on
   purpose: the ``sequential`` reference backend (see its module for
@@ -39,6 +37,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from itertools import compress, count
+from operator import ne
 from typing import Optional, Sequence
 
 from ...ir.ast import Program
@@ -173,47 +173,50 @@ class ExecutionBackend:
 
 def _execute_groups(task: LoopTask, groups, isolate=None, record_exposed=False) -> list:
     """One :class:`IterationOutcome` per group of positions, keyed by
-    the group's last: a group runs in order, in place, under one record.
-    *isolate* starts every group from the pre-loop memory: a fresh copy
-    of it (``"snapshot"``), or the one copy with the group's writes
-    restored afterwards (``"undo"``; writes are the only mutations, so
-    that is exact)."""
+    the group's last: a group runs in order, in place, through the
+    loop's unit.  *isolate* starts every group from the pre-loop memory:
+    a fresh copy of it (``"snapshot"``), or the one copy with the
+    group's writes restored afterwards (``"undo"``; exact, writes being
+    the only mutations).  Without it -- a chunk -- the group runs
+    unrecorded where :func:`_diffable` allows and is copied out by diff."""
     loop = task.program.find_loop(task.label)
     if loop is None:
         raise ValueError(f"no loop labelled {task.label!r}")
-    pre_arrays = task.pre_arrays
+    pre_arrays, iterations = task.pre_arrays, task.iterations
     machine = Machine(task.program, params=task.params, arrays=pre_arrays)
     local = machine.arrays  # Machine copied pre_arrays into fresh lists
+    diffed = None if isolate or record_exposed else _diffable(task, machine, loop)
+    frame = _Frame(dict(task.pre_scalars), task.frame_arrays)
     outcomes = []
     for group in groups:
         if isolate == "snapshot":
             machine.arrays = local = copy_arrays(pre_arrays)
         last = group[-1]
-        record = IterationRecord(iteration=task.iterations[last])
-        for pos in group:
-            # scalars start every iteration from the loop's entry values
-            scalars = dict(task.pre_scalars)
-            if task.index_name is not None:
-                scalars[task.index_name] = task.iterations[pos]
-            for name in task.civ_names:
-                scalars[name] = task.civ_values[name][pos]
-            machine.run_iteration(loop.body, _Frame(scalars, task.frame_arrays), record)
+        record = IterationRecord(iteration=iterations[last])
+        machine.run_loop(
+            loop, frame, [iterations[pos] for pos in group],
+            record if diffed is None else None,
+            fresh=task.pre_scalars,  # every iteration starts from the entry scalars
+            civs=[(name, iter([task.civ_values[name][pos] for pos in group]))
+                  for name in task.civ_names],
+        )
+        for arr in diffed or ():
+            locs = list(compress(count(1), map(ne, local[arr], pre_arrays[arr])))
+            record.writes[arr] = locs
+            if task.decisions[arr] == "reduction":
+                record.updates[arr] = locs
         outcomes.append(
             IterationOutcome(
                 position=last,
                 iteration=record.iteration,
-                writes={a: sorted(l) for a, l in record.writes.items()},
-                updates={a: sorted(l) for a, l in record.updates.items()},
+                writes=_ordered(record.writes),
+                updates=_ordered(record.updates),
                 values={
                     arr: {loc: local[arr][loc - 1] for loc in locs}
                     for arr, locs in record.writes.items()
                 },
-                scalars=scalars,
-                exposed=(
-                    {a: sorted(l) for a, l in record.exposed_reads.items()}
-                    if record_exposed
-                    else {}
-                ),
+                scalars=dict(frame.scalars),
+                exposed=_ordered(record.exposed_reads) if record_exposed else {},
             )
         )
         if isolate == "undo":
@@ -224,10 +227,25 @@ def _execute_groups(task: LoopTask, groups, isolate=None, record_exposed=False) 
     return outcomes
 
 
+def _ordered(marks: dict) -> dict:
+    return {arr: sorted(locs) for arr, locs in marks.items()}
+
+
+def _diffable(task: LoopTask, machine: Machine, loop) -> Optional[list]:
+    """The arrays a chunk of *task* can have written, when diffing just
+    those against the pre-loop memory is an exact copy-out: the loop's
+    unit hands nothing back to the machine and all it assigns is decided
+    ``shared`` or ``reduction`` (last-value ``private`` must see a write
+    that restores the pre-loop value).  ``None``: keep a record."""
+    assigns = machine._code(loop).assigns  # None: it does hand something back
+    bases = {task.frame_arrays.get(name, (None, 0))[0]: None for name in assigns or ()}
+    exact = all(task.decisions.get(arr) in ("shared", "reduction") for arr in bases)
+    return list(bases) if exact and assigns is not None else None
+
+
 def execute_chunk(task: LoopTask, positions: Sequence[int]) -> IterationOutcome:
     """Run the contiguous, non-empty *positions* of *task* in order and
-    in place: one outcome for the whole chunk (the module docstring says
-    why that is sound)."""
+    in place: one outcome for the whole chunk."""
     return _execute_groups(task, (positions,))[0]
 
 

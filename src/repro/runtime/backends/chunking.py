@@ -50,13 +50,13 @@ class ChunkSpec:
     size: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.policy not in CHUNK_POLICIES:
+        if self.policy not in CHUNK_POLICIES:  # so it is one of two strings
             raise ValueError(
                 f"unknown chunk policy {self.policy!r}; "
                 f"valid: {list(CHUNK_POLICIES)}"
             )
-        if self.size is not None and self.size < 1:
-            raise ValueError(f"chunk size must be >= 1 (got {self.size})")
+        if self.size is not None and (type(self.size) is not int or self.size < 1):
+            raise ValueError(f"chunk size must be an int >= 1 (got {self.size!r})")
 
     # -- wire form (the ExecuteRequest 'chunk' field) -------------------
     def to_json(self) -> dict:

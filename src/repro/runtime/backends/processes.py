@@ -17,7 +17,9 @@ not the memory:
   small setup blob (the pickled task without its arrays + the
   shared-memory layout) tagged with a run token; a worker materializes
   the state on the first chunk it sees for a token and reuses it for
-  the rest of the run.
+  the rest of the run.  The program travels in the blob as its own
+  pickle; a worker keeps the ``Program`` it unpickled under those bytes
+  (same bounded cache), and with it the code it generated for it.
 
 The pool itself outlives individual runs (created lazily, resized on
 demand, shut down at interpreter exit), so back-to-back executions --
@@ -43,10 +45,7 @@ from .base import ChunkedBackend, LoopTask, execute_chunk, execute_positions
 
 __all__ = ["ProcessBackend", "execute_chunks"]
 
-_INT64_MIN = -(2**63)
-_INT64_MAX = 2**63 - 1
-
-#: Distinct runs a worker keeps materialized before evicting the oldest.
+#: Runs and programs a worker keeps materialized before evicting the oldest.
 _WORKER_CACHE_SIZE = 4
 
 # -- persistent pool ---------------------------------------------------------
@@ -134,7 +133,8 @@ def _unpack_arrays(shm_name: str, layout: dict) -> dict:
 
 # -- worker side -------------------------------------------------------------
 
-#: token -> materialized setup (its task's pre_arrays filled in), per worker.
+#: per worker, oldest first: token -> materialized setup (its task's
+#: program and pre_arrays filled in), and program pickle -> the program.
 _WORKER_STATE: dict = {}
 
 
@@ -143,12 +143,13 @@ def _materialize(token: int, setup_blob: bytes) -> dict:
     if state is not None:
         return state
     setup = pickle.loads(setup_blob)
+    task, blob = setup["task"], setup.pop("program")
+    task.program = _WORKER_STATE.pop(blob, None) or pickle.loads(blob)
     if setup["shm_name"] is not None:
-        setup["task"].pre_arrays = _unpack_arrays(
-            setup["shm_name"], setup["layout"]
-        )
-    while len(_WORKER_STATE) >= _WORKER_CACHE_SIZE:
+        task.pre_arrays = _unpack_arrays(setup["shm_name"], setup["layout"])
+    while len(_WORKER_STATE) > _WORKER_CACHE_SIZE - 2:
         _WORKER_STATE.pop(next(iter(_WORKER_STATE)), None)
+    _WORKER_STATE[blob] = task.program  # the newest again: it outlives old runs
     _WORKER_STATE[token] = setup
     return setup
 
@@ -182,7 +183,10 @@ def execute_chunks(
     shm, layout = _pack_arrays(task.pre_arrays)
     setup = {
         # the pre-loop memory travels through the segment, not the pickle
-        "task": replace(task, pre_arrays=None) if shm is not None else task,
+        "task": replace(
+            task, program=None, pre_arrays=None if shm is not None else task.pre_arrays
+        ),
+        "program": pickle.dumps(task.program),
         "marked": marked,
         "shm_name": shm.name if shm is not None else None,
         "layout": layout,

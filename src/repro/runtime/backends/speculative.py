@@ -116,13 +116,9 @@ def sequential_execute(
         params=task.params,
         arrays=task.pre_arrays if arrays is None else arrays,
     )
-    scalars = dict(task.pre_scalars)
-    frame = _Frame(scalars, dict(task.frame_arrays))
-    for iteration in task.iterations:
-        if task.index_name is not None:
-            scalars[task.index_name] = iteration
-        machine.run_iteration(loop.body, frame, None)
-    return machine.arrays, dict(scalars)
+    frame = _Frame(dict(task.pre_scalars), dict(task.frame_arrays))
+    machine.run_loop(loop, frame, task.iterations)
+    return machine.arrays, frame.scalars
 
 
 class SpeculativeBackend(ExecutionBackend):

@@ -26,10 +26,11 @@ privatized arrays = dynamic last value, delta accumulation for
 reductions).  A wrong analysis therefore produces a wrong final memory
 and is caught by the ground-truth comparison.
 
-The ground-truth run executes the plain body and keeps each iteration's
+The ground-truth run executes the target loop's generated loop unit
+(:meth:`~repro.ir.interp.Machine.run_loop`) and keeps each iteration's
 work; only the LRPD test reads per-iteration access records, so they
-come from one recording re-run of the capture, made when an exact
-fallback actually reaches it.
+come from one recording re-run (the unit, one value at a time), made
+when an exact fallback actually reaches it.
 
 The caller's arrays are never written to and never kept: each
 whole-program run hands them to a :class:`~repro.ir.interp.Machine`,
@@ -341,27 +342,31 @@ class HybridExecutor:
         )
 
     def _capturing_seq(self, machine: Machine, stmt, frame, recording) -> _LoopEntry:
-        """Run one entry of the target loop in order, keeping each
-        iteration's work (the plain and the recording body count the
-        same) and, with *recording*, its access record."""
+        """Run one entry of the target loop in order, through its loop
+        unit, keeping each iteration's work (the plain and the recording
+        variant count the same) and, with *recording*, its access record."""
         civs = {info.name: [] for info in self.plan.civs}
         entry = _LoopEntry(self._loop_task(machine, stmt, frame, [], civs, {}), [], [])
-
-        def record_civs():
-            for name, prefix in civs.items():
-                prefix.append(frame.scalars.get(name, 0))
-
-        for i in machine.iteration_values(stmt, frame):
-            record_civs()
-            record = IterationRecord(iteration=i) if recording else None
-            before = machine.work
-            machine.run_iteration(stmt.body, frame, record)
-            entry.costs.append(float(machine.work - before))
-            if recording:
-                entry.records.append(record)
-            entry.task.iterations.append(i)
-        record_civs()  # final CIV values (the paper's CIV@5)
+        values = machine.iteration_values(stmt, frame)
+        watch = {"costs": entry.costs, "civs": civs.items()}
+        if recording:  # a record per iteration: one value at a time
+            for i in values:
+                entry.records.append(IterationRecord(iteration=i))
+                machine.run_loop(stmt, frame, (i,), entry.records[-1], **watch)
+        else:
+            machine.run_loop(stmt, frame, values, **watch)
+        trips = len(entry.costs)  # a while loop's values are 1..trips
+        entry.task.iterations += values if isinstance(stmt, Do) else range(1, trips + 1)
+        for name, prefix in civs.items():  # final CIV values (the paper's CIV@5)
+            prefix.append(frame.scalars.get(name, 0))
         return entry
+
+    def _run_program(self, params: dict, arrays: dict, hook) -> RunResult:
+        """The whole program, *hook* standing in for the target loop."""
+        return Machine(
+            self.program, params=params, arrays=arrays,
+            loop_executor=hook, loop_executor_label=self.plan.label,
+        ).run()
 
     def _capture(
         self, params: dict, arrays: dict, recording: bool = False
@@ -370,15 +375,9 @@ class HybridExecutor:
         captured: (one :class:`_LoopEntry` per time it was entered, the
         run's result)."""
         entries: list[_LoopEntry] = []
-        result = Machine(
-            self.program,
-            params=params,
-            arrays=arrays,
-            loop_executor=lambda m, s, f: entries.append(
-                self._capturing_seq(m, s, f, recording)
-            ),
-            loop_executor_label=self.plan.label,
-        ).run()
+        result = self._run_program(params, arrays, lambda m, s, f: entries.append(
+            self._capturing_seq(m, s, f, recording)
+        ))
         if not entries:
             raise ValueError(f"target loop {self.plan.label!r} never executed")
         return entries, result
@@ -575,14 +574,7 @@ class HybridExecutor:
             if task.index_name is not None and iterations:
                 frame.scalars[task.index_name] = iterations[-1]
 
-        machine = Machine(
-            self.program,
-            params=params,
-            arrays=arrays,
-            loop_executor=parallel_hook,
-            loop_executor_label=self.plan.label,
-        )
-        return machine.run().arrays
+        return self._run_program(params, arrays, parallel_hook).arrays
 
     def _speculative_fallback(
         self,
@@ -680,21 +672,11 @@ def _slice_sizes(body, relevant: set[str]) -> tuple[int, int]:
         for idx, s in enumerate(flat):
             if idx in in_slice:
                 continue
-            hit = False
-            if isinstance(s, AssignScalar) and s.name in relevant:
-                hit = True
-            elif isinstance(s, (Do, While)):
-                inner = stmts_of(s.body)
-                if any(
-                    isinstance(x, AssignScalar) and x.name in relevant for x in inner
-                ):
-                    hit = True
-            elif isinstance(s, If):
-                inner = stmts_of(s.then_body) + stmts_of(s.else_body)
-                if any(
-                    isinstance(x, AssignScalar) and x.name in relevant for x in inner
-                ):
-                    hit = True
+            # it assigns a relevant scalar, or controls a statement that does
+            hit = any(
+                isinstance(x, AssignScalar) and x.name in relevant
+                for x in stmts_of((s,))
+            )
             if hit:
                 in_slice.add(idx)
                 for name in _stmt_reads(s):

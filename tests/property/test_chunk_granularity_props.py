@@ -10,6 +10,13 @@ coarsen it, and the equality is the soundness argument of
 ``runtime/backends/base.py`` run on real plans: a private array written
 by two chunks, a reduction hit by several, CIV prefixes, a loop entered
 more than once and a while loop are all in the curated set.
+
+A chunk is copied out by diffing the arrays its loop assigns against the
+pre-loop memory wherever the task allows it, from its access record
+elsewhere (``base._diffable`` decides).  ``test_copy_out_*`` run every
+validated task both ways -- the record forced by switching the diff off
+-- and require the same merged arrays and final scalars from both, equal
+to the reference's, at chunk sizes 1, 2 and n.
 """
 
 from pathlib import Path
@@ -19,7 +26,9 @@ import pytest
 from repro.api import Engine, EngineConfig
 from repro.fuzz import generate_case, load_corpus_case
 from repro.ir.interp import copy_arrays
-from repro.runtime.backends import CHUNK_POLICIES, ChunkSpec, get_backend
+from repro.ir.interp import Machine
+from repro.runtime.backends import CHUNK_POLICIES, ChunkSpec, get_backend, plan_chunks
+from repro.runtime.backends import base
 
 CORPUS = sorted(
     (Path(__file__).parent.parent / "regression" / "corpus").glob("*.json")
@@ -138,3 +147,58 @@ def test_fuzz_seeds():
         validated += bool(runs)
         _assert_chunking_is_invisible(runs)
     assert validated >= 10, f"only {validated} of {len(SEEDS)} seeds validated"
+
+
+# -- two ways to copy a chunk out ---------------------------------------------------
+
+
+def _by_chunks(task, size):
+    outcomes = [
+        base.execute_chunk(task, chunk)
+        for chunk in plan_chunks(len(task.iterations), 2, ChunkSpec("static", size))
+    ]
+    return (
+        base.merge_outcomes(task.pre_arrays, outcomes, task.decisions),
+        base.last_scalars(outcomes),
+    )
+
+
+def _assert_copy_outs_agree(runs, monkeypatch) -> int:
+    """How many of *runs* the diff applies to; every one of them must
+    come out the same by diff and by record."""
+    diffed = 0
+    for task, arrays, scalars in runs:
+        loop = task.program.find_loop(task.label)
+        diffable = base._diffable(task, Machine(task.program, task.params), loop)
+        if diffable is not None:  # never an array merged by last value
+            assert all(task.decisions[arr] in ("shared", "reduction") for arr in diffable)
+            diffed += 1
+        for size in {1, 2, max(len(task.iterations), 1)}:
+            by_diff = _by_chunks(task, size)
+            with monkeypatch.context() as patch:
+                patch.setattr(base, "_diffable", lambda *args: None)
+                by_record = _by_chunks(task, size)
+            assert by_diff == by_record == (arrays, scalars), (task.label, size)
+    return diffed
+
+
+@pytest.mark.parametrize("shape", sorted(_CURATED))
+def test_copy_out_curated_shapes(shape, monkeypatch):
+    source, params, arrays = _CURATED[shape]
+    runs = _reference_runs(source, "target", params, arrays)
+    diffed = _assert_copy_outs_agree(runs, monkeypatch)
+    # T is private in the first shape: its chunks keep their record
+    assert diffed == (0 if shape == "private_written_by_every_chunk" else len(runs))
+
+
+def test_copy_out_corpus_and_fuzz_seeds(monkeypatch):
+    cases = [load_corpus_case(path).to_case() for path in CORPUS]
+    cases += [generate_case(seed) for seed in SEEDS]
+    validated = diffed = 0
+    for case in cases:
+        runs = _reference_runs(
+            case.source, case.label, case.params, case.arrays, case.exact_strategy
+        )
+        validated += len(runs)
+        diffed += _assert_copy_outs_agree(runs, monkeypatch)
+    assert 10 <= diffed < validated, (diffed, validated)  # both copy-outs are exercised

@@ -158,6 +158,23 @@ class TestErrorMapping:
         assert response.code == "bad_request"
         pool.stop()
 
+    @pytest.mark.parametrize("chunk, message", [
+        ({"size": 2.5}, "chunk size must be an int >= 1 (got 2.5)"),
+        ({"size": "3"}, "chunk size must be an int >= 1 (got '3')"),
+        ({"size": True}, "chunk size must be an int >= 1 (got True)"),
+        ({"policy": 7}, "unknown chunk policy 7; valid: ['static', 'dynamic']"),
+    ])
+    def test_a_malformed_chunk_is_a_bad_request_naming_the_field(self, chunk, message):
+        """Not whatever ``range()`` or ``<`` said once the capture had
+        run (``'float' object cannot be interpreted as an integer``)."""
+        pool = _pool(workers=1).start()
+        response = Dispatcher(pool).submit(ExecuteRequest(
+            source=SOURCE, loop="copy", params={"N": 4}, backend="thread", chunk=chunk,
+        )).result(timeout=60)
+        pool.stop()
+        assert isinstance(response, ErrorResponse)
+        assert (response.code, response.message) == ("bad_request", message)
+
     def test_non_request_is_bad_request(self):
         pool = _pool(workers=1)
         dispatcher = Dispatcher(pool)

@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """The per-iteration ladder: what each layer around a loop body costs.
 
-For ``saxpy`` (N = 8000, a one-statement body) and ``coarse`` (98 outer
-trips of a 160-trip inner loop) -- ``bench/benchinputs.kernel_items(0)``,
-the inputs ``exec_kernels`` runs -- time, best of 7, in µs per iteration
-of the target loop:
+For ``saxpy``, ``gather``, ``histogram`` (one-statement bodies, N in the
+thousands) and ``coarse`` (98 outer trips of a 160-trip inner loop) --
+``bench/benchinputs.kernel_items(0)``, the inputs ``exec_kernels`` runs
+-- time, best of 7, in µs per iteration of the target loop:
 
-* ``plain body``      the generated body alone, in order on one memory
+* ``loop unit``       the loop's generated unit, in order, nothing observed
+* ``plain body``      the generated body alone, entered once an iteration
 * ``recording body``  the same under one ``IterationRecord``
 * ``in-order``        ``sequential_execute`` (``bench/``'s honest baseline)
 * ``capture``         ``HybridExecutor.capture_task`` (the ground truth)
@@ -14,10 +15,12 @@ of the target loop:
 * ``chunk/process``   the ``process`` backend: the same over the pool
 * ``iter/sequential`` the reference backend: every iteration isolated
 
-ROADMAP item 1 is scoped from this table: the distance from ``plain
-body`` to ``chunk/thread`` is what a generated chunk loop could still
-buy.  Single runs on this host step by up to 2x; the minimum of 7 is
-the stable number::
+The ``loop unit`` is the floor everything is read against: ``capture``
+adds the machine, the whole-program run around the loop and the
+per-iteration costs, ``chunk/thread`` the per-iteration scalar restart,
+the copy-out and the merge.  ``plain body`` is what an iteration cost
+before the generated code owned the loop.  Single runs on this host
+step by up to 2x; the minimum of 7 is the stable number::
 
     python tools/iter_ladder.py
 """
@@ -55,21 +58,29 @@ def ladder(item) -> tuple:
     executor = compiled.executor(item.loop)
     task = executor.capture_task(item.params, item.arrays)
     task.decisions = {name: "shared" for name in task.pre_arrays}
-    body = task.program.find_loop(task.label).body
+    loop = task.program.find_loop(task.label)
+
+    def fresh():
+        machine = Machine(task.program, params=task.params, arrays=task.pre_arrays)
+        return machine, _Frame(dict(task.pre_scalars), task.frame_arrays)
+
+    def run_unit():
+        machine, frame = fresh()
+        machine.run_loop(loop, frame, task.iterations)
 
     def run_body(record):
-        machine = Machine(task.program, params=task.params, arrays=task.pre_arrays)
-        scalars = dict(task.pre_scalars)
-        frame = _Frame(scalars, task.frame_arrays)
+        machine, frame = fresh()
+        machine._active_record = record
         for i in task.iterations:
-            scalars[task.index_name] = i
-            machine.run_iteration(body, frame, record)
+            frame.scalars[task.index_name] = i
+            machine._exec_body(loop.body, frame)
 
     def backend(name):
         return lambda: get_backend(name).execute(task, jobs=JOBS)
 
     backend("process")()  # spin the pool up
     return {
+        "loop unit": best(run_unit),
         "plain body": best(lambda: run_body(None)),
         "recording body": best(lambda: run_body(IterationRecord(0))),
         "in-order": best(lambda: sequential_execute(task)),
@@ -84,11 +95,11 @@ def main() -> int:
     from benchinputs import kernel_items
 
     items = {item.name: item for item in kernel_items(0)}
-    for name in ("saxpy@thread", "coarse@thread"):
+    for name in ("saxpy@thread", "gather@thread", "histogram@thread", "coarse@thread"):
         rungs, trips = ladder(items[name])
         print(f"{name.split('@')[0]}: {trips} iterations, best of {REPEATS}, "
-              "us/iteration (x plain body)")
-        floor = rungs["plain body"]
+              "us/iteration (x loop unit)")
+        floor = rungs["loop unit"]
         for rung, seconds in rungs.items():
             print(f"  {rung:<16} {seconds / trips * 1e6:9.2f}  "
                   f"({seconds / floor:5.2f}x)")
