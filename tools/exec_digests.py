@@ -107,8 +107,10 @@ def generated_units(program):
     """``Lowered`` for every unit of *program* the machine can compile,
     both variants, in program order: array extents, ``main``, subroutine
     bodies, then whatever generated code hands back to the machine
-    (labelled loops' bounds, conditions and bodies, call arguments,
-    bodies nested past the emitter's depth limit)."""
+    (labelled loops' bounds and conditions, their bodies -- as the body
+    unit the per-iteration reference of ``tests/property`` enters, and
+    as the loop unit the machine runs -- call arguments, bodies nested
+    past the emitter's depth limit)."""
     from repro.ir.ast import Call, Do, While
     from repro.ir.lower import lower
 
@@ -119,11 +121,13 @@ def generated_units(program):
         plain = lower(node, False)
         yield plain
         yield lower(node, True)
+        if isinstance(node, (Do, While)):
+            continue  # what it hands back, its body (pending too) does
         for const in plain.consts:
             if isinstance(const, Do):
-                pending += [const.lower, const.upper, const.body]
+                pending += [const.lower, const.upper, const.body, const]
             elif isinstance(const, While):
-                pending += [const.cond, const.body]
+                pending += [const.cond, const.body, const]
             elif isinstance(const, Call):
                 pending += [expr for arg in const.args
                             for expr in (arg.offset, arg.scalar) if expr is not None]
