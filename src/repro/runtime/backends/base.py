@@ -22,8 +22,9 @@ arrays (= dynamic last value), delta accumulation for reductions.
   loop unit and come back as **one** outcome -- a chunk is one iteration
   of the coarsened loop and the rules apply to it verbatim.  It is
   copied out by diffing the arrays the loop assigns against the pre-loop
-  memory where that is exact (:func:`_diffable`), else from an access
-  record; docs/ARCHITECTURE.md ("Copying a chunk out") says why, once;
+  memory where that is exact and the cheaper way (:func:`_diffable`),
+  else from an access record; docs/ARCHITECTURE.md ("Copying a chunk
+  out") says why, once;
 * :func:`execute_positions` -- one outcome per *iteration*, each a chunk
   of one isolated from the rest, for the two callers that want that on
   purpose: the ``sequential`` reference backend (see its module for
@@ -37,12 +38,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from itertools import compress, count
-from operator import ne
 from typing import Optional, Sequence
 
 from ...ir.ast import Program
-from ...ir.interp import IterationRecord, Machine, _Frame, copy_arrays
+from ...ir.interp import (
+    IterationRecord, Machine, _Frame, changed_locations, copy_arrays,
+)
 from .chunking import ChunkSpec, plan_chunks
 
 __all__ = [
@@ -90,6 +91,8 @@ class LoopTask:
     index_name: Optional[str] = None
     #: array -> merge strategy ('shared' | 'private' | 'reduction')
     decisions: dict = field(default_factory=dict)
+    #: statements these iterations executed in the in-order run, if known
+    work: Optional[float] = None
 
 
 @dataclass
@@ -185,13 +188,14 @@ def _execute_groups(task: LoopTask, groups, isolate=None, record_exposed=False) 
     pre_arrays, iterations = task.pre_arrays, task.iterations
     machine = Machine(task.program, params=task.params, arrays=pre_arrays)
     local = machine.arrays  # Machine copied pre_arrays into fresh lists
-    diffed = None if isolate or record_exposed else _diffable(task, machine, loop)
     frame = _Frame(dict(task.pre_scalars), task.frame_arrays)
     outcomes = []
     for group in groups:
         if isolate == "snapshot":
             machine.arrays = local = copy_arrays(pre_arrays)
         last = group[-1]
+        chunk = not (isolate or record_exposed)
+        diffed = _diffable(task, machine, loop, len(group)) if chunk else None
         record = IterationRecord(iteration=iterations[last])
         machine.run_loop(
             loop, frame, [iterations[pos] for pos in group],
@@ -201,7 +205,7 @@ def _execute_groups(task: LoopTask, groups, isolate=None, record_exposed=False) 
                   for name in task.civ_names],
         )
         for arr in diffed or ():
-            locs = list(compress(count(1), map(ne, local[arr], pre_arrays[arr])))
+            locs = changed_locations(local[arr], pre_arrays[arr])
             record.writes[arr] = locs
             if task.decisions[arr] == "reduction":
                 record.updates[arr] = locs
@@ -231,16 +235,20 @@ def _ordered(marks: dict) -> dict:
     return {arr: sorted(locs) for arr, locs in marks.items()}
 
 
-def _diffable(task: LoopTask, machine: Machine, loop) -> Optional[list]:
-    """The arrays a chunk of *task* can have written, when diffing just
-    those against the pre-loop memory is an exact copy-out: the loop's
-    unit hands nothing back to the machine and all it assigns is decided
-    ``shared`` or ``reduction`` (last-value ``private`` must see a write
-    that restores the pre-loop value).  ``None``: keep a record."""
+def _diffable(task: LoopTask, machine: Machine, loop, trips: int) -> Optional[list]:
+    """The arrays a chunk of *trips* iterations of *task* can have
+    written, when diffing those against the pre-loop memory is an exact
+    copy-out and cheaper than a record (docs/ARCHITECTURE.md, "Copying a
+    chunk out"): the loop's unit hands nothing back, all it assigns is
+    ``shared`` or ``reduction``, and that is at most 16 elements per
+    statement of the chunk's share of ``task.work``.  ``None``: record."""
     assigns = machine._code(loop).assigns  # None: it does hand something back
     bases = {task.frame_arrays.get(name, (None, 0))[0]: None for name in assigns or ()}
     exact = all(task.decisions.get(arr) in ("shared", "reduction") for arr in bases)
-    return list(bases) if exact and assigns is not None else None
+    elements = sum(len(task.pre_arrays.get(arr, ())) for arr in bases)
+    share = trips / max(len(task.iterations), 1)
+    cheap = task.work is None or elements <= 16 * task.work * share
+    return list(bases) if assigns is not None and exact and cheap else None
 
 
 def execute_chunk(task: LoopTask, positions: Sequence[int]) -> IterationOutcome:

@@ -163,10 +163,13 @@ class SpeculativeBackend(ExecutionBackend):
             chunks=len(chunks),
             jobs=workers,
             # a failed verdict privatizes nothing, a passed one has no conflicts
-            speculation=_doc(
-                verdict.success, not verdict.success, verdict.privatized,
-                verdict.traced_accesses, verdict.conflicts,
-            ),
+            speculation={
+                "committed": bool(verdict.success),
+                "conflicts": sorted(verdict.conflicts),
+                "privatized": sorted(verdict.privatized),
+                "rollbacks": int(not verdict.success),
+                "traced_accesses": int(verdict.traced_accesses),
+            },
         )
 
     def _optimistic_run(
@@ -190,13 +193,3 @@ class SpeculativeBackend(ExecutionBackend):
         chunk_outcomes = map_chunks(run_chunk, chunks, workers)
         return [o for result in chunk_outcomes for o in result], workers
 
-
-def _doc(committed, rollbacks, privatized, traced, conflicts) -> dict:
-    """The BackendRun.speculation outcome document (JSON-ready)."""
-    return {
-        "committed": bool(committed),
-        "conflicts": sorted(conflicts),
-        "privatized": sorted(privatized),
-        "rollbacks": int(rollbacks),
-        "traced_accesses": int(traced),
-    }

@@ -349,10 +349,8 @@ class HybridExecutor:
         entry = _LoopEntry(self._loop_task(machine, stmt, frame, [], civs, {}), [], [])
         values = machine.iteration_values(stmt, frame)
         watch = {"costs": entry.costs, "civs": civs.items()}
-        if recording:  # a record per iteration: one value at a time
-            for i in values:
-                entry.records.append(IterationRecord(iteration=i))
-                machine.run_loop(stmt, frame, (i,), entry.records[-1], **watch)
+        if recording:
+            machine.trace_loop(stmt, frame, values, entry.records, **watch)
         else:
             machine.run_loop(stmt, frame, values, **watch)
         trips = len(entry.costs)  # a while loop's values are 1..trips
@@ -561,6 +559,7 @@ class HybridExecutor:
                 machine, stmt, frame, iterations, entry.task.civ_values,
                 strategies,
             )
+            task.work = sum(entry.costs)
             backend = self._resolve_backend(task)
             started = time.perf_counter()
             run = backend.execute(task, jobs=self.jobs, chunk=self.chunk)

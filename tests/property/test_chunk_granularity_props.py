@@ -169,7 +169,9 @@ def _assert_copy_outs_agree(runs, monkeypatch) -> int:
     diffed = 0
     for task, arrays, scalars in runs:
         loop = task.program.find_loop(task.label)
-        diffable = base._diffable(task, Machine(task.program, task.params), loop)
+        diffable = base._diffable(
+            task, Machine(task.program, task.params), loop, len(task.iterations)
+        )
         if diffable is not None:  # never an array merged by last value
             assert all(task.decisions[arr] in ("shared", "reduction") for arr in diffable)
             diffed += 1

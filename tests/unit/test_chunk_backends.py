@@ -102,7 +102,7 @@ class TestCopyOut:
     def _path(self, task):
         loop = task.program.find_loop("l")
         return "record" if base._diffable(
-            task, Machine(task.program, task.params), loop) is None else "diff"
+            task, Machine(task.program, task.params), loop, 2) is None else "diff"
 
     def test_a_shared_write_that_stores_the_pre_loop_value_back(self):
         task = _task("    A[i] = 5\n", {"A": [5, 0, 5, 1]}, {"A": "shared"}, [1, 2, 3, 4])
@@ -154,6 +154,29 @@ class TestCopyOut:
         assert self._path(undecided) == "record" and _carved(undecided, 2)["T"] == [0]
         wrong = dataclasses.replace(task, decisions={"T": "shared", "OUT": "shared"})
         assert self._path(wrong) == "diff" and _carved(wrong, 2)["T"] == [2]
+
+    def test_a_short_chunk_over_a_long_array_keeps_its_record(self):
+        """Both copy-outs are exact here; comparing 4096 elements to
+        learn what four statements wrote is the dearer one.  The
+        executor hands over the work its in-order run counted; a task
+        without it (hand-built, ``capture_task``) is diffed."""
+        task = _task("    A[i] = i\n", {"A": [7] * 4096}, {"A": "shared"}, [1, 2, 3, 4])
+        paths = {}
+        for work in (None, 4.0, 512.0):
+            task.work = work
+            paths[work] = self._path(task)
+            assert _carved(task, 2) == sequential_execute(task)[0]
+        assert paths == {None: "diff", 4.0: "record", 512.0: "diff"}
+        compiled = Engine(EngineConfig(use_disk_cache=False)).compile(task.program)
+        seen = []
+        backend = get_backend("thread")
+        backend.execute = lambda t, **kw: (
+            seen.append(t.work), type(backend).execute(backend, t, **kw))[1]
+        try:
+            assert compiled.execute("l", {}, {}, backend="thread", jobs=2).correct
+        finally:
+            del backend.execute
+        assert seen == [4.0]
 
     def test_a_body_with_a_call_keeps_its_record(self):
         task = _task(
