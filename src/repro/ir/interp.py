@@ -342,7 +342,7 @@ class Machine:
         if tracing:
             trips = self.trace_loop(stmt, frame, values, self.trace.iterations)
         else:  # under whatever record is active
-            last = self._code(stmt)(self, frame, values, None, None, ())
+            last = self.run_loop(stmt, frame, values, self._active_record)
             trips = len(values) if isinstance(stmt, Do) else last or 0
         if label:
             self.loop_work[label] = (
@@ -425,5 +425,5 @@ def _generate(node: Union[tuple, IRStmt, IRExpr], recording: bool) -> Callable:
     namespace = dict(_GLOBALS, K=lowered.consts)
     exec(compile(lowered.source, "<lowered>", "exec"), namespace)
     run = namespace["run"]
-    run.assigns = None if lowered.consts else lowered.assigns
+    run.assigns = lowered.assigns
     return run

@@ -49,7 +49,7 @@ expects in its globals ``K`` (:attr:`Lowered.consts`), ``InterpError``,
 
 from __future__ import annotations
 
-from typing import NamedTuple, Union
+from typing import NamedTuple, Optional, Union
 
 from .ast import (
     BOOL_OPS,
@@ -101,9 +101,10 @@ class Lowered(NamedTuple):
     source: str
     #: IR nodes the text hands back to the machine, as ``K[n]``
     consts: tuple
-    #: arrays the text assigns, by their names in the frame -- all the
-    #: unit can write, provided it hands nothing back (no ``consts``)
-    assigns: tuple
+    #: the arrays the text assigns, by their names in the frame: all the
+    #: unit can write -- or ``None`` when it hands something back
+    #: (``consts``), and what it can write is more than its text shows
+    assigns: Optional[tuple]
 
 
 def lower(node: Union[tuple, IRStmt, IRExpr], recording: bool) -> Lowered:
@@ -111,24 +112,23 @@ def lower(node: Union[tuple, IRStmt, IRExpr], recording: bool) -> Lowered:
     as source; with *recording* the code keeps the machine's active
     iteration record."""
     emitter = _Emitter(recording)
-    params = "m, f"
     counting = not isinstance(node, IRExpr)
     if isinstance(node, (Do, While)):
-        params = emitter.loop_unit(node)
+        emitter.loop_unit(node)
     elif counting:
         emitter.indent = 2  # inside ``def`` and ``try``
         for stmt in node:
             emitter.statement(stmt)
     else:
         emitter.emit(f"return {emitter.value(node)[0]}")
-    return Lowered(
-        emitter.source(params, counting), tuple(emitter.consts), tuple(emitter.assigns)
-    )
+    assigns = None if emitter.consts else tuple(emitter.assigns)
+    return Lowered(emitter.source(counting), tuple(emitter.consts), assigns)
 
 
 class _Emitter:
     def __init__(self, recording: bool):
         self.recording = recording
+        self.params = "m, f"  # of the function written
         self.lines: list = []  # (indent, text or placeholder)
         self.indent = 1
         self.temps = 0
@@ -163,7 +163,7 @@ class _Emitter:
     def fail(self, message: str) -> None:
         self.emit(f"raise InterpError({message!r})")
 
-    def source(self, params: str, counting: bool) -> str:
+    def source(self, counting: bool) -> str:
         binds = {
             _ARRAYS: ["MA = m.arrays"] + [
                 f"a{k}, o{k} = FA.get({name!r}, NOBIND); "
@@ -181,7 +181,7 @@ class _Emitter:
                      "E = R.exposed_reads", "U = R.updates"]
         if self.uses_fuel:
             head.append("FUEL = fuel()")
-        out = [f"def run({params}):"]
+        out = [f"def run({self.params}):"]
         out += ["    " + line for line in head + binds[_ARRAYS] + binds[_SCALARS]]
         if counting:
             out += ["    w = 0", "    try:"] + ["        pass"] * (not self.lines)
@@ -394,7 +394,7 @@ class _Emitter:
         else:
             self._while(stmt)
 
-    def loop_unit(self, stmt: Union[Do, While]) -> str:
+    def loop_unit(self, stmt: Union[Do, While]) -> None:
         """The loop unit of labelled *stmt*: its body once per value of
         ``values`` (bound to a DO loop's index; a while loop's are only
         counted), in one function that binds arrays and scalars once.
@@ -403,9 +403,9 @@ class _Emitter:
         scalars, the next value of each *prefix* on top (a body that
         assigns no scalar needs, and gets, no such restart); with a
         ``costs`` list, every iteration appends the work it did, and
-        beforehand to each *prefix* its scalar's value on entry.
-        Returns the function's parameters; the function, the last value
-        it ran."""
+        beforehand to each *prefix* its scalar's value on entry.  The
+        function returns the last value it ran."""
+        self.params = "m, f, values, fresh, costs, civs"
         self.indent = 2  # inside ``def`` and ``try``
         self.block(stmt.body)
         head = [(2, "x = None"), (2, "for x in values:")]
@@ -428,7 +428,6 @@ class _Emitter:
             (3, "if costs is not None: costs.append(float(m.work + w - b))"),
             (2, "return x"),
         ]
-        return "m, f, values, fresh, costs, civs"
 
     def _do(self, stmt: Do) -> None:
         (lower_, _), (upper, _) = self.sequence((stmt.lower, stmt.upper))

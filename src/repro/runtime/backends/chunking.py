@@ -50,7 +50,7 @@ class ChunkSpec:
     size: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.policy not in CHUNK_POLICIES:  # so it is one of two strings
+        if self.policy not in CHUNK_POLICIES:  # whatever its type
             raise ValueError(
                 f"unknown chunk policy {self.policy!r}; "
                 f"valid: {list(CHUNK_POLICIES)}"
