@@ -13,10 +13,10 @@ validated iterations actually execute:
 ``thread``      chunked execution on a kept thread pool: a chunk runs in
                 order, in place, on its one copy of the pre-loop memory
                 and returns one outcome
-``process``     the same chunks on a persistent process pool; the
-                pre-loop memory travels once per run through a
-                shared-memory segment, so multi-core machines get real
-                (GIL-free) parallelism
+``process``     the same chunks on a persistent process pool, so
+                multi-core machines get real (GIL-free) parallelism;
+                the pre-loop memory travels pickled in the run's setup
+                blob, and the pool is the one OS resource it holds
 ``numpy``       whole-loop vectorization for fully-parallel (all-``shared``)
                 DO loops: one NumPy gather/compute/scatter per statement
 ``speculative`` optimistic LRPD execution: chunks run in parallel with

@@ -292,6 +292,89 @@ class TestProcessWire:
         assert len(programs) == 2 and all(p is not task.program for p in programs)
 
 
+class TestValuesPastInt64:
+    """The interpreter's integers are unbounded.  The pre-loop memory
+    reaches a process worker pickled, as it is, on the chunk path and on
+    the speculative backend's marked run alike."""
+
+    SOURCE = (
+        "program big\nparam N\narray X(N), Y(N)\nmain\n  do i = 1, N @ l\n"
+        "    t = 3 * X[i]\n    Y[i] = Y[i] + t\n  end\nend\n"
+    )
+
+    @pytest.mark.parametrize(
+        "n, spec, chunks",
+        [(64, None, 2), (4000, ChunkSpec("dynamic"), 8)],
+        ids=["static-64", "dynamic-4000"],
+    )
+    def test_process_and_the_marked_run_equal_sequential(self, n, spec, chunks):
+        big = 2**70
+        compiled = Engine(EngineConfig(use_disk_cache=False)).compile(self.SOURCE)
+        task = compiled.executor("l").capture_task({"N": n}, {
+            "X": [(big if k % 2 else -big) + k for k in range(n)],
+            "Y": [big - k for k in range(n)],
+        })
+        task.decisions = {"X": "shared", "Y": "shared"}
+        expected = get_backend("sequential").execute(task, jobs=2)
+        assert any(abs(v) > 2**63 for v in expected.arrays["Y"])
+        assert abs(expected.final_scalars["t"]) > 2**63
+        for backend in ("process", "speculative"):
+            run = get_backend(backend).execute(task, jobs=2, chunk=spec)
+            assert run.chunks == chunks
+            assert run.arrays == expected.arrays
+            assert run.final_scalars == expected.final_scalars
+        assert run.speculation["committed"]
+
+
+class TestProcessPoolLifetime:
+    def test_concurrent_executes_that_grow_the_pool_all_finish(self, monkeypatch):
+        """Four threads, each asking for a wider process pool than the
+        last: a grow replaces the pool under the others, every run must
+        still return the in-order memory, and each replaced pool is shut
+        down rather than kept."""
+        made = []
+
+        def make(workers):
+            made.append(processes._new_pool(workers))
+            return made[-1]
+
+        pool = threads.KeptPool(make)
+        monkeypatch.setattr(processes, "_pool", pool)
+        task = _saxpy_task()
+        expected = sequential_execute(task)[0]
+        jobs = 2
+        barrier = threading.Barrier(4)
+        results = []
+
+        def run(width):
+            barrier.wait(timeout=30)
+            for workers in (jobs, width):
+                run = get_backend("process").execute(
+                    task, jobs=workers, chunk=ChunkSpec("dynamic")
+                )
+                results.append(run.arrays == expected)
+
+        workers = [
+            threading.Thread(target=run, args=(jobs + 1 + k,)) for k in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert results == [True] * 8
+        kept = pool.executor
+        assert pool.workers == jobs + 4 and made[-1] is kept
+        assert not kept._shutdown_thread
+        assert all(replaced._shutdown_thread for replaced in made[:-1])
+        kept.shutdown()
+
+
 @pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
 class TestBrokenProcessPool:
     def test_a_killed_worker_costs_one_retried_run(self):
