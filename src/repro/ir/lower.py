@@ -70,7 +70,7 @@ from .ast import (
     While,
 )
 
-__all__ = ["BINOP_SOURCE", "Lowered", "lower"]
+__all__ = ["BINOP_SOURCE", "Emitter", "Lowered", "lower"]
 
 #: IR operator -> the Python operator it is written as (comparisons are
 #: wrapped to 0/1 where a value is wanted; ``and``/``or`` short-circuit
@@ -125,14 +125,52 @@ def lower(node: Union[tuple, IRStmt, IRExpr], recording: bool) -> Lowered:
     return Lowered(emitter.source(counting), tuple(emitter.consts), assigns)
 
 
-class _Emitter:
-    def __init__(self, recording: bool):
-        self.recording = recording
-        self.params = "m, f"  # of the function written
+class Emitter:
+    """The plumbing of a code generator: lines of ``def run(<params>)``
+    at an indentation, fresh temporaries ``t<k>``, and the objects the
+    text refers to as ``K[n]``.  :class:`_Emitter` writes IR units with
+    it, :mod:`repro.usr.lower` the runtime decision step's USR units."""
+
+    def __init__(self, params: str):
+        self.params = params  # of the function written
         self.lines: list = []  # (indent, text or placeholder)
         self.indent = 1
         self.temps = 0
         self.consts: list = []
+
+    def emit(self, text: str) -> None:
+        self.lines.append((self.indent, text))
+
+    def temp(self) -> str:
+        """A fresh temporary's name."""
+        self.temps += 1
+        return f"t{self.temps}"
+
+    def pin(self, src: str) -> str:
+        """Evaluate *src* here, into a fresh temporary."""
+        name = self.temp()
+        self.emit(f"{name} = {src}")
+        return name
+
+    def const(self, node) -> str:
+        self.consts.append(node)
+        return f"K[{len(self.consts) - 1}]"
+
+    def source(self, head: list = (), tail: list = (), expand: Optional[dict] = None) -> str:
+        """The function's text: *head* and *tail* lines around the body,
+        each placeholder line of the body replaced by its *expand* lines."""
+        expand = expand or {}
+        out = [f"def run({self.params}):"] + ["    " + line for line in head]
+        for indent, text in self.lines:
+            out += ["    " * indent + line for line in expand.get(text, (text,))]
+        out += ["    " + line for line in tail]
+        return "\n".join(out) + "\n"
+
+
+class _Emitter(Emitter):
+    def __init__(self, recording: bool):
+        super().__init__("m, f")
+        self.recording = recording
         self.arrays: list = []  # names, in order of first use
         self.scalars: list = []
         self.assigns: list = []  # arrays assigned to, in order of first assignment
@@ -141,19 +179,6 @@ class _Emitter:
         self.flush = ["m.work += w"] + ["R.work += w"] * recording
 
     # -- plumbing ----------------------------------------------------------
-    def emit(self, text: str) -> None:
-        self.lines.append((self.indent, text))
-
-    def pin(self, src: str) -> str:
-        """Evaluate *src* here, into a fresh temporary."""
-        self.temps += 1
-        self.emit(f"t{self.temps} = {src}")
-        return f"t{self.temps}"
-
-    def const(self, node) -> str:
-        self.consts.append(node)
-        return f"K[{len(self.consts) - 1}]"
-
     @staticmethod
     def slot(names: list, name: str) -> int:
         if name not in names:
@@ -181,15 +206,12 @@ class _Emitter:
                      "E = R.exposed_reads", "U = R.updates"]
         if self.uses_fuel:
             head.append("FUEL = fuel()")
-        out = [f"def run({self.params}):"]
-        out += ["    " + line for line in head + binds[_ARRAYS] + binds[_SCALARS]]
+        head += binds[_ARRAYS] + binds[_SCALARS]
+        tail: list = []
         if counting:
-            out += ["    w = 0", "    try:"] + ["        pass"] * (not self.lines)
-        for indent, text in self.lines:
-            out += ["    " * indent + line for line in binds.get(text, (text,))]
-        if counting:
-            out += ["    finally:"] + ["        " + line for line in self.flush]
-        return "\n".join(out) + "\n"
+            head += ["w = 0", "try:"] + ["    pass"] * (not self.lines)
+            tail = ["finally:"] + ["    " + line for line in self.flush]
+        return super().source(head, tail, binds)
 
     # -- expressions: (source, can it still raise when evaluated) ----------
     def value(self, expr) -> tuple:
@@ -246,8 +268,7 @@ class _Emitter:
             return src, lraises or rraises
         # The right side needs statements: they run under an ``if`` on
         # the left side, which alone decides otherwise.
-        self.temps += 1
-        result = f"t{self.temps}"
+        result = self.temp()
         self.lines[mark:mark] = [
             (self.indent, f"{result} = {expr.op == 'or'}"),
             (self.indent, f"if {left}:" if expr.op == "and" else f"if not ({left}):"),
@@ -441,8 +462,7 @@ class _Emitter:
 
     def _while(self, stmt: While) -> None:
         self.uses_fuel = True
-        self.temps += 1
-        trips = f"t{self.temps}"
+        trips = self.temp()
         self.emit(f"{trips} = 0")
         mark = len(self.lines)
         self.indent += 1

@@ -50,7 +50,8 @@ from ..ir.ast import AssignScalar, Do, If, Program, While
 from ..ir.interp import IterationRecord, LoopTrace, Machine, RunResult, copy_arrays
 from ..ir.scalars import _stmt_reads, expr_scalar_reads
 from ..pdag import EvalStats
-from ..usr import estimate_bounds, usr_recurrence
+from ..usr import usr_recurrence
+from ..usr.lower import kept_unit
 from .backends import DEFAULT_BACKEND, BACKENDS, ChunkSpec, LoopTask, get_backend
 from .inspector import Inspector
 from .scheduler import CostModel, schedule_parallel
@@ -209,8 +210,9 @@ class HybridExecutor:
         self.program = program
         self.plan = plan
         self.cost = cost or CostModel()
-        #: shared across runs: models HOIST-USR amortization
-        self.inspector = inspector or Inspector()
+        #: shared across runs: models HOIST-USR amortization; the default
+        #: one keeps its compiled USR code with the program
+        self.inspector = inspector or Inspector(program._lowered)
         #: exact-test fallback: 'inspector' (hoistable USR evaluation) or
         #: 'tls' (LRPD speculation) -- Section 5's "if we can amortize the
         #: cost ... we use direct evaluation, otherwise we use TLS"
@@ -449,9 +451,10 @@ class HybridExecutor:
         if analysis is None or array not in analysis.summaries:
             return
         ls = analysis.summaries[array]
-        rw_total = usr_recurrence(ls.index, ls.lower, ls.upper, ls.per_iteration.rw)
+        run = kept_unit(self.program._lowered, ls, "bounds", lambda: usr_recurrence(
+            ls.index, ls.lower, ls.upper, ls.per_iteration.rw))
         for env in envs:
-            report.bounds_overhead += float(estimate_bounds(rw_total, env).iterations)
+            report.bounds_overhead += float(run(env)[2])
 
     def _exact_fallback(
         self,

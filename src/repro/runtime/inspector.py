@@ -8,13 +8,24 @@ predicate translation of Section 3 exists to avoid -- so this path is
 only chosen when it can be *hoisted*: the paper's HOIST-USR loops
 (e.g. apsi's RUN_DO20, dyfesm's MXMULT_DO10) execute many times with
 unchanged inputs, letting one evaluation be amortized via memoization.
+
+The evaluation is generated code, as the paper's inspector is code
+placed in front of the loop: :mod:`repro.usr.lower` writes each USR's
+exact set and cost as one Python function (``"inspect"`` mode), a
+``for`` per recurrence.  An :class:`Inspector` compiles a USR's function
+on first use and keeps it in its table of units -- the executor hands
+it its program's ``_lowered``, so a plan's inspector code is compiled on
+its first execute only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
+
 from ..symbolic import EvalEnv
-from ..usr import CallSite, Gate, Intersect, Leaf, Recurrence, Subtract, Union, USR
+from ..usr import USR
+from ..usr.lower import compile_usr, kept_unit
 
 __all__ = ["InspectorResult", "evaluate_usr_cost", "Inspector"]
 
@@ -34,53 +45,10 @@ def evaluate_usr_cost(usr: USR, env: EvalEnv) -> tuple[set[int], int]:
     """Evaluate *usr* exactly, returning (set, cost).
 
     Cost counts every element of every intermediate set -- the
-    O(accesses) behaviour of direct USR interpretation.
+    O(accesses) behaviour of direct USR interpretation.  Generates and
+    compiles the evaluation on every call; an :class:`Inspector` keeps it.
     """
-    if isinstance(usr, Leaf):
-        out: set[int] = set()
-        for lmad in usr.lmads:
-            out |= lmad.enumerate(env)
-        return out, max(1, len(out))
-    if isinstance(usr, Gate):
-        if usr.cond.evaluate(env):
-            inner, cost = evaluate_usr_cost(usr.body, env)
-            return inner, cost + 1
-        return set(), 1
-    if isinstance(usr, Union):
-        out = set()
-        cost = 0
-        for a in usr.args:
-            part, c = evaluate_usr_cost(a, env)
-            out |= part
-            cost += c + len(part)
-        return out, cost
-    if isinstance(usr, Intersect):
-        out, cost = evaluate_usr_cost(usr.args[0], env)
-        for a in usr.args[1:]:
-            part, c = evaluate_usr_cost(a, env)
-            out &= part
-            cost += c + len(part)
-        return out, cost
-    if isinstance(usr, Subtract):
-        left, c1 = evaluate_usr_cost(usr.left, env)
-        right, c2 = evaluate_usr_cost(usr.right, env)
-        return left - right, c1 + c2 + len(right)
-    if isinstance(usr, CallSite):
-        inner, cost = evaluate_usr_cost(usr.body, env)
-        return inner, cost + 1
-    if isinstance(usr, Recurrence):
-        lo = usr.lower.evaluate(env)
-        hi = usr.upper.evaluate(env)
-        out = set()
-        cost = 0
-        child = dict(env)
-        for i in range(lo, hi + 1):
-            child[usr.index] = i
-            part, c = evaluate_usr_cost(usr.body, child)
-            out |= part
-            cost += c + 1
-        return out, cost
-    raise TypeError(f"unknown USR node {usr!r}")
+    return compile_usr(usr, "inspect")(env)
 
 
 class Inspector:
@@ -91,12 +59,16 @@ class Inspector:
     inputs (the hoistable case) pay the evaluation once.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, units: Optional[dict] = None) -> None:
         self._memo: dict = {}
+        #: the compiled evaluations, by USR identity (see
+        #: :func:`~repro.usr.lower.kept_unit`)
+        self._units: dict = {} if units is None else units
 
     def check_empty(self, usr: USR, env: EvalEnv) -> InspectorResult:
+        run = kept_unit(self._units, usr, "inspect", lambda: usr)
         key_parts: list = [usr]
-        for name in sorted(usr.free_symbols()):
+        for name in run.names:
             value = env.get(name)
             if isinstance(value, list):
                 value = tuple(value)
@@ -105,6 +77,6 @@ class Inspector:
         if key in self._memo:
             empty, cost = self._memo[key]
             return InspectorResult(empty=empty, cost=0, memoized=True)
-        out, cost = evaluate_usr_cost(usr, env)
+        out, cost = run(env)
         self._memo[key] = (not out, cost)
         return InspectorResult(empty=not out, cost=cost, memoized=False)

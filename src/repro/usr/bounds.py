@@ -8,6 +8,13 @@ union, call-site and recurrence nodes (subtrahends and gate conditions
 dropped); its bounds are then MIN/MAX-reduced across iterations -- a
 parallel-friendly O(iterations) computation, far cheaper than exact USR
 evaluation which is O(accesses).
+
+This module holds the overestimate, a USR-to-USR rewrite.  The MIN/MAX
+loop itself is generated code: :mod:`repro.usr.lower` writes it from the
+overestimated summary as one Python function (``"bounds"`` mode), a
+``for`` per recurrence, and the executor keeps that function with the
+program, compiled on a plan's first execute.  :func:`estimate_bounds`
+is the one-off entry point to the same code.
 """
 
 from __future__ import annotations
@@ -74,72 +81,19 @@ class BoundsResult:
     def is_empty(self) -> bool:
         return self.lower is None
 
-    def merge(self, other: "BoundsResult") -> "BoundsResult":
-        iters = self.iterations + other.iterations
-        if self.is_empty():
-            return BoundsResult(other.lower, other.upper, iters)
-        if other.is_empty():
-            return BoundsResult(self.lower, self.upper, iters)
-        return BoundsResult(
-            min(self.lower, other.lower), max(self.upper, other.upper), iters
-        )
-
     def __repr__(self) -> str:
         return f"BoundsResult([{self.lower}, {self.upper}], iters={self.iterations})"
-
-
-def _leaf_bounds(leaf: Leaf, env: EvalEnv) -> BoundsResult:
-    lower: Optional[int] = None
-    upper: Optional[int] = None
-    for lmad in leaf.lmads:
-        base = lmad.base.evaluate(env)
-        extent = 0
-        empty = False
-        for stride, span in zip(lmad.strides, lmad.spans):
-            s = span.evaluate(env)
-            if s < 0:
-                empty = True
-                break
-            d = stride.evaluate(env)
-            # A negative stride walks downward from the base.
-            extent += s if d >= 0 else 0
-            if d < 0:
-                base -= abs(s)
-        if empty:
-            continue
-        lo, hi = base, base + extent
-        lower = lo if lower is None else min(lower, lo)
-        upper = hi if upper is None else max(upper, hi)
-    return BoundsResult(lower, upper, 0)
 
 
 def estimate_bounds(usr: USR, env: EvalEnv) -> BoundsResult:
     """Evaluate min/max index bounds of the *overestimated* summary.
 
-    Accepts any USR: non-conforming nodes are overestimated on the fly.
-    Recurrences iterate and MIN/MAX-reduce, counting iterations as the
-    modelled runtime cost.
+    Accepts any USR: non-conforming nodes are overestimated as the code
+    is written.  Recurrences iterate and MIN/MAX-reduce, counting
+    iterations as the modelled runtime cost.  Generates and compiles the
+    evaluation on every call; the executor keeps a plan's
+    (:func:`repro.usr.lower.kept_unit`).
     """
-    if isinstance(usr, Leaf):
-        return _leaf_bounds(usr, env)
-    if isinstance(usr, (Gate, Subtract, Intersect)):
-        return estimate_bounds(bounds_overestimate(usr), env)
-    if isinstance(usr, Union):
-        out = BoundsResult(None, None, 0)
-        for a in usr.args:
-            out = out.merge(estimate_bounds(a, env))
-        return out
-    if isinstance(usr, CallSite):
-        return estimate_bounds(usr.body, env)
-    if isinstance(usr, Recurrence):
-        lo = usr.lower.evaluate(env)
-        hi = usr.upper.evaluate(env)
-        out = BoundsResult(None, None, 0)
-        child_env = dict(env)
-        for i in range(lo, hi + 1):
-            child_env[usr.index] = i
-            step = estimate_bounds(usr.body, child_env)
-            out = out.merge(step)
-            out = BoundsResult(out.lower, out.upper, out.iterations + 1)
-        return out
-    raise TypeError(f"unknown USR node {usr!r}")
+    from .lower import compile_usr
+
+    return BoundsResult(*compile_usr(usr, "bounds")(env))
