@@ -148,6 +148,10 @@ def format_fuzz_table(report) -> str:
         f"({counts.get('unsound', 0)} unsound, {counts.get('crash', 0)} crash); "
         f"precision: {precision:.1f}% of independent runs parallelized"
     )
+    lines.append(
+        f"decision step: inspector reached {report.inspector_reached} time(s), "
+        f"BOUNDS-COMP {report.bounds_comp_reached} (executed seeds only)"
+    )
     hist = report.classification_histogram()
     if hist:
         top = ", ".join(f"{label} x{n}" for label, n in hist[:10])

@@ -39,6 +39,7 @@ import traceback
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
+from .. import profiling as _profiling
 from ..api.cache import JsonDiskCache
 from ..api.engine import Engine, EngineConfig
 from ..core.analyzer import LoopPlan
@@ -371,6 +372,11 @@ class FuzzReport:
 
     results: list = field(default_factory=list)
     elapsed_s: float = 0.0
+    #: array decisions of the executed (not cached) seeds that reached
+    #: the inspector's exact test / BOUNDS-COMP (the profiler counters
+    #: ``runtime.inspector_reached`` / ``runtime.bounds_comp_reached``)
+    inspector_reached: int = 0
+    bounds_comp_reached: int = 0
 
     @property
     def counts(self) -> dict:
@@ -431,11 +437,17 @@ def run_fuzz(
                              backend_jobs, chunk)
         return result
 
+    reach = ("runtime.inspector_reached", "runtime.bounds_comp_reached")
     started = time.perf_counter()
-    results = fuzz_engine().map_items(
-        one, range(seed_start, seed_start + seeds), jobs
-    )
-    return FuzzReport(results=results, elapsed_s=time.perf_counter() - started)
+    with _profiling.profiling(fresh=False):
+        before = _profiling.snapshot().counts
+        results = fuzz_engine().map_items(
+            one, range(seed_start, seed_start + seeds), jobs
+        )
+        after = _profiling.snapshot().counts
+    inspector, bounds = (after.get(name, 0) - before.get(name, 0) for name in reach)
+    return FuzzReport(results=results, elapsed_s=time.perf_counter() - started,
+                      inspector_reached=inspector, bounds_comp_reached=bounds)
 
 
 def format_fuzz_report(report: FuzzReport, verbose_failures: int = 5) -> str:

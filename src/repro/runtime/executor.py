@@ -45,6 +45,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .. import profiling as _profiling
 from ..core.analyzer import ArrayPlan, LoopPlan
 from ..ir.ast import AssignScalar, Do, If, Program, While
 from ..ir.interp import IterationRecord, LoopTrace, Machine, RunResult, copy_arrays
@@ -450,6 +451,7 @@ class HybridExecutor:
         analysis = self.plan.analysis
         if analysis is None or array not in analysis.summaries:
             return
+        _profiling.count("runtime.bounds_comp_reached")
         ls = analysis.summaries[array]
         run = kept_unit(self.program._lowered, ls, "bounds", lambda: usr_recurrence(
             ls.index, ls.lower, ls.upper, ls.per_iteration.rw))
@@ -468,6 +470,7 @@ class HybridExecutor:
         # HOIST-USR loops) or LRPD speculation, per the chosen strategy.
         usr = aplan.exact_usr if self.exact_strategy == "inspector" else None
         if usr is not None:
+            _profiling.count("runtime.inspector_reached")
             try:
                 results = [self.inspector.check_empty(usr, env) for env in envs]
             except (KeyError, TypeError, ValueError):

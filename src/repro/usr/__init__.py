@@ -3,7 +3,9 @@
 Nodes and exact evaluation (:mod:`.nodes`), smart constructors
 (:mod:`.build`), the Fig. 2 data-flow summary equations (:mod:`.dataflow`),
 the Section 3.4 reshaping transformations (:mod:`.reshape`), conditional
-LMAD estimates (:mod:`.estimate`) and BOUNDS-COMP (:mod:`.bounds`).
+LMAD estimates (:mod:`.estimate`), BOUNDS-COMP (:mod:`.bounds`), and the
+runtime decision step's USR evaluations as generated code (:mod:`.lower`,
+imported on first use: it builds on :mod:`repro.ir.lower`).
 """
 
 from .bounds import BoundsResult, bounds_overestimate, estimate_bounds

@@ -113,6 +113,16 @@ class TestFuzzDriverAndCache:
         assert "Differential fuzzing: 12 seed(s)" in text
         assert "soundness:" in text
         assert "classifications:" in text
+        assert "decision step: inspector reached" in text
+
+    @pytest.mark.parametrize("backend", ["sequential", "thread"])
+    def test_the_fuzz_reaches_the_inspector(self, backend):
+        """Seeds 0-49 send at least one array to the inspector's exact
+        test, so the fuzz legs exercise its generated code.  (They send
+        none to BOUNDS-COMP: not gated here.)"""
+        report = run_fuzz(seeds=50, jobs=2, backend=backend)
+        assert report.ok, format_fuzz_report(report)
+        assert report.inspector_reached >= 1
 
     def test_verdicts_are_cached_and_stable(self, tmp_path):
         cache = FuzzCache(str(tmp_path))

@@ -321,6 +321,16 @@ end
         assert 0.0 <= r.rtov(4, cost) < 1.0
 
 
+HISTOGRAM_SRC = """
+program h
+param N, K
+array H(K), V(N), IDX(N)
+main
+  do i = 1, N @ l
+    H[IDX[i]] = H[IDX[i]] + V[i]
+  end
+end
+"""
 LRPD_SRC = """
 program p
 param N
@@ -760,3 +770,32 @@ class TestGeneratedCode:
             lowered.append(profile.snapshot().calls.get("ir.lower", 0))
         assert lowered[0] == len(compiled.program._lowered) > 0
         assert lowered[1] == 0
+
+    @pytest.mark.parametrize("source, params, arrays, overhead", [
+        (HISTOGRAM_SRC, {"N": 40, "K": 8},
+         {"V": [1] * 40, "IDX": [i % 8 + 1 for i in range(40)]}, "bounds_overhead"),
+        (LRPD_SRC, {"N": 8}, LRPD_INDEPENDENT, "inspector_overhead"),
+    ], ids=["bounds-comp", "inspector"])
+    def test_a_second_execute_builds_and_lowers_nothing(
+        self, source, params, arrays, overhead
+    ):
+        """The decision step's USR code (BOUNDS-COMP's whole-loop
+        recurrence, the inspector's exact set) is built, lowered and
+        compiled on the first execute and kept with the program: the
+        second execute records no lowering and constructs no USR node."""
+        from repro.usr.nodes import _USR_INTERN
+
+        compiled = Engine(EngineConfig(use_disk_cache=False)).compile(source)
+        compiled.plan("l")
+        lowered, built, charged = [], [], []
+        for _ in range(2):
+            nodes = _USR_INTERN.hits + _USR_INTERN.misses
+            with profile.profiling():
+                report = compiled.execute("l", params, arrays, backend="sequential")
+            calls = profile.snapshot().calls
+            lowered.append(calls.get("usr.lower", 0) + calls.get("ir.lower", 0))
+            built.append(_USR_INTERN.hits + _USR_INTERN.misses - nodes)
+            charged.append(getattr(report, overhead))
+        assert lowered[0] > 0 and lowered[1] == 0
+        assert built[1] == 0
+        assert charged[0] > 0 and charged[1] > 0

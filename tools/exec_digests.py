@@ -32,9 +32,11 @@ The reports come out of Python code generated from each program
 
 generates the code of every unit ``Machine`` can compile for the 26
 paper programs, the kernel sources and the ``mix`` programs -- both
-variants, nothing executed -- and prints one sha256 over all of it; CI
-and ``tests/regression`` require the same line under ``PYTHONHASHSEED``
-0 and 1.
+variants, nothing executed -- and the decision step's USR units of every
+pinned plan (``repro.usr.lower``: the inspector's code for each
+exact-test USR, BOUNDS-COMP's for each array that needs it), and prints
+one sha256 over all of it; CI and ``tests/regression`` require the same
+line under ``PYTHONHASHSEED`` 0 and 1.
 """
 
 from __future__ import annotations
@@ -52,14 +54,12 @@ GOLDEN = ROOT / "tests" / "golden" / "exec_digests.json"
 JOBS = 2
 
 
-def items() -> tuple:
-    """``(runnable, skipped)``: every pinned execute as a
-    ``bench/benchinputs.Item``, split by whether its backend is
-    available in this environment."""
+def pinned() -> list:
+    """Every pinned execute as a ``bench/benchinputs.Item``."""
     from benchinputs import kernel_items, load_pool, paper_items
-    from repro.runtime.backends import BACKENDS, available_backends
+    from repro.runtime.backends import BACKENDS
 
-    every = (
+    return (
         paper_items()
         + [
             dataclasses.replace(item, name=f"{item.name}@{backend}", backend=backend)
@@ -68,6 +68,14 @@ def items() -> tuple:
         ]
         + kernel_items(0, quick=True)
     )
+
+
+def items() -> tuple:
+    """``(runnable, skipped)``: :func:`pinned`, split by whether each
+    item's backend is available in this environment."""
+    from repro.runtime.backends import available_backends
+
+    every = pinned()
     usable = available_backends()
     return (
         [item for item in every if item.backend in usable],
@@ -135,6 +143,36 @@ def generated_units(program):
                 pending.append(const)
 
 
+def decision_units():
+    """``Lowered`` for the runtime USRs of every pinned plan, in item
+    order: the inspector's unit of each exact-test USR, BOUNDS-COMP's of
+    each array that needs it (the whole-loop recurrence the executor
+    builds).  Plans are made, nothing is executed."""
+    from repro.api import Engine, EngineConfig
+    from repro.usr import usr_recurrence
+    from repro.usr.lower import lower_usr
+
+    engine = Engine(EngineConfig(use_disk_cache=False))
+    seen = set()
+    try:
+        for item in pinned():
+            key = (item.source, item.loop, tuple(sorted(item.options.items())))
+            if key in seen:
+                continue
+            seen.add(key)
+            plan = engine.compile(item.source).plan(item.loop, **item.options)
+            summaries = plan.analysis.summaries if plan.analysis else {}
+            for array, aplan in plan.arrays.items():
+                if aplan.exact_usr is not None:
+                    yield lower_usr(aplan.exact_usr, "inspect")
+                if aplan.needs_bounds_comp and array in summaries:
+                    ls = summaries[array]
+                    yield lower_usr(usr_recurrence(
+                        ls.index, ls.lower, ls.upper, ls.per_iteration.rw), "bounds")
+    finally:
+        engine.close()
+
+
 def lowered_line() -> str:
     """One line naming the generated code of every pinned program."""
     from benchinputs import kernel_items, load_pool
@@ -151,11 +189,13 @@ def lowered_line() -> str:
         for source in sources
         for unit in generated_units(parse_program(source))
     ]
-    for text in texts:
+    decisions = [unit.source for unit in decision_units()]
+    for text in texts + decisions:
         compile(text, "<lowered>", "exec")
-    lines = sum(text.count("\n") for text in texts)
+    lines = sum(text.count("\n") for text in texts + decisions)
     return (f"exec-digests: lowered {len(sources)} programs to {len(texts)} "
-            f"functions, {lines} lines, sha256 {_sha(''.join(texts))}")
+            f"functions and the pinned plans' runtime USRs to {len(decisions)}, "
+            f"{lines} lines, sha256 {_sha(''.join(texts + decisions))}")
 
 
 def main(argv=None) -> int:
