@@ -414,12 +414,13 @@ def test_generated_evaluators_agree_with_the_tree_walks(spec, env_spec):
 def bound_envs(least):
     return st.fixed_dictionaries({
         "N": st.integers(least, 5), "M": st.integers(least, 5),
+        "i": st.integers(least, 3), "j": st.integers(least, 3),
         "B": st.lists(st.integers(-3, 6), min_size=6, max_size=6),
         "C": st.sampled_from(sorted(CALLABLES)).map(lambda n: {"callable": n}),
     })
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(usrs(), bound_envs(-1))
 def test_they_agree_where_every_name_is_bound(spec, env_spec):
     """Mostly-successful evaluations: the sets, costs and bounds
