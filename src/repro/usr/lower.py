@@ -58,6 +58,12 @@ MODES = ("inspect", "bounds")
 #: unit of its own (CPython refuses 100 indentation levels)
 _MAX_DEPTH = 10
 
+#: a node of at least this many tree nodes, outside every recurrence,
+#: becomes a unit of its own, written once however often the (DAG-shaped)
+#: USR repeats it: the exact-test USRs repeat most of their subtrees, so
+#: their text, and the memory compiling it takes, shrink several-fold
+_UNIT_NODES = 12
+
 #: a one-subscript array read whose subscript's source is longer than
 #: this calls ``aref`` instead of testing for a list inline (the inline
 #: form writes the subscript twice)
@@ -150,9 +156,11 @@ def _plus(*terms) -> str:
 
 
 class _UsrEmitter(Emitter):
-    def __init__(self, mode: str):
+    def __init__(self, root: USR, mode: str, units: dict):
         super().__init__("E")
+        self.root = root
         self.mode = mode
+        self.units = units  # id(node) -> (node, its unit, its source), shared by nested emitters
         self.names: list = []  # environment names, in order of first use
         self.scope: dict = {}  # recurrence index -> its loop's local
 
@@ -164,6 +172,19 @@ class _UsrEmitter(Emitter):
         if name not in self.names:
             self.names.append(name)
         return f"e{self.names.index(name)}", False
+
+    def unit(self, node: USR) -> Optional[str]:
+        """``K[n]``, *node*'s own unit, when *node* is written as a call
+        to one: too deep to write inline, or large and outside every
+        recurrence; else ``None``."""
+        if self.indent <= _MAX_DEPTH and (
+            self.scope or node is self.root or node.node_count() < _UNIT_NODES
+        ):
+            return None
+        entry = self.units.get(id(node))
+        if entry is None:
+            entry = self.units[id(node)] = (node,) + _compile(node, self.mode, self.units)
+        return self.const(entry[1])
 
     def env(self) -> str:
         """``E`` with the enclosing recurrences' indices bound, as the
@@ -274,9 +295,10 @@ class _UsrEmitter(Emitter):
 
     # -- "inspect": the exact set and its cost -----------------------------
     def exact(self, node: USR) -> _Part:
-        if self.indent > _MAX_DEPTH:
+        unit = self.unit(node)
+        if unit is not None:
             s, c = self.temp(), self.temp()
-            self.emit(f"{s}, {c} = {self.const(compile_usr(node, self.mode))}({self.env()})")
+            self.emit(f"{s}, {c} = {unit}({self.env()})")
             return _Part(s, None, c, 0)
         kind = type(node)
         if kind is Leaf:
@@ -309,7 +331,7 @@ class _UsrEmitter(Emitter):
         if kind is Recurrence:
             return self.exact_recurrence(node)
         self.emit(f"raise TypeError({f'unknown USR node {node!r}'!r})")
-        return _Part("set()", None, None, 0)
+        return _Part(self.pin("set()"), None, None, 0)
 
     def part(self, s: str, *terms) -> _Part:
         """A node's part: set *s*, cost the sum of *terms* (sources and
@@ -383,38 +405,42 @@ class _UsrEmitter(Emitter):
 
     def exact_recurrence(self, node: Recurrence) -> _Part:
         steps = self.pin(f"range({self.expr(node.lower)}, {self.expr(node.upper)} + 1)")
-        s = self.pin("set()")
-        cost = None
-        mark = len(self.lines)
-        body, outer = self.loop(node, steps)
-        if body.point is not None:
-            self.emit(f"{s}.add({body.point})")
-        else:
+        s, cost = self.pin("set()"), self.temp()
+        bodies = []
+
+        def consume(body: _Part) -> None:
+            bodies.append(body)
+            if body.point is not None:
+                self.emit(f"{s}.add({body.point})")
+                return
             self.emit(f"{s} |= {body.set}")
             if body.cost_var is not None:
-                cost = self.temp()
-                self.lines.insert(mark, (self.indent - 1, f"{cost} = 0"))
                 self.emit(f"{cost} += {body.cost_var}")
-        self.indent -= 1
-        self.scope_exit(node, outer)
-        per_step = body.cost_const + 1
-        if cost is None:
-            return _Part(s, None, self.pin(f"{per_step} * len({steps})"), 0)
-        self.emit(f"{cost} += {per_step} * len({steps})")
+
+        mark = len(self.lines)
+        self.loop(node, steps, consume)
+        per_step = bodies[0].cost_const + 1  # the body's constant cost, and the step's
+        if bodies[0].cost_var is None:
+            self.emit(f"{cost} = {per_step} * len({steps})")
+        else:
+            self.lines.insert(mark, (self.indent, f"{cost} = 0"))
+            self.emit(f"{cost} += {per_step} * len({steps})")
         return _Part(s, None, cost, 0)
 
-    def loop(self, node: Recurrence, steps: str):
-        """Open ``for <local> in <steps>:`` binding *node*'s index and emit
-        its body inside; the caller closes it (:meth:`scope_exit`)."""
+    def loop(self, node: Recurrence, steps: str, consume: Optional[Callable] = None) -> None:
+        """``for <local> in <steps>:`` with *node*'s index bound to the
+        local and its body inside, in ``"inspect"`` mode handed to
+        *consume* (which writes what the step does with it)."""
         local = self.temp()
         self.emit(f"for {local} in {steps}:")
         self.indent += 1
         outer = self.scope.get(node.index)
         self.scope[node.index] = local
-        body = (self.exact if self.mode == "inspect" else self.bounds)(node.body)
-        return body, outer
-
-    def scope_exit(self, node: Recurrence, outer: Optional[str]) -> None:
+        if self.mode == "inspect":
+            consume(self.exact(node.body))
+        else:
+            self.bounds(node.body)
+        self.indent -= 1
         if outer is None:
             del self.scope[node.index]
         else:
@@ -424,9 +450,9 @@ class _UsrEmitter(Emitter):
     def bounds(self, node: USR) -> None:
         """Fold the overestimated *node*'s bounds into ``L``/``H`` and its
         recurrence steps into ``n``."""
-        if self.indent > _MAX_DEPTH:
+        unit = self.unit(node)
+        if unit is not None:
             lo, hi, steps = self.temp(), self.temp(), self.temp()
-            unit = self.const(compile_usr(node, self.mode))
             self.emit(f"{lo}, {hi}, {steps} = {unit}({self.env()})")
             self.emit(f"n += {steps}")
             self.emit(f"if {lo} is not None:")
@@ -452,11 +478,9 @@ class _UsrEmitter(Emitter):
             steps = self.pin(f"range({self.expr(node.lower)}, {self.expr(node.upper)} + 1)")
             self.emit(f"n += len({steps})")
             mark = len(self.lines)
-            _, outer = self.loop(node, steps)
+            self.loop(node, steps)
             if len(self.lines) == mark + 1:  # a body with nothing to do
                 self.lines.pop()
-            self.indent -= 1
-            self.scope_exit(node, outer)
         else:
             self.emit(f"raise TypeError({f'unknown USR node {node!r}'!r})")
 
@@ -498,12 +522,14 @@ class _UsrEmitter(Emitter):
         self.emit(f"    if {hi} > H: H = {hi}")
 
 
-def lower_usr(usr: USR, mode: str) -> Lowered:
+def lower_usr(usr: USR, mode: str, units: Optional[dict] = None) -> Lowered:
     """*usr*'s evaluation in *mode* (one of :data:`MODES`) as the source
-    of ``def run(E)``."""
+    of ``def run(E)``.  The units it calls (``K``) are compiled here and
+    entered in *units* as ``id(node) -> (node, run, source)``, in the
+    order they are first called."""
     if mode not in MODES:
         raise ValueError(f"unknown USR unit mode {mode!r}")
-    emitter = _UsrEmitter(mode)
+    emitter = _UsrEmitter(usr, mode, {} if units is None else units)
     if mode == "inspect":
         part = emitter.exact(usr)
         emitter.emit(f"return {part.as_set()}, {_plus(part.cost_var, part.cost_const)}")
@@ -516,18 +542,23 @@ def lower_usr(usr: USR, mode: str) -> Lowered:
     return Lowered(emitter.source(head), tuple(emitter.consts), None)
 
 
-@_profiling.timed("usr.lower")
 def compile_usr(usr: USR, mode: str) -> Callable:
     """*usr*'s unit in *mode*, compiled: ``run(E)``.  An ``"inspect"``
     unit carries ``names``, the USR's free symbols sorted (what the
     inspector's memo keys on)."""
-    lowered = lower_usr(usr, mode)
-    namespace = dict(_GLOBALS, K=lowered.consts)
-    exec(compile(lowered.source, "<usr-lowered>", "exec"), namespace)
-    run = namespace["run"]
+    run = _compile(usr, mode, {})[0]
     if mode == "inspect":
         run.names = tuple(sorted(usr.free_symbols()))
     return run
+
+
+@_profiling.timed("usr.lower")
+def _compile(usr: USR, mode: str, units: dict) -> tuple:
+    """(``run``, its source)."""
+    lowered = lower_usr(usr, mode, units)
+    namespace = dict(_GLOBALS, K=lowered.consts)
+    exec(compile(lowered.source, "<usr-lowered>", "exec"), namespace)
+    return namespace["run"], lowered.source
 
 
 def kept_unit(table: dict, owner, mode: str, build: Callable[[], USR]) -> Callable:

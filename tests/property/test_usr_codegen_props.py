@@ -501,53 +501,38 @@ def test_corpus_counterexamples_agree():
 # -- the runtime USRs of the pinned plans -------------------------------------
 
 
-def _pinned_runtime_usrs():
-    """(name, kind, USR, entry environments) for every exact-test USR and
-    BOUNDS-COMP summary of the plans ``tools/exec_digests.py`` pins."""
+def _digest_tools():
+    """``tools/exec_digests.py``, importable (it reads ``bench/``'s loaders)."""
     import sys
 
     root = Path(__file__).parents[2]
     for path in (root / "tools", root / "bench"):
         if str(path) not in sys.path:
             sys.path.insert(0, str(path))
-    from exec_digests import items
+    import exec_digests
 
-    from repro.api import Engine, EngineConfig
+    return exec_digests
+
+
+def _pinned_runtime_usrs():
+    """(name, mode, USR, entry environments) for every runtime USR of the
+    plans ``tools/exec_digests.py`` pins."""
     from repro.runtime.executor import HybridExecutor
-    from repro.usr import usr_recurrence
 
-    engine = Engine(EngineConfig(use_disk_cache=False))
-    runnable, _ = items()
-    seen = set()
+    tools = _digest_tools()
     out = []
-    try:
-        for item in runnable:
-            key = (item.source, item.loop, tuple(sorted(item.options.items())))
-            if key in seen:
-                continue
-            seen.add(key)
-            compiled = engine.compile(item.source)
-            plan = compiled.plan(item.loop, **item.options)
-            usrs = []
-            for array, aplan in plan.arrays.items():
-                if aplan.exact_usr is not None:
-                    usrs.append((f"{item.name}/{array}", "exact", aplan.exact_usr))
-                summaries = plan.analysis.summaries if plan.analysis else {}
-                if aplan.needs_bounds_comp and array in summaries:
-                    ls = summaries[array]
-                    usrs.append((f"{item.name}/{array}", "bounds", usr_recurrence(
-                        ls.index, ls.lower, ls.upper, ls.per_iteration.rw)))
-            if not usrs:
-                continue
-            executor = HybridExecutor(compiled.program, plan)
-            try:
-                entries, _ = executor._capture(item.params, item.arrays)
-            except Exception:  # the execute itself fails: nothing reaches the USRs
-                continue
-            envs = [entry.env(plan) for entry in entries]
-            out += [(name, kind, usr, envs) for name, kind, usr in usrs]
-    finally:
-        engine.close()
+    for item, compiled, plan in tools.distinct_plans(tools.pinned()):
+        usrs = list(tools.runtime_usrs(plan))
+        if not usrs:
+            continue
+        try:
+            entries, _ = HybridExecutor(compiled.program, plan)._capture(
+                item.params, item.arrays)
+        except Exception:  # the execute itself fails: nothing reaches the USRs
+            continue
+        envs = [entry.env(plan) for entry in entries]
+        out += [(f"{item.name}/{array}", mode, usr, envs)
+                for array, mode, usr in usrs]
     return out
 
 
@@ -562,12 +547,12 @@ def _pinned():
 
 def test_every_pinned_runtime_usr_agrees_on_its_entry_environments():
     pinned = _pinned()
-    kinds = [kind for _, kind, _, _ in pinned]
+    modes = [mode for _, mode, _, _ in pinned]
     # 32 exact-test USRs and 18 BOUNDS-COMP summaries across 131 plans
-    assert kinds.count("exact") >= 30 and kinds.count("bounds") >= 15
-    for name, kind, usr, envs in pinned:
+    assert modes.count("inspect") >= 30 and modes.count("bounds") >= 15
+    for name, mode, usr, envs in pinned:
         for env in envs:
-            if kind == "exact":
+            if mode == "inspect":
                 assert outcome(evaluate_usr_cost, usr, env) == outcome(
                     reference_usr_cost, usr, env), name
             assert outcome(library_bounds, usr, env) == outcome(
@@ -582,48 +567,26 @@ def _bounds_comp_cases(quick=True):
     plan with ``needs_bounds_comp`` (and, with ``quick=False``, of the
     bench-size kernels): the locations come from the loop's
     ``Machine.trace_loop`` records (writes and exposed reads)."""
-    import sys
-
-    root = Path(__file__).parents[2]
-    for path in (root / "tools", root / "bench"):
-        if str(path) not in sys.path:
-            sys.path.insert(0, str(path))
-    from benchinputs import kernel_items
-    from exec_digests import items
-
-    from repro.api import Engine, EngineConfig
     from repro.runtime.executor import HybridExecutor
-    from repro.usr import usr_recurrence
 
-    runnable = items()[0] if quick else kernel_items(0)
-    engine = Engine(EngineConfig(use_disk_cache=False))
-    seen = set()
-    try:
-        for item in runnable:
-            key = (item.source, item.loop, tuple(sorted(item.options.items())))
-            if key in seen:
-                continue
-            seen.add(key)
-            compiled = engine.compile(item.source)
-            plan = compiled.plan(item.loop, **item.options)
-            summaries = plan.analysis.summaries if plan.analysis else {}
-            arrays = [a for a, p in plan.arrays.items()
-                      if p.needs_bounds_comp and a in summaries]
-            if not arrays:
-                continue
-            executor = HybridExecutor(compiled.program, plan)
-            entries, _ = executor._capture(item.params, item.arrays, recording=True)
-            for array in arrays:
-                ls = summaries[array]
-                total = usr_recurrence(ls.index, ls.lower, ls.upper, ls.per_iteration.rw)
-                for entry in entries:
-                    touched = set()
-                    for record in entry.records:
-                        touched |= record.writes.get(array, set())
-                        touched |= record.exposed_reads.get(array, set())
-                    yield item.name, array, estimate_bounds(total, entry.env(plan)), touched
-    finally:
-        engine.close()
+    tools = _digest_tools()
+    from benchinputs import kernel_items
+
+    every = tools.pinned() if quick else kernel_items(0)
+    for item, compiled, plan in tools.distinct_plans(every):
+        bounded = [(array, usr) for array, mode, usr in tools.runtime_usrs(plan)
+                   if mode == "bounds"]
+        if not bounded:
+            continue
+        entries, _ = HybridExecutor(compiled.program, plan)._capture(
+            item.params, item.arrays, recording=True)
+        for array, usr in bounded:
+            for entry in entries:
+                touched = set()
+                for record in entry.records:
+                    touched |= record.writes.get(array, set())
+                    touched |= record.exposed_reads.get(array, set())
+                yield item.name, array, estimate_bounds(usr, entry.env(plan)), touched
 
 
 @pytest.mark.parametrize("quick", [True, False], ids=["pinned-plans", "bench-kernels"])

@@ -143,34 +143,52 @@ def generated_units(program):
                 pending.append(const)
 
 
-def decision_units():
-    """``Lowered`` for the runtime USRs of every pinned plan, in item
-    order: the inspector's unit of each exact-test USR, BOUNDS-COMP's of
-    each array that needs it (the whole-loop recurrence the executor
-    builds).  Plans are made, nothing is executed."""
+def distinct_plans(every: list):
+    """``(item, compiled program, plan)`` for each distinct (program,
+    loop, options) of *every*, in item order, through one fresh engine."""
     from repro.api import Engine, EngineConfig
-    from repro.usr import usr_recurrence
-    from repro.usr.lower import lower_usr
 
     engine = Engine(EngineConfig(use_disk_cache=False))
     seen = set()
     try:
-        for item in pinned():
+        for item in every:
             key = (item.source, item.loop, tuple(sorted(item.options.items())))
-            if key in seen:
-                continue
-            seen.add(key)
-            plan = engine.compile(item.source).plan(item.loop, **item.options)
-            summaries = plan.analysis.summaries if plan.analysis else {}
-            for array, aplan in plan.arrays.items():
-                if aplan.exact_usr is not None:
-                    yield lower_usr(aplan.exact_usr, "inspect")
-                if aplan.needs_bounds_comp and array in summaries:
-                    ls = summaries[array]
-                    yield lower_usr(usr_recurrence(
-                        ls.index, ls.lower, ls.upper, ls.per_iteration.rw), "bounds")
+            if key not in seen:
+                seen.add(key)
+                compiled = engine.compile(item.source)
+                yield item, compiled, compiled.plan(item.loop, **item.options)
     finally:
         engine.close()
+
+
+def runtime_usrs(plan):
+    """``(array, mode, USR)`` for every USR the executor evaluates before
+    *plan*'s loop: each exact-test USR (``"inspect"``) and, for each array
+    that needs BOUNDS-COMP, the whole-loop recurrence it builds
+    (``"bounds"``)."""
+    from repro.usr import usr_recurrence
+
+    summaries = plan.analysis.summaries if plan.analysis else {}
+    for array, aplan in plan.arrays.items():
+        if aplan.exact_usr is not None:
+            yield array, "inspect", aplan.exact_usr
+        if aplan.needs_bounds_comp and array in summaries:
+            ls = summaries[array]
+            yield array, "bounds", usr_recurrence(
+                ls.index, ls.lower, ls.upper, ls.per_iteration.rw)
+
+
+def decision_units():
+    """The source of every decision unit of every pinned plan's runtime
+    USRs, in item order, each USR's own unit before the units it calls.
+    Plans are made, nothing is executed."""
+    from repro.usr.lower import lower_usr
+
+    for _, _, plan in distinct_plans(pinned()):
+        for _, mode, usr in runtime_usrs(plan):
+            units: dict = {}
+            yield lower_usr(usr, mode, units).source
+            yield from (source for _, _, source in units.values())
 
 
 def lowered_line() -> str:
@@ -189,12 +207,13 @@ def lowered_line() -> str:
         for source in sources
         for unit in generated_units(parse_program(source))
     ]
-    decisions = [unit.source for unit in decision_units()]
+    decisions = list(decision_units())
     for text in texts + decisions:
         compile(text, "<lowered>", "exec")
     lines = sum(text.count("\n") for text in texts + decisions)
     return (f"exec-digests: lowered {len(sources)} programs to {len(texts)} "
-            f"functions and the pinned plans' runtime USRs to {len(decisions)}, "
+            f"functions and the pinned plans' runtime USRs to {len(decisions)} "
+            f"decision units, "
             f"{lines} lines, sha256 {_sha(''.join(texts + decisions))}")
 
 
