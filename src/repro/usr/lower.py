@@ -29,10 +29,12 @@ arrays are called as often, with the same subscripts.
 Expressions (:meth:`_UsrEmitter.expr`) and predicates
 (:meth:`_UsrEmitter.cond`) are lowered once, for both modes.  The text
 is written with :class:`~repro.ir.lower.Emitter`'s plumbing, from tuples
-in the USR's order, so it is the same under every hash seed.  Units
-nested deeper than ``_MAX_DEPTH`` blocks call a unit of their own
+in the USR's order, so it is the same under every hash seed.  A node
+nested deeper than ``_MAX_DEPTH`` blocks calls a unit of its own
 (``K[n]``) with the enclosing recurrences' indices bound in a copy of
-``E``.
+``E``; so does a subtree of ``_UNIT_NODES`` or more outside every
+recurrence, compiled once however often the USR (a DAG the walk
+expanded into a tree) repeats it.  Every occurrence is still evaluated.
 
 :func:`kept_unit` keeps a unit in a caller's table -- the executor's
 ``Program._lowered`` -- so a plan's units are generated on its first

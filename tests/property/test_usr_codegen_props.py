@@ -536,17 +536,8 @@ def _pinned_runtime_usrs():
     return out
 
 
-_PINNED = []
-
-
-def _pinned():
-    if not _PINNED:
-        _PINNED.extend(_pinned_runtime_usrs())
-    return _PINNED
-
-
 def test_every_pinned_runtime_usr_agrees_on_its_entry_environments():
-    pinned = _pinned()
+    pinned = _pinned_runtime_usrs()
     modes = [mode for _, mode, _, _ in pinned]
     # 32 exact-test USRs and 18 BOUNDS-COMP summaries across 131 plans
     assert modes.count("inspect") >= 30 and modes.count("bounds") >= 15
