@@ -215,3 +215,81 @@ class TestServeLoadgenCli:
             main(["serve", "--workers", "0"])
         with pytest.raises(SystemExit):
             main(["serve", "--max-inflight", "0"])
+
+
+# One rejected value per range or consistency rule of the CLI: each must be
+# a usage error (exit 2) raised before anything starts.  `serve` cases run
+# in a child with a timeout, because a value that slips through starts a
+# server that blocks (and, on the multiproc topology, backend processes).
+_USAGE_ERRORS = [
+    ["batch", "--benchmark", "nope", "--no-cache"],
+    ["analyze", "missing.loop", "--loop", "L"],
+    ["analyze", "-", "--loop", "nope", "--no-cache"],
+    ["fuzz", "--seeds", "0"],
+    ["fuzz", "--backend", "nope"],
+    ["serve", "--workers", "0"],
+    ["serve", "--topology", "multiproc", "--queue-depth", "5"],
+    ["serve", "--topology", "multiproc", "--max-inflight", "5"],
+    ["serve", "--topology", "multiproc", "--adaptive-admission"],
+    ["serve", "--topology", "multiproc", "--backends", "0"],
+    ["serve", "--topology", "multiproc", "--replicas", "0"],
+    ["serve", "--topology", "multiproc", "--backend-workers", "0"],
+    ["serve", "--topology", "multiproc", "--hot-rps", "0"],
+    ["serve", "--queue-depth", "0"],
+    ["serve", "--max-inflight", "0"],
+    ["serve", "--trace-sample", "2"],
+    ["top", "--interval", "0"],
+    ["top", "--frames", "-1"],
+    ["top", "--history", "-1"],
+    ["trace", "--limit", "0"],
+    ["loadgen", "--clients", "0"],
+    ["loadgen", "--requests", "0"],
+    ["loadgen", "--mode", "open", "--rate", "0"],
+    ["loadgen", "--analyze-fraction", "2"],
+    ["loadgen", "--zipf-s", "0"],
+    ["loadgen", "--multiplex", "0"],
+    ["loadgen", "--multiplex", "2", "--mode", "open", "--rate", "1"],
+]
+
+
+def _usage_exit_code_in_child(argv, tmp_path):
+    import os
+    import signal
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+    child = subprocess.Popen(
+        [sys.executable, "-m", "repro.evaluation", *argv,
+         "--port", "0", "--no-cache"],
+        cwd=tmp_path, env=env, start_new_session=True,
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+    )
+    try:
+        _, err = child.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(child.pid, signal.SIGKILL)
+        child.communicate()
+        pytest.fail(f"{argv} was accepted and started a server")
+    assert b"error:" in err
+    return child.returncode
+
+
+@pytest.mark.parametrize(
+    "argv", _USAGE_ERRORS, ids=[" ".join(a) for a in _USAGE_ERRORS]
+)
+def test_every_usage_error_exits_2(argv, tmp_path, monkeypatch):
+    import io
+
+    if argv[0] == "serve":
+        assert _usage_exit_code_in_child(argv, tmp_path) == 2
+        return
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("sys.stdin", io.StringIO(TestAnalyzeCli.SOURCE))
+    with pytest.raises(SystemExit) as usage:
+        main(argv)
+    assert usage.value.code == 2
