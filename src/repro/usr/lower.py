@@ -487,28 +487,15 @@ class _UsrEmitter(Emitter):
             self.emit(f"raise TypeError({f'unknown USR node {node!r}'!r})")
 
     def bounds_dims(self, base: str, pairs: list) -> None:
-        """Widen by the LMAD whose checked dimensions are *pairs*: a
-        dimension of non-negative stride extends it upward by its span, a
-        negative one moves its base down by the span."""
-        extent = self.pin("0") if any(
-            not stride.is_constant() for _, _, stride in pairs) else None
-        spans = []
+        """Widen by the LMAD whose checked dimensions are *pairs*: each
+        dimension extends it by its span, upward for a non-negative
+        stride and downward (moving its base) for a negative one."""
         for d, s, stride in pairs:
             if not stride.is_constant():
-                self.emit(f"if {d} >= 0: {extent} += {s}")
-                self.emit(f"else: {base} -= {s}")
+                self.emit(f"if {d} < 0: {base} -= {s}")
             elif stride.constant_value() < 0:
                 self.emit(f"{base} -= {s}")
-            elif extent is None:
-                spans.append(s)
-            else:
-                self.emit(f"{extent} += {s}")
-        if extent is not None:
-            spans = [extent]
-        if spans:
-            self.widen(base, self.pin(f"{base} + {' + '.join(spans)}"))
-        else:
-            self.widen(base)
+        self.widen(base, self.pin(f"{base} + {' + '.join(s for _, s, _ in pairs)}"))
 
     def widen(self, lo: str, hi: Optional[str] = None) -> None:
         """``L``/``H`` widened to take in ``[lo, hi]`` (``hi`` defaults to
