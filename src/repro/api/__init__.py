@@ -1,6 +1,6 @@
 """repro.api: the stable, cached, concurrent entry point to the pipeline.
 
-Instead of hand-composing ``parse_program`` + ``analyze_loop`` +
+Instead of hand-composing ``parse_program`` + ``HybridAnalyzer`` +
 ``HybridExecutor`` (with per-call-site caching and threading glue),
 consumers create one long-lived :class:`Engine` and go through it::
 
@@ -22,10 +22,9 @@ consumers create one long-lived :class:`Engine` and go through it::
 The engine owns the interning/memo layers' warm state, the persistent
 disk cache (:class:`AnalysisCache` over :class:`JsonDiskCache`) and the
 worker pool (:func:`parallel_map`), so cache policy and concurrency
-live in one place.  ``repro.core.analyze_loop`` and direct
-``HybridExecutor`` construction remain as deprecated shims that
-delegate to :func:`default_engine`; see ``docs/API.md`` for the
-lifecycle, schemas and deprecation policy.
+live in one place.  Direct ``HybridExecutor`` construction remains as
+a deprecated shim; see ``docs/API.md`` for the lifecycle, schemas and
+deprecation policy.
 """
 
 from .cache import CACHE_VERSION, DEFAULT_CACHE_DIR, JsonDiskCache, parallel_map

@@ -1,6 +1,6 @@
 """The Engine facade: one long-lived, thread-safe entry point.
 
-Every consumer used to re-stitch ``parse_program`` + ``analyze_loop`` +
+Every consumer used to re-stitch ``parse_program`` + ``HybridAnalyzer`` +
 ``HybridExecutor`` by hand, with its own caching and threading glue.
 The engine owns all of that in one place:
 

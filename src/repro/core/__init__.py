@@ -7,7 +7,7 @@ hybrid loop analyzer.
 :mod:`.analyzer` the Section 5 classification/planning driver.
 """
 
-from .analyzer import ArrayPlan, HybridAnalyzer, LoopPlan, analyze_loop
+from .analyzer import ArrayPlan, HybridAnalyzer, LoopPlan
 from .codegen import RuntimeTest, TestSchedule, format_schedule, generate_schedule
 from .factor import FactorContext, disjoint, factor, included
 from .independence import (
@@ -25,6 +25,6 @@ __all__ = [
     "match_self_overlap", "monotonicity_predicate",
     "flow_independence_usr", "output_independence_usr",
     "rw_self_overlap_usr", "static_last_value_usr", "independence_predicate",
-    "ArrayPlan", "LoopPlan", "HybridAnalyzer", "analyze_loop",
+    "ArrayPlan", "LoopPlan", "HybridAnalyzer",
     "RuntimeTest", "TestSchedule", "generate_schedule", "format_schedule",
 ]

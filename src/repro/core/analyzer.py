@@ -42,7 +42,7 @@ from .independence import (
     static_last_value_usr,
 )
 
-__all__ = ["ArrayPlan", "LoopPlan", "HybridAnalyzer", "analyze_loop"]
+__all__ = ["ArrayPlan", "LoopPlan", "HybridAnalyzer"]
 
 
 @dataclass
@@ -482,18 +482,3 @@ class HybridAnalyzer:
         else:
             result = (build_cascade(pred), False, False)
         return _CASCADE_MEMO.put(key, result)
-
-
-def analyze_loop(program: Program, label: str, **kwargs) -> LoopPlan:
-    """Analyze one labelled loop of *program*.
-
-    .. deprecated::
-        Thin shim kept for existing call sites; it delegates to the
-        process-wide :func:`repro.api.default_engine`, so repeated calls
-        share the engine's compiled-program and plan memos.  New code
-        should hold an :class:`repro.api.Engine` and use
-        ``engine.compile(source).plan(label)`` directly.
-    """
-    from ..api import default_engine
-
-    return default_engine().compile(program).plan(label, **kwargs)

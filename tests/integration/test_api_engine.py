@@ -20,7 +20,6 @@ from repro.api import (
     ExecuteRequest,
     default_engine,
 )
-from repro.core import analyze_loop
 from repro.evaluation import cli
 from repro.fuzz import generate_case, run_fuzz
 
@@ -187,14 +186,6 @@ def test_fuzz_verdicts_race_free_across_thread_counts():
     key = lambda r: (r.seed, r.outcome, r.classification, r.parallel)
     assert [key(r) for r in one.results] == [key(r) for r in two.results]
     assert one.ok and two.ok
-
-
-def test_analyze_loop_shim_delegates_to_default_engine():
-    program = default_engine().parse(SOURCE)
-    plan = analyze_loop(program, "copy")
-    # the shim shares the default engine's plan memo
-    assert analyze_loop(program, "copy") is plan
-    assert plan is default_engine().compile(program).plan("copy")
 
 
 def test_cli_analyze_emits_stable_json(tmp_path, capsys):

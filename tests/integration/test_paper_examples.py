@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import HybridAnalyzer, analyze_loop
+from repro.api import default_engine
+from repro.core import HybridAnalyzer
 from repro.ir import parse_program
 from repro.runtime import CostModel, HybridExecutor
 from repro.workloads import get_benchmark
@@ -75,7 +76,7 @@ main
 end
 """
         prog = parse_program(src)
-        plan = analyze_loop(prog, "l")
+        plan = default_engine().compile(prog).plan("l")
         he = plan.arrays["HE"]
         cascade = he.output if he.output is not None else he.flow
         assert cascade is not None
@@ -100,7 +101,7 @@ main
 end
 """
         prog = parse_program(src)
-        plan = analyze_loop(prog, "l")
+        plan = default_engine().compile(prog).plan("l")
         rred = plan.arrays["A"].rred
         assert rred is not None
         mono = {"N": 4, "B": [1, 5, 9, 13] + [0] * 60, "W": [1] * 64,

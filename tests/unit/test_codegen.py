@@ -1,6 +1,7 @@
 """Unit tests for the Section 5 test-schedule generation."""
 
-from repro.core import HybridAnalyzer, analyze_loop
+from repro.api import default_engine
+from repro.core import HybridAnalyzer
 from repro.core.codegen import format_schedule, generate_schedule
 from repro.ir import parse_program
 from repro.workloads import get_benchmark
@@ -8,7 +9,7 @@ from repro.workloads import get_benchmark
 
 def _plan(body, decls="param N, K1, K2\narray A(512), B(512)"):
     prog = parse_program(f"program t\n{decls}\n\nmain\n{body}\nend\n")
-    return analyze_loop(prog, "l")
+    return default_engine().compile(prog).plan("l")
 
 
 class TestSchedule:
@@ -116,7 +117,7 @@ class TestSchedule:
                 "    A[K1 + i] = A[K2 + i] + B[i]\n"
                 "  end\nend\nend\n"
             )
-            return generate_schedule(analyze_loop(prog, "l"))
+            return generate_schedule(default_engine().compile(prog).plan("l"))
 
         warm = build()
         clear_caches()

@@ -7,7 +7,7 @@ import copy
 
 import pytest
 
-from repro.core import analyze_loop
+from repro.api import default_engine
 from repro.ir import Machine, parse_program
 from repro.runtime import HybridExecutor
 
@@ -19,7 +19,7 @@ def _program(body, decls="param N\narray A(32), B(32)"):
 def _execute(program, label="l", params=None, arrays=None, **kwargs):
     params = params or {"N": 0}
     arrays = arrays or {}
-    plan = analyze_loop(program, label)
+    plan = default_engine().compile(program).plan(label)
     executor = HybridExecutor(program, plan, **kwargs)
     return executor.run(params, copy.deepcopy(arrays))
 
@@ -113,6 +113,6 @@ class TestExecutorDegenerate:
     def test_degenerate_analysis_classifies(self):
         # Classification must not crash on empty bodies either.
         prog = _program("do i = 1, N @ l\nend\n")
-        plan = analyze_loop(prog, "l")
+        plan = default_engine().compile(prog).plan("l")
         assert plan.classification() == "STATIC-PAR"
         assert plan.arrays == {}

@@ -9,8 +9,7 @@ import threading
 
 import pytest
 
-from repro.api import Engine, EngineConfig
-from repro.core import analyze_loop
+from repro.api import Engine, EngineConfig, default_engine
 from repro.evaluation import profile
 from repro.fuzz import generate_case, run_case
 from repro.ir import parse_program
@@ -163,7 +162,7 @@ end
 class TestExecutor:
     def test_parallel_correct(self):
         prog = _build(EXEC_SRC)
-        plan = analyze_loop(prog, "l")
+        plan = default_engine().compile(prog).plan("l")
         ex = HybridExecutor(prog, plan)
         r = ex.run({"N": 8, "OFF": 0}, {"B": list(range(256))})
         assert r.parallel and r.correct
@@ -171,7 +170,7 @@ class TestExecutor:
 
     def test_speedup_monotone_in_procs(self):
         prog = _build(EXEC_SRC)
-        plan = analyze_loop(prog, "l")
+        plan = default_engine().compile(prog).plan("l")
         ex = HybridExecutor(prog, plan)
         r = ex.run({"N": 32, "OFF": 0}, {"B": [0] * 256})
         cost = CostModel(spawn_overhead=1)
@@ -194,7 +193,7 @@ main
 end
 """
         prog = _build(src)
-        plan = analyze_loop(prog, "l")
+        plan = default_engine().compile(prog).plan("l")
         ex = HybridExecutor(prog, plan)
         r = ex.run({"N": 8}, {"B": list(range(64))})
         assert r.parallel and r.correct
@@ -212,7 +211,7 @@ main
 end
 """
         prog = _build(src)
-        plan = analyze_loop(prog, "l")
+        plan = default_engine().compile(prog).plan("l")
         ex = HybridExecutor(prog, plan)
         # Colliding targets: the reduction transform must still be exact.
         arrays = {"B": [1, 2, 1, 2, 1, 2, 1, 2] + [1] * 56,
@@ -235,7 +234,7 @@ main
 end
 """
         prog = _build(src)
-        plan = analyze_loop(prog, "l")
+        plan = default_engine().compile(prog).plan("l")
         ex = HybridExecutor(prog, plan)
         r = ex.run({"N": 8}, {"B": [1] * 64})
         assert not r.parallel
@@ -253,7 +252,7 @@ main
 end
 """
         prog = _build(src)
-        plan = analyze_loop(prog, "l")
+        plan = default_engine().compile(prog).plan("l")
         ex = HybridExecutor(prog, plan, exact_strategy="tls")
         kx = [2 * i + 1 for i in range(64)]
         kz = [2 * i + 2 for i in range(64)]
@@ -273,7 +272,7 @@ main
 end
 """
         prog = _build(src)
-        plan = analyze_loop(prog, "l")
+        plan = default_engine().compile(prog).plan("l")
         ex = HybridExecutor(prog, plan, exact_strategy="tls")
         # Reads hit earlier iterations' writes: genuine flow dependence.
         kx = [i + 1 for i in range(64)]
@@ -300,7 +299,7 @@ main
 end
 """
         prog = _build(src)
-        plan = analyze_loop(prog, "l")
+        plan = default_engine().compile(prog).plan("l")
         ex = HybridExecutor(prog, plan)
         r = ex.run({"N": 8}, {"NSP": [2] * 64})
         assert r.parallel and r.correct
@@ -308,13 +307,13 @@ end
 
     def test_bad_strategy_rejected(self):
         prog = _build(EXEC_SRC)
-        plan = analyze_loop(prog, "l")
+        plan = default_engine().compile(prog).plan("l")
         with pytest.raises(ValueError):
             HybridExecutor(prog, plan, exact_strategy="nope")
 
     def test_rtov_definition(self):
         prog = _build(EXEC_SRC)
-        plan = analyze_loop(prog, "l")
+        plan = default_engine().compile(prog).plan("l")
         ex = HybridExecutor(prog, plan)
         r = ex.run({"N": 16, "OFF": 0}, {"B": [0] * 256})
         cost = CostModel(spawn_overhead=1)
@@ -371,7 +370,7 @@ class TestOnDemandRecords:
         on-demand."""
         prog = _build(LRPD_SRC)
         ex = HybridExecutor(
-            prog, analyze_loop(prog, "l"), backend="thread", jobs=2, **kwargs
+            prog, default_engine().compile(prog).plan("l"), backend="thread", jobs=2, **kwargs
         )
         calls = []
         capture = ex._capture
@@ -385,7 +384,7 @@ class TestOnDemandRecords:
 
     def test_a_cascade_validated_execute_captures_once(self):
         prog = _build(EXEC_SRC.replace("B[i]", "A[i]"))
-        ex = HybridExecutor(prog, analyze_loop(prog, "l"))
+        ex = HybridExecutor(prog, default_engine().compile(prog).plan("l"))
         calls = []
         capture = ex._capture
         ex._capture = lambda *a, **k: calls.append(k) or capture(*a, **k)
@@ -422,7 +421,7 @@ class TestOnDemandRecords:
 
     def test_capture_task_is_the_recording_captures_task(self):
         prog = _build(LRPD_SRC)
-        ex = HybridExecutor(prog, analyze_loop(prog, "l"))
+        ex = HybridExecutor(prog, default_engine().compile(prog).plan("l"))
         task = ex.capture_task({"N": 8}, LRPD_INDEPENDENT)
         (entry,), _ = ex._capture({"N": 8}, LRPD_INDEPENDENT, recording=True)
         assert task == entry.task
@@ -490,7 +489,7 @@ class TestLoopReentry:
 
     def _run(self, src, backend, arrays):
         prog = _build(src)
-        ex = HybridExecutor(prog, analyze_loop(prog, "tgt"), backend=backend, jobs=2)
+        ex = HybridExecutor(prog, default_engine().compile(prog).plan("tgt"), backend=backend, jobs=2)
         return ex.run({"N": 6}, arrays)
 
     def test_varying_trip_count(self, backend):

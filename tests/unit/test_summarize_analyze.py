@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import HybridAnalyzer, analyze_loop
+from repro.api import default_engine
+from repro.core import HybridAnalyzer
 from repro.ir import parse_program, summarize_loop
 
 
@@ -150,7 +151,7 @@ class TestAnalyzer:
     A[i] = B[i] + B[i+1]
   end
 """)
-        plan = analyze_loop(prog, "l")
+        plan = default_engine().compile(prog).plan("l")
         assert plan.classification() == "STATIC-PAR"
         assert plan.static_parallel()
 
@@ -165,7 +166,7 @@ class TestAnalyzer:
     end
   end
 """)
-        plan = analyze_loop(prog, "l")
+        plan = default_engine().compile(prog).plan("l")
         assert plan.arrays["C"].transform == "private"
         assert "PRIV" in plan.techniques()
         assert plan.classification() == "STATIC-PAR"
@@ -176,7 +177,7 @@ class TestAnalyzer:
     A[K1 + i] = A[K2 + i] + 1
   end
 """, decls="param N, K1, K2\narray A(512)")
-        plan = analyze_loop(prog, "l")
+        plan = default_engine().compile(prog).plan("l")
         assert plan.classification().startswith("FI")
         assert plan.arrays["A"].flow is not None
 
@@ -188,7 +189,7 @@ class TestAnalyzer:
     A[i] = t
   end
 """)
-        plan = analyze_loop(prog, "l")
+        plan = default_engine().compile(prog).plan("l")
         assert plan.classification() == "STATIC-SEQ"
 
     def test_civ_loop_classified(self):
@@ -203,7 +204,7 @@ class TestAnalyzer:
     end
   end
 """)
-        plan = analyze_loop(prog, "l")
+        plan = default_engine().compile(prog).plan("l")
         assert plan.classification() == "CIVagg"
         assert "CIV-COMP" in plan.techniques()
 
@@ -213,7 +214,7 @@ class TestAnalyzer:
     A[B[i]] = A[B[i]] + C[i]
   end
 """)
-        plan = analyze_loop(prog, "l")
+        plan = default_engine().compile(prog).plan("l")
         assert plan.arrays["A"].transform == "reduction"
 
     def test_monotone_index_reduction_predicate(self):
@@ -224,7 +225,7 @@ class TestAnalyzer:
     end
   end
 """)
-        plan = analyze_loop(prog, "l")
+        plan = default_engine().compile(prog).plan("l")
         aplan = plan.arrays["A"]
         assert aplan.rred is not None  # the monotonicity O(N) test
 
