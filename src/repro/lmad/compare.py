@@ -39,7 +39,7 @@ from ..symbolic import (
     divides,
     as_expr,
 )
-from .lmad import LMAD, point
+from .lmad import LMAD
 
 __all__ = [
     "disjoint_lmads",
@@ -300,11 +300,6 @@ def included_lmads(a: LMAD, b: LMAD, _depth: int = 0) -> BoolExpr:
                 included_lmads(c_in, d_in, _depth + 1),
             )
     return FALSE
-
-
-def point_of(a: LMAD) -> LMAD:
-    """The base point of *a* as a degenerate LMAD."""
-    return point(a.base)
 
 
 def dense_interval(a: LMAD) -> Optional[tuple[Expr, Expr]]:

@@ -51,7 +51,6 @@ __all__ = [
     "Span",
     "TraceContext",
     "TraceStore",
-    "maybe_span",
     "mint_span_id",
     "mint_trace_id",
 ]
@@ -169,29 +168,6 @@ class Span:
             "status": self.status,
             "attrs": dict(self.attrs),
         }
-
-
-class _NullSpan:
-    """No-op span: lets call sites ``span.set(...)`` unconditionally."""
-
-    __slots__ = ()
-
-    def set(self, key: str, value) -> None:
-        pass
-
-
-NULL_SPAN = _NullSpan()
-
-
-@contextmanager
-def maybe_span(tracer, name: str, phases: bool = False, **attrs):
-    """``tracer.span(...)`` when a tracer is present, a no-op span
-    otherwise -- the zero-overhead fast path for untraced requests."""
-    if tracer is None:
-        yield NULL_SPAN
-    else:
-        with tracer.span(name, phases=phases, **attrs) as span:
-            yield span
 
 
 class RequestTrace:

@@ -24,7 +24,6 @@ from repro.server.tracing import (
     Span,
     TraceContext,
     TraceStore,
-    maybe_span,
     mint_span_id,
     mint_trace_id,
 )
@@ -215,11 +214,13 @@ class TestRequestTrace:
         doc = trace.finish()
         assert len(doc["spans"]) == 1 + 4 * 50
 
-    def test_maybe_span_is_noop_without_tracer(self):
-        with maybe_span(None, "compile") as span:
+    def test_engine_span_is_noop_without_tracer(self):
+        from repro.api.engine import _span
+
+        with _span(None, "compile") as span:
             span.set("cached", True)  # must not raise
         trace = RequestTrace(clock=_FakeClock())
-        with maybe_span(trace, "compile") as span:
+        with _span(trace, "compile") as span:
             span.set("cached", True)
         assert trace.spans[-1].attrs == {"cached": True}
 
