@@ -8,8 +8,8 @@ port (``--port 0``, the bound port parsed from the listening banner),
 drives it through the CLI and the blocking client exactly as an
 operator would, interrupts it, and checks the exit code and the
 "shut down cleanly" line.  Any missed assertion or non-zero child exit
-fails the run (non-zero exit).  CI's four serving smoke jobs and the
-``make smoke-*`` targets both call this file, so a red job reproduces
+fails the run (non-zero exit).  CI's serving-smoke job (one matrix leg
+per scenario) and the ``make smoke-*`` targets both call this file, so a red job reproduces
 locally with one command.
 """
 
