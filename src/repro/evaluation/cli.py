@@ -136,10 +136,13 @@ def _batch(args) -> int:
 def _analyze(args) -> int:
     from ..api import AnalyzeRequest, Engine, EngineConfig
 
-    try:
-        source = sys.stdin.read() if args.file == "-" else Path(args.file).read_text()
-    except OSError as exc:
-        raise Usage(f"cannot read {args.file}: {exc}") from exc
+    if args.file == "-":
+        source = sys.stdin.read()
+    else:
+        try:
+            source = Path(args.file).read_text()
+        except OSError as exc:
+            raise Usage(f"cannot read {args.file}: {exc}") from exc
     engine = Engine(EngineConfig(cache_dir=args.cache_dir, use_disk_cache=not args.no_cache))
     try:
         response = engine.analyze(AnalyzeRequest(source=source, loop=args.loop))
