@@ -14,8 +14,9 @@ from repro.fuzz import (
     run_seed,
     shrink_case,
 )
-from repro.fuzz.oracle import FAILING_OUTCOMES, OUTCOMES
+from repro.fuzz.oracle import FAILING_OUTCOMES, OUTCOMES, CaseResult
 from repro.ir import parse_program
+from repro.ir.ast import AssignArray, BinOp, Num, Var
 
 
 def _case_from(source, params, arrays, exact_strategy="inspector"):
@@ -102,6 +103,37 @@ class TestShrinker:
         case = generate_case(11)
         shrunk = shrink_case(case, budget=60)
         assert shrunk.case.program.find_loop("fuzz_loop") is not None
+
+    def test_literal_pass_replaces_the_literal_it_enumerated(self):
+        """``A[i + 2] = 100`` under an oracle that keeps the case while the
+        stored literal is >= 50: the index literal shrinks to 1 and the
+        stored one to 50, in a handful of oracle calls.  (When the literal
+        pass enumerated ``expr`` before ``index`` but replaced ``index``
+        first, it never tried 50 and spent the whole budget.)"""
+        source = (
+            "program p\nparam N\narray A(20)\nmain\n"
+            "do i = 1, N @ fuzz_loop\nA[i + 2] = 100\nend\nend\nend\n"
+        )
+        case = _case_from(source, {"N": 4}, {"A": [0] * 20})
+
+        def store(c):
+            for s in c.program.find_loop(c.label).body:
+                if isinstance(s, AssignArray) and isinstance(s.expr, Num):
+                    return s
+            return None
+
+        def oracle(c):
+            s = store(c)
+            keep = s is not None and s.expr.value >= 50
+            return CaseResult(
+                seed=c.seed, outcome="unsound" if keep else "sound-parallel"
+            )
+
+        shrunk = shrink_case(case, oracle=oracle)
+        s = store(shrunk.case)
+        assert s.expr == Num(50)
+        assert s.index == BinOp("+", Var("i"), Num(1))
+        assert shrunk.oracle_calls < 40
 
 
 class TestFuzzDriverAndCache:
