@@ -10,7 +10,7 @@ shrinker repeatedly applies outcome-preserving reductions --
 * replace an ``if`` by one of its branches;
 * flatten a nested ``do`` into its body (with the inner index pinned);
 * shrink numeric literals toward 1 and parameter values toward 0;
-* zero array initial contents and drop unused arrays;
+* zero array initial contents, or clamp them to at most 1;
 
 -- re-running the oracle after each candidate and keeping any change
 that still reproduces the *same* outcome class.  The result is written
@@ -22,12 +22,16 @@ and passes once it is fixed -- entries stay as permanent guards).
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Optional
 
-from ..ir.ast import AssignScalar, Do, If, IRStmt, Num, Program, While
+from ..ir.ast import (
+    AssignScalar, Do, If, IRExpr, Num, Program, While, rebuild, walk_exprs,
+    walk_stmts,
+)
 from .generator import FuzzCase, render_program
 from .oracle import CaseResult, fuzz_engine, run_case
 
@@ -71,14 +75,7 @@ class ShrinkResult:
 
 
 def _count_stmts(stmts) -> int:
-    total = 0
-    for s in stmts:
-        total += 1
-        if isinstance(s, If):
-            total += _count_stmts(s.then_body) + _count_stmts(s.else_body)
-        elif isinstance(s, (Do, While)):
-            total += _count_stmts(s.body)
-    return total
+    return sum(1 for _ in walk_stmts(stmts))
 
 
 def _crash_sig(detail: str) -> str:
@@ -128,98 +125,44 @@ class _Shrinker:
         )
 
     # -- statement-level passes ---------------------------------------------
-    def _rebuild(self, edit_path: tuple, replacement) -> Optional[Program]:
-        """Program with the statement at *edit_path* replaced by the
-        statements in *replacement* (empty tuple = deletion)."""
+    def _sites(self) -> list:
+        """(pre-order index, statement) of every statement in main,
+        innermost first (deleting inner statements first keeps outer
+        structure shrinkable afterwards), in program order among equals."""
+        flat = list(walk_stmts(self.case.program.main))
+        depth = [0] * len(flat)
+        for k, s in enumerate(flat):
+            for inner in range(k + 1, k + _count_stmts((s,))):
+                depth[inner] += 1
+        return sorted(enumerate(flat), key=lambda site: -depth[site[0]])
 
-        def rebuild_body(stmts: tuple, path: tuple) -> tuple:
-            head, rest = path[0], path[1:]
+    def _splice(self, site: int, replacement: tuple) -> Program:
+        """Program with the statement at pre-order *site* of main replaced
+        by the statements in *replacement* (empty tuple = deletion)."""
+        seen = itertools.count()
+
+        def body(stmts: tuple) -> tuple:
             out = []
-            for idx, s in enumerate(stmts):
-                if idx != head:
-                    out.append(s)
-                    continue
-                if not rest:
+            for s in stmts:
+                if next(seen) == site:
                     out.extend(replacement)
-                    continue
-                branch, sub = rest[0], rest[1:]
-                if isinstance(s, If):
-                    bodies = [s.then_body, s.else_body]
-                    bodies[branch] = rebuild_body(bodies[branch], sub)
-                    out.append(If(s.cond, bodies[0], bodies[1]))
-                elif isinstance(s, Do):
-                    out.append(
-                        Do(s.index, s.lower, s.upper,
-                           rebuild_body(s.body, sub), s.label)
-                    )
-                elif isinstance(s, While):
-                    out.append(
-                        While(s.cond, rebuild_body(s.body, sub), s.label)
-                    )
-                else:  # pragma: no cover -- paths only point into compounds
-                    out.append(s)
+                else:
+                    out.append(rebuild(s, body=body))
             return tuple(out)
 
-        main = rebuild_body(self.case.program.main, edit_path)
-        return replace(self.case.program, main=main)
-
-    def _paths(self) -> list:
-        """Every statement path in main, innermost first (deleting inner
-        statements first keeps outer structure shrinkable afterwards).
-
-        A path is (i0, branch, i1, branch, ..., ik): alternating body
-        index and, under compound statements, the branch selector
-        (If: 0=then, 1=else; loops: 0=body).
-        """
-        paths: list = []
-
-        def walk(stmts, prefix):
-            for idx, s in enumerate(stmts):
-                here = prefix + (idx,)
-                if isinstance(s, If):
-                    walk(s.then_body, here + (0,))
-                    walk(s.else_body, here + (1,))
-                elif isinstance(s, (Do, While)):
-                    walk(s.body, here + (0,))
-                paths.append(here)
-        walk(self.case.program.main, ())
-        paths.sort(key=len, reverse=True)
-        return paths
-
-    def _stmt_at(self, path: tuple) -> Optional[IRStmt]:
-        node: tuple = self.case.program.main
-        stmt: Optional[IRStmt] = None
-        i = 0
-        while i < len(path):
-            stmt = node[path[i]]
-            i += 1
-            if i >= len(path):
-                return stmt
-            branch = path[i]
-            i += 1
-            if isinstance(stmt, If):
-                node = stmt.then_body if branch == 0 else stmt.else_body
-            elif isinstance(stmt, (Do, While)):
-                node = stmt.body
-            else:
-                return None
-        return stmt
+        return replace(self.case.program, main=body(self.case.program.main))
 
     def pass_delete(self) -> bool:
         changed = False
         progress = True
         while progress and self.calls < self.budget:
             progress = False
-            for path in self._paths():
-                stmt = self._stmt_at(path)
-                if stmt is None:
-                    continue
+            for site, stmt in self._sites():
                 if isinstance(stmt, (Do, While)) and stmt.label == self.case.label:
                     continue  # never delete the target loop itself
-                program = self._rebuild(path, ())
-                if program is not None and self._attempt(self._with_program(program)):
+                if self._attempt(self._with_program(self._splice(site, ()))):
                     changed = progress = True
-                    break  # paths are stale; recompute
+                    break  # sites are stale; recompute
         return changed
 
     def pass_unwrap(self) -> bool:
@@ -228,8 +171,7 @@ class _Shrinker:
         any_change = False
         while changed and self.calls < self.budget:
             changed = False
-            for path in self._paths():
-                stmt = self._stmt_at(path)
+            for site, stmt in self._sites():
                 candidates = []
                 if isinstance(stmt, If):
                     if stmt.then_body:
@@ -243,10 +185,7 @@ class _Shrinker:
                         (AssignScalar(stmt.index, stmt.lower),) + stmt.body
                     )
                 for repl in candidates:
-                    program = self._rebuild(path, repl)
-                    if program is not None and self._attempt(
-                        self._with_program(program)
-                    ):
+                    if self._attempt(self._with_program(self._splice(site, repl))):
                         changed = any_change = True
                         break
                 if changed:
@@ -321,85 +260,26 @@ class _Shrinker:
 
 def _num_sites(main: tuple) -> list:
     """(pre-order index, value) of every Num > 1 in main's statements."""
-    sites: list = []
-    counter = [0]
-
-    def visit_expr(e):
-        if isinstance(e, Num):
-            if e.value > 1:
-                sites.append((counter[0], e.value))
-            counter[0] += 1
-            return
-        for attr in ("left", "right", "arg", "index", "cond", "expr"):
-            child = getattr(e, attr, None)
-            if child is not None and not isinstance(child, (str, bool, int)):
-                visit_expr(child)
-        for child in getattr(e, "args", ()):
-            visit_expr(child)
-
-    def visit_stmt(s):
-        for attr in ("expr", "index", "cond", "lower", "upper"):
-            child = getattr(s, attr, None)
-            if child is not None and not isinstance(child, (str, bool, int)):
-                visit_expr(child)
-        for body in (getattr(s, "body", ()), getattr(s, "then_body", ()),
-                     getattr(s, "else_body", ())):
-            for inner in body:
-                visit_stmt(inner)
-
-    for s in main:
-        visit_stmt(s)
-    return sites
+    nums = [
+        e.value for s in walk_stmts(main) for e in walk_exprs(s)
+        if isinstance(e, Num)
+    ]
+    return [(k, v) for k, v in enumerate(nums) if v > 1]
 
 
 def _replace_num(main: tuple, site_index: int, new_value: int) -> tuple:
     """Main with the Num at pre-order *site_index* replaced."""
-    counter = [0]
+    seen = itertools.count()
 
-    def map_expr(e):
+    def expr(e: IRExpr) -> IRExpr:
         if isinstance(e, Num):
-            here = counter[0]
-            counter[0] += 1
-            return Num(new_value) if here == site_index else e
-        from ..ir.ast import ArrayRead, BinOp, Intrinsic, UnaryOp
+            return Num(new_value) if next(seen) == site_index else e
+        return rebuild(e, expr)
 
-        if isinstance(e, BinOp):
-            return BinOp(e.op, map_expr(e.left), map_expr(e.right))
-        if isinstance(e, UnaryOp):
-            return UnaryOp(e.op, map_expr(e.arg))
-        if isinstance(e, ArrayRead):
-            return ArrayRead(e.array, map_expr(e.index))
-        if isinstance(e, Intrinsic):
-            return Intrinsic(e.name, tuple(map_expr(a) for a in e.args))
-        return e
+    def body(stmts: tuple) -> tuple:
+        return tuple(rebuild(s, expr, body) for s in stmts)
 
-    def map_stmt(s):
-        from ..ir.ast import AssignArray
-
-        if isinstance(s, AssignScalar):
-            return AssignScalar(s.name, map_expr(s.expr))
-        if isinstance(s, AssignArray):
-            return AssignArray(
-                s.array, map_expr(s.index), map_expr(s.expr), s.is_update
-            )
-        if isinstance(s, If):
-            return If(
-                map_expr(s.cond),
-                tuple(map_stmt(x) for x in s.then_body),
-                tuple(map_stmt(x) for x in s.else_body),
-            )
-        if isinstance(s, Do):
-            return Do(
-                s.index, map_expr(s.lower), map_expr(s.upper),
-                tuple(map_stmt(x) for x in s.body), s.label,
-            )
-        if isinstance(s, While):
-            return While(
-                map_expr(s.cond), tuple(map_stmt(x) for x in s.body), s.label
-            )
-        return s
-
-    return tuple(map_stmt(s) for s in main)
+    return body(main)
 
 
 def shrink_case(

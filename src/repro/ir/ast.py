@@ -13,13 +13,14 @@ Programs are built by the parser (:mod:`repro.ir.parser`) or directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 __all__ = [
     "IRExpr", "Num", "Var", "ArrayRead", "BinOp", "UnaryOp", "Intrinsic",
     "IRStmt", "AssignScalar", "AssignArray", "If", "Do", "While", "Call",
     "Subroutine", "Program", "ArrayDecl",
+    "OPERANDS", "BODIES", "walk_stmts", "walk_exprs", "rebuild",
     "COMPARISONS", "BOOL_OPS", "ARITH_OPS",
 ]
 
@@ -233,44 +234,105 @@ class Program:
                 return decl
         return None
 
+    def statements(self) -> Iterator[IRStmt]:
+        """Every statement in program order (main first, then subs)."""
+        yield from walk_stmts(self.main)
+        for sub in self.subroutines.values():
+            yield from walk_stmts(sub.body)
+
     def find_loop(self, label: str) -> Optional[Union[Do, While]]:
         """Locate a labelled do- or while-loop anywhere in the program."""
-        found: list[Do] = []
-
-        def walk(stmts: Sequence[IRStmt]) -> None:
-            for s in stmts:
-                if isinstance(s, (Do, While)):
-                    if s.label == label:
-                        found.append(s)
-                    walk(s.body)
-                elif isinstance(s, If):
-                    walk(s.then_body)
-                    walk(s.else_body)
-
-        walk(self.main)
-        for sub in self.subroutines.values():
-            walk(sub.body)
-        return found[0] if found else None
+        return next(
+            (s for s in self.statements()
+             if isinstance(s, (Do, While)) and s.label == label),
+            None,
+        )
 
     def labelled_loops(self) -> list[str]:
         """All loop labels in program order (main first, then subs)."""
-        out: list[str] = []
+        return [
+            s.label for s in self.statements()
+            if isinstance(s, (Do, While)) and s.label
+        ]
 
-        def walk(stmts: Sequence[IRStmt]) -> None:
-            for s in stmts:
-                if isinstance(s, Do):
-                    if s.label:
-                        out.append(s.label)
-                    walk(s.body)
-                elif isinstance(s, While):
-                    if s.label:
-                        out.append(s.label)
-                    walk(s.body)
-                elif isinstance(s, If):
-                    walk(s.then_body)
-                    walk(s.else_body)
 
-        walk(self.main)
-        for sub in self.subroutines.values():
-            walk(sub.body)
-        return out
+# -- the IR's shape ----------------------------------------------------------------
+
+#: Each node class's operand fields -- those holding sub-expressions -- in
+#: evaluation order.  A field holds an expression, ``None`` or a tuple of
+#: them; a :class:`CallArg` stands for its own operands (``offset``, then
+#: ``scalar``).  Classes absent here (``Num``, ``Var``) have none.
+OPERANDS: dict[type, tuple[str, ...]] = {
+    ArrayRead: ("index",),
+    BinOp: ("left", "right"),
+    UnaryOp: ("arg",),
+    Intrinsic: ("args",),
+    AssignScalar: ("expr",),
+    AssignArray: ("index", "expr"),
+    If: ("cond",),
+    Do: ("lower", "upper"),
+    While: ("cond",),
+    Call: ("args",),
+    CallArg: ("offset", "scalar"),
+}
+
+#: Each compound statement's body fields, in program order.
+BODIES: dict[type, tuple[str, ...]] = {
+    If: ("then_body", "else_body"),
+    Do: ("body",),
+    While: ("body",),
+}
+
+
+def walk_stmts(body: Sequence[IRStmt]) -> Iterator[IRStmt]:
+    """The statements of *body* in pre-order, nested bodies included."""
+    for s in body:
+        yield s
+        for name in BODIES.get(type(s), ()):
+            yield from walk_stmts(getattr(s, name))
+
+
+def walk_exprs(node: Union[IRExpr, IRStmt]) -> Iterator[IRExpr]:
+    """An expression and its sub-expressions in pre-order, or a statement's
+    own operands and theirs (not those of its nested bodies), in field
+    order."""
+    if isinstance(node, IRExpr):
+        yield node
+    for child in _operands(node):
+        yield from walk_exprs(child)
+
+
+def rebuild(
+    node,
+    expr: Optional[Callable[[IRExpr], IRExpr]] = None,
+    body: Optional[Callable[[tuple[IRStmt, ...]], tuple[IRStmt, ...]]] = None,
+):
+    """*node* with each operand mapped through *expr* and each nested body
+    through *body*, in field order, operands first (either left alone when
+    its function is ``None``)."""
+    changes = {}
+    if expr is not None:
+        for name in OPERANDS.get(type(node), ()):
+            changes[name] = _mapped(getattr(node, name), expr)
+    if body is not None:
+        for name in BODIES.get(type(node), ()):
+            changes[name] = body(getattr(node, name))
+    return replace(node, **changes) if changes else node
+
+
+def _operands(node) -> Iterator[IRExpr]:
+    for name in OPERANDS.get(type(node), ()):
+        value = getattr(node, name)
+        for v in value if isinstance(value, tuple) else (value,):
+            if isinstance(v, CallArg):
+                yield from _operands(v)
+            elif v is not None:
+                yield v
+
+
+def _mapped(value, fn: Callable[[IRExpr], IRExpr]):
+    if isinstance(value, tuple):
+        return tuple(_mapped(v, fn) for v in value)
+    if isinstance(value, CallArg):
+        return rebuild(value, fn)
+    return None if value is None else fn(value)

@@ -39,7 +39,7 @@ from ..usr import (
     usr_subtract,
     usr_union,
 )
-from .ast import AssignScalar, BinOp, Do, If, IRStmt, Var, While
+from .ast import AssignScalar, BinOp, Do, If, IRStmt, Var, While, walk_stmts
 from .convert import to_bool, to_expr
 
 __all__ = ["civ_aggregate_region", "civ_increments_nonneg", "collect_increments"]
@@ -68,7 +68,7 @@ def collect_increments(
             elif isinstance(s, If):
                 cond = to_bool(s.cond, scalars)
                 if cond is None:
-                    if _assigns(s.then_body, name) or _assigns(s.else_body, name):
+                    if _assigns((s,), name):
                         return False
                     continue
                 from ..symbolic import b_not
@@ -88,16 +88,9 @@ def collect_increments(
 
 
 def _assigns(body: tuple[IRStmt, ...], name: str) -> bool:
-    for s in body:
-        if isinstance(s, AssignScalar) and s.name == name:
-            return True
-        if isinstance(s, If) and (
-            _assigns(s.then_body, name) or _assigns(s.else_body, name)
-        ):
-            return True
-        if isinstance(s, (Do, While)) and _assigns(s.body, name):
-            return True
-    return False
+    return any(
+        isinstance(s, AssignScalar) and s.name == name for s in walk_stmts(body)
+    )
 
 
 def _increment_of(

@@ -16,66 +16,23 @@ counts as exposed unless a dominating write precedes it on every path.
 
 from __future__ import annotations
 
-from .ast import (
-    ArrayRead,
-    AssignArray,
-    AssignScalar,
-    BinOp,
-    Call,
-    Do,
-    If,
-    Intrinsic,
-    IRExpr,
-    IRStmt,
-    UnaryOp,
-    Var,
-    While,
-)
+from .ast import AssignScalar, Do, If, IRExpr, IRStmt, Var, While, walk_exprs, walk_stmts
 
 __all__ = ["assigned_scalars", "read_before_write", "expr_scalar_reads"]
 
 
 def expr_scalar_reads(expr: IRExpr) -> set[str]:
     """All scalar names read by an expression."""
-    out: set[str] = set()
-
-    def walk(e: IRExpr) -> None:
-        if isinstance(e, Var):
-            out.add(e.name)
-        elif isinstance(e, ArrayRead):
-            walk(e.index)
-        elif isinstance(e, BinOp):
-            walk(e.left)
-            walk(e.right)
-        elif isinstance(e, UnaryOp):
-            walk(e.arg)
-        elif isinstance(e, Intrinsic):
-            for a in e.args:
-                walk(a)
-
-    walk(expr)
-    return out
+    return {e.name for e in walk_exprs(expr) if isinstance(e, Var)}
 
 
 def assigned_scalars(stmts: tuple[IRStmt, ...]) -> set[str]:
     """Scalars assigned anywhere in the statement tree (incl. do indexes)."""
-    out: set[str] = set()
-
-    def walk(body: tuple[IRStmt, ...]) -> None:
-        for s in body:
-            if isinstance(s, AssignScalar):
-                out.add(s.name)
-            elif isinstance(s, If):
-                walk(s.then_body)
-                walk(s.else_body)
-            elif isinstance(s, Do):
-                out.add(s.index)
-                walk(s.body)
-            elif isinstance(s, While):
-                walk(s.body)
-
-    walk(stmts)
-    return out
+    return {
+        s.name if isinstance(s, AssignScalar) else s.index
+        for s in walk_stmts(stmts)
+        if isinstance(s, (AssignScalar, Do))
+    }
 
 
 def read_before_write(stmts: tuple[IRStmt, ...]) -> set[str]:
@@ -116,22 +73,4 @@ def read_before_write(stmts: tuple[IRStmt, ...]) -> set[str]:
 
 def _stmt_reads(s: IRStmt) -> set[str]:
     """Scalars read directly by one statement (not by nested bodies)."""
-    if isinstance(s, AssignScalar):
-        return expr_scalar_reads(s.expr)
-    if isinstance(s, AssignArray):
-        return expr_scalar_reads(s.index) | expr_scalar_reads(s.expr)
-    if isinstance(s, If):
-        return expr_scalar_reads(s.cond)
-    if isinstance(s, Do):
-        return expr_scalar_reads(s.lower) | expr_scalar_reads(s.upper)
-    if isinstance(s, While):
-        return expr_scalar_reads(s.cond)
-    if isinstance(s, Call):
-        out: set[str] = set()
-        for arg in s.args:
-            if arg.scalar is not None:
-                out |= expr_scalar_reads(arg.scalar)
-            if arg.offset is not None:
-                out |= expr_scalar_reads(arg.offset)
-        return out
-    return set()
+    return {e.name for e in walk_exprs(s) if isinstance(e, Var)}

@@ -36,15 +36,19 @@ from ..usr import (
 )
 from ..lmad import point
 from .ast import (
+    ArrayRead,
     AssignArray,
     AssignScalar,
+    BinOp,
     Call,
     Do,
     If,
     IRStmt,
     Program,
-    Subroutine,
+    Var,
     While,
+    walk_exprs,
+    walk_stmts,
 )
 from .convert import to_bool, to_expr
 
@@ -281,33 +285,20 @@ class Summarizer:
 
     def _collect_reads(self, expr, scalars: dict[str, Expr]) -> dict:
         """Array elements read while evaluating *expr*, as USRs."""
-        from .ast import ArrayRead, BinOp, Intrinsic, UnaryOp
-
         out: dict[str, object] = {}
+        for e in walk_exprs(expr):
+            if not isinstance(e, ArrayRead):
+                continue
+            idx = to_expr(e.index, scalars)
+            if idx is not None:
+                leaf = usr_leaf(point(idx))
+            else:
+                from ..lmad import interval
 
-        def walk(e) -> None:
-            if isinstance(e, ArrayRead):
-                idx = to_expr(e.index, scalars)
-                if idx is not None:
-                    leaf = usr_leaf(point(idx))
-                else:
-                    from ..lmad import interval
-
-                    decl = self.program.array_decl(e.array)
-                    size = to_expr(decl.size, {}) if decl else sym("$unknown")
-                    leaf = usr_leaf(interval(1, size))
-                out[e.array] = usr_union(out.get(e.array, EMPTY), leaf)
-                walk(e.index)
-            elif isinstance(e, BinOp):
-                walk(e.left)
-                walk(e.right)
-            elif isinstance(e, UnaryOp):
-                walk(e.arg)
-            elif isinstance(e, Intrinsic):
-                for a in e.args:
-                    walk(a)
-
-        walk(expr)
+                decl = self.program.array_decl(e.array)
+                size = to_expr(decl.size, {}) if decl else sym("$unknown")
+                leaf = usr_leaf(interval(1, size))
+            out[e.array] = usr_union(out.get(e.array, EMPTY), leaf)
         return out
 
     def _do_if(
@@ -677,23 +668,12 @@ def _shift_usr(usr, offset: Expr):
 # -- target-loop analysis input ---------------------------------------------------
 
 
-def _find_civs(stmt: Do) -> list[str]:
+def _find_civs(body: tuple[IRStmt, ...]) -> list[str]:
     """Scalars only ever assigned as ``c = c + e`` inside the loop body."""
-    from .ast import ArrayRead, BinOp, Var
-
     assigned: dict[str, list] = {}
-
-    def walk(stmts) -> None:
-        for s in stmts:
-            if isinstance(s, AssignScalar):
-                assigned.setdefault(s.name, []).append(s.expr)
-            elif isinstance(s, If):
-                walk(s.then_body)
-                walk(s.else_body)
-            elif isinstance(s, (Do, While)):
-                walk(s.body)
-
-    walk(stmt.body)
+    for s in walk_stmts(body):
+        if isinstance(s, AssignScalar):
+            assigned.setdefault(s.name, []).append(s.expr)
     civs = []
     for name, exprs in assigned.items():
         def is_increment(e) -> bool:
@@ -733,14 +713,14 @@ def summarize_loop(
         upper = sym(f"$trips_{label}")
         trip_symbol = f"$trips_{label}"
         body_stmts = loop.body
-        civ_candidates = _find_civs(Do(index, None, None, loop.body, label))  # type: ignore[arg-type]
+        civ_candidates = _find_civs(loop.body)
     else:
         index = loop.index
         lower = to_expr(loop.lower, scalars)
         upper = to_expr(loop.upper, scalars)
         trip_symbol = None
         body_stmts = loop.body
-        civ_candidates = _find_civs(loop)
+        civ_candidates = _find_civs(loop.body)
         if lower is None or upper is None:
             raise ValueError(f"loop {label!r} has unanalyzable bounds")
 

@@ -47,7 +47,7 @@ from typing import Optional
 
 from .. import profiling as _profiling
 from ..core.analyzer import ArrayPlan, LoopPlan
-from ..ir.ast import AssignScalar, Do, If, Program, While
+from ..ir.ast import AssignScalar, Do, Program, While, walk_stmts
 from ..ir.interp import IterationRecord, LoopTrace, Machine, RunResult, copy_arrays
 from ..ir.scalars import _stmt_reads, expr_scalar_reads
 from ..pdag import EvalStats
@@ -658,18 +658,7 @@ def _slice_sizes(body, relevant: set[str]) -> tuple[int, int]:
     assigns a relevant scalar or controls one; its read scalars become
     relevant too.
     """
-    def stmts_of(stmts):
-        out = []
-        for s in stmts:
-            out.append(s)
-            if isinstance(s, If):
-                out.extend(stmts_of(s.then_body))
-                out.extend(stmts_of(s.else_body))
-            elif isinstance(s, (Do, While)):
-                out.extend(stmts_of(s.body))
-        return out
-
-    flat = stmts_of(body)
+    flat = list(walk_stmts(body))
     changed = True
     in_slice: set[int] = set()
     while changed:
@@ -680,7 +669,7 @@ def _slice_sizes(body, relevant: set[str]) -> tuple[int, int]:
             # it assigns a relevant scalar, or controls a statement that does
             hit = any(
                 isinstance(x, AssignScalar) and x.name in relevant
-                for x in stmts_of((s,))
+                for x in walk_stmts((s,))
             )
             if hit:
                 in_slice.add(idx)
