@@ -78,13 +78,6 @@ class LMAD:
             s.is_constant() for s in self.spans
         )
 
-    def is_dense_1d(self) -> bool:
-        """Provably contiguous: a single dimension of stride 1 (or a point)."""
-        live = self.normalized()
-        if live.ndims == 0:
-            return True
-        return live.ndims == 1 and live.strides[0] == 1
-
     # -- symbolic geometry -------------------------------------------------
     def extent(self) -> Expr:
         """Total span ``s1 + ... + sM`` (distance from first to last index),

@@ -16,11 +16,11 @@ from .backends import (
 )
 from .executor import ArrayDecision, ExecutionReport, HybridExecutor
 from .inspector import Inspector, InspectorResult, evaluate_usr_cost
-from .scheduler import CostModel, ParallelTiming, parallel_time, schedule_parallel
+from .scheduler import CostModel, ParallelTiming, schedule_parallel
 from .speculation import SpeculationResult, lrpd_test
 
 __all__ = [
-    "CostModel", "ParallelTiming", "schedule_parallel", "parallel_time",
+    "CostModel", "ParallelTiming", "schedule_parallel",
     "HybridExecutor", "ExecutionReport", "ArrayDecision",
     "Inspector", "InspectorResult", "evaluate_usr_cost",
     "SpeculationResult", "lrpd_test",

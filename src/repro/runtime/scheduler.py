@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-__all__ = ["CostModel", "schedule_parallel", "parallel_time", "ParallelTiming"]
+__all__ = ["CostModel", "schedule_parallel", "ParallelTiming"]
 
 
 @dataclass(frozen=True)
@@ -90,28 +90,3 @@ def schedule_parallel(
     return ParallelTiming(
         time=max(loads) * stretch + spawn, per_proc=loads, spawn=spawn
     )
-
-
-def parallel_time(
-    total_work: float, trips: int, procs: int, cost: CostModel
-) -> float:
-    """Analytic makespan for a balanced loop of ``trips`` iterations.
-
-    Used by the evaluation harness where only aggregate loop work is
-    known; applies the bandwidth-discounted processor count.
-    """
-    if trips <= 0 or total_work <= 0:
-        return 0.0
-    usable = min(procs, trips)
-    eff = cost.effective_procs(usable)
-    per_iter = total_work / trips
-    # Longest processor executes ceil(trips / usable) iterations.
-    import math
-
-    chunk = math.ceil(trips / usable)
-    makespan = chunk * per_iter
-    # Bandwidth discount stretches the busy time.
-    makespan *= usable / eff
-    if procs > 1:
-        makespan += cost.spawn_overhead
-    return makespan

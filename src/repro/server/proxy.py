@@ -273,8 +273,12 @@ class FrontTier(LineServer):
             metrics=FrontTierMetrics(), sample_interval_s=sample_interval_s,
             trace_sample=trace_sample, trace_store=trace_store,
         )
-        if backends < 1:
-            raise ValueError(f"backends must be >= 1 (got {backends})")
+        for name, value in (
+            ("backends", backends), ("replicas", replicas),
+            ("backend_workers", backend_workers),
+        ):
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1 (got {value})")
         self.backends = backends
         self.replicas = max(1, min(replicas, backends))
         self.router = Router(backends, vnodes=vnodes)

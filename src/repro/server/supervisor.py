@@ -58,6 +58,9 @@ def serve_backend_command(
     left at 0 because the front tier's own sampling decision propagates
     to the backends in the wire trace context.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1 (got {workers})")
+
     def command(index: int) -> List[str]:
         argv = [
             sys.executable, "-m", "repro.evaluation", "serve",

@@ -274,11 +274,6 @@ class RequestTrace:
             if span.end_s is None:
                 self.end_span(span, status=span.status)
 
-    def add_child_spans(self, spans: list) -> None:
-        """Graft already-serialized spans (a stitched backend subtree)."""
-        with self._lock:
-            self.spans.extend(spans)
-
     def finish(self, status: str = "ok",
                error_code: Optional[str] = None) -> Optional[dict]:
         """End the root span and offer the trace to the store.  Returns

@@ -8,15 +8,16 @@ retryable-error backend_rpc span -- the trace survives the kill even
 though the backend's own span store died with it.
 """
 
+import itertools
 import signal
-import threading
 import time
 
 import pytest
 
-from repro.api import ExecuteRequest, TraceResponse
+from repro.api import AnalyzeRequest, ExecuteRequest, JsonDiskCache, TraceResponse
 from repro.server import FrontTier, ServerClient, ServerThread
 from repro.server.tracing import mint_trace_id
+from repro.workloads import ALL_BENCHMARKS
 
 SOURCE = """
 program multiproc_tracing
@@ -185,54 +186,41 @@ class TestMultiprocStats:
 
 class TestChaosTracing:
     def test_sigkilled_backend_yields_retryable_error_span(self, hosted):
-        """Hammer the fleet with force-sampled requests, SIGKILL one
-        backend mid-flight, and find the in-flight trace that recorded
-        the dead backend: a backend_rpc span with status=error,
-        error=backend_died, retryable=True -- kept, not dropped."""
+        """SIGKILL backend 0 while it analyzes a request it owns: the
+        request's trace records the dead backend as a backend_rpc span
+        with status=error, error=backend_died, retryable=True -- kept,
+        not dropped.  The kill fires once the front tier counts the
+        request in flight on backend 0, while its cold compile (zeusmp's
+        tranx2_do2100, the slowest paper loop to plan) is still running."""
         thread, front = hosted
-        deadline = time.monotonic() + 120.0
-        found = None
-        attempt = 0
-        while found is None and time.monotonic() < deadline:
-            attempt += 1
-            assert front.supervisor.wait_up(timeout_s=60.0), \
-                "fleet never (re)converged"
-            trace_ids = []
-            lock = threading.Lock()
-
-            def worker(worker_index):
-                try:
-                    with _client(hosted) as client:
-                        for _ in range(12):
-                            trace_id, request = _traced_execute()
-                            with lock:
-                                trace_ids.append(trace_id)
-                            client.call(request)
-                except Exception:  # noqa: BLE001 -- chaos collateral;
-                    pass           # the protocol bar has its own test
-
-            threads = [
-                threading.Thread(target=worker, args=(i,)) for i in range(6)
-            ]
-            for t in threads:
-                t.start()
-            time.sleep(0.05 * attempt)  # let load build, then fire
+        assert front.supervisor.wait_up(timeout_s=60.0), \
+            "fleet never converged"
+        zeusmp = next(b for b in ALL_BENCHMARKS if b.name == "zeusmp")
+        source = next(
+            text for text in (
+                zeusmp.source.replace("program zeusmp", f"program chaos{k}", 1)
+                for k in itertools.count()
+            )
+            if front.router.primary(JsonDiskCache.digest(text)) == 0
+        )
+        trace_id = mint_trace_id()
+        request = AnalyzeRequest(
+            source=source, loop="tranx2_do2100",
+            trace={"trace_id": trace_id, "sampled": True},
+        )
+        with _client(hosted) as client, _client(hosted) as observer:
+            client.send(request)
+            deadline = time.monotonic() + 60.0
+            while observer.stats().stats["front"]["backend_inflight"][0] < 1:
+                assert time.monotonic() < deadline, "never reached backend 0"
+                time.sleep(0.01)
             front.supervisor.kill(0, signal.SIGKILL)
-            for t in threads:
-                t.join(timeout=120)
+            client.recv()  # answered by the next live ring successor
+            doc = _fetch(client, trace_id)
 
-            with _client(hosted) as client:
-                for trace_id in trace_ids:
-                    response = client.trace(trace_id=trace_id)
-                    for doc in response.traces:
-                        for span in doc["spans"]:
-                            if span["attrs"].get("error") == "backend_died":
-                                found = (doc, span)
-                                break
-
-        assert found is not None, \
-            "no kept trace recorded the SIGKILLed backend"
-        doc, span = found
+        died = [s for s in doc["spans"] if s["attrs"].get("error") == "backend_died"]
+        assert len(died) == 1, "the trace did not record the SIGKILLed backend"
+        span = died[0]
         assert span["name"] == "backend_rpc"
         assert span["status"] == "error"
         assert span["attrs"]["retryable"] is True

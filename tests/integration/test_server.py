@@ -11,6 +11,7 @@ import json
 import random
 import socket
 import threading
+import time
 
 import pytest
 
@@ -500,7 +501,19 @@ class TestStreaming:
 
 
 class TestOverload:
-    def test_burst_beyond_budget_sheds_typed_errors(self):
+    def test_burst_beyond_budget_sheds_typed_errors(self, monkeypatch):
+        """The first request's compile is held until the server has
+        answered the rest of the burst, so the burst meets a full budget
+        however fast that compile would have been."""
+        release = threading.Event()
+        compile_ = Engine.compile
+
+        def held_compile(engine, text, **kwargs):
+            if text == SOURCE:
+                release.wait(timeout=60.0)
+            return compile_(engine, text, **kwargs)
+
+        monkeypatch.setattr(Engine, "compile", held_compile)
         hosted = ServerThread(
             workers=1,
             engine_config=EngineConfig(use_disk_cache=False),
@@ -513,8 +526,15 @@ class TestOverload:
                 request = ExecuteRequest(
                     source=SOURCE, loop="target", params=PARAMS, arrays=ARRAYS
                 )
-                for _ in range(count):
-                    client.send(request)
+                try:
+                    for _ in range(count):
+                        client.send(request)
+                    deadline = time.monotonic() + 60.0
+                    while hosted.server.metrics.snapshot()["shed"] < count - 1:
+                        assert time.monotonic() < deadline, "burst never shed"
+                        time.sleep(0.01)
+                finally:
+                    release.set()
                 responses = [client.recv() for _ in range(count)]
             ok = [r for r in responses if not isinstance(r, ErrorResponse)]
             shed = [r for r in responses if isinstance(r, ErrorResponse)]

@@ -11,12 +11,14 @@ client, and the stats document gains the per-worker analysis-cache
 counts and the trace-store counters.
 """
 
+import threading
 import time
 
 import pytest
 
 from repro.api import (
     AnalyzeRequest,
+    Engine,
     EngineConfig,
     ExecuteRequest,
     StatsResponse,
@@ -193,18 +195,37 @@ end
         # the pool's cache-locality probe saw the resident program
         assert root["attrs"]["warm"] is True
 
-    def test_coalesced_rider_records_join_span(self, hosted):
+    def test_coalesced_rider_records_join_span(self, hosted, monkeypatch):
         """Pipelined identical analyzes single-flight on the dispatcher;
         the riders' traces carry a coalesce_join span instead of the
-        leader's queue_wait/compile spans."""
+        leader's queue_wait/compile spans.  The leader's compile is held
+        until the stats verb counts all five riders joined, so they
+        coalesce however fast that compile would have been."""
         source = _source("coalesce", increment=9)
+        release = threading.Event()
+        compile_ = Engine.compile
+
+        def held_compile(engine, text, **kwargs):
+            if text == source:
+                release.wait(timeout=60.0)
+            return compile_(engine, text, **kwargs)
+
+        monkeypatch.setattr(Engine, "compile", held_compile)
         trace_ids = [mint_trace_id() for _ in range(6)]
-        with _client(hosted) as client:
-            for trace_id in trace_ids:
-                client.send_line(wire_json(AnalyzeRequest(
-                    source=source, loop="target",
-                    trace={"trace_id": trace_id, "sampled": True},
-                ).to_json()))
+        with _client(hosted) as client, _client(hosted) as observer:
+            coalesced = observer.stats().stats["coalesced"]
+            try:
+                for trace_id in trace_ids:
+                    client.send_line(wire_json(AnalyzeRequest(
+                        source=source, loop="target",
+                        trace={"trace_id": trace_id, "sampled": True},
+                    ).to_json()))
+                deadline = time.monotonic() + 60.0
+                while observer.stats().stats["coalesced"] < coalesced + 5:
+                    assert time.monotonic() < deadline, "riders never joined"
+                    time.sleep(0.01)
+            finally:
+                release.set()
             for _ in trace_ids:
                 assert client.recv().to_json()["kind"] == "analyze"
             docs = [_fetch_trace(client, trace_id)
@@ -212,10 +233,10 @@ end
         names_per_doc = [
             {span["name"] for span in doc["spans"]} for doc in docs
         ]
-        assert any("compile" in names for names in names_per_doc)
+        assert sum("compile" in names for names in names_per_doc) == 1
         joined = [doc for doc, names in zip(docs, names_per_doc)
                   if "coalesce_join" in names]
-        assert joined, "no pipelined rider coalesced"
+        assert len(joined) == 5, "every pipelined rider coalesces"
         for doc in joined:
             _assert_well_formed(doc)
 

@@ -48,6 +48,31 @@ class TestSupervisor:
         with pytest.raises(ValueError):
             BackendSupervisor(0, _script_command(_WELL_BEHAVED))
 
+    @pytest.mark.parametrize("sizes", [
+        {"backends": 0}, {"replicas": 0}, {"backend_workers": 0},
+        {"replicas": -1}, {"backend_workers": -2},
+    ])
+    def test_front_tier_rejects_sizes_below_one(self, sizes):
+        """Checked at construction: nothing is spawned, and no backend is
+        ever started with a command it exits 2 on."""
+        from repro.server import FrontTier
+
+        (name, value), = sizes.items()
+        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+            FrontTier(port=0, **{"backends": 2, **sizes})
+
+    def test_front_tier_keeps_replicas_within_backends(self):
+        from repro.server import FrontTier
+
+        assert FrontTier(port=0, backends=2, replicas=5).replicas == 2
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_backend_command_rejects_workers_below_one(self, workers):
+        from repro.server.supervisor import serve_backend_command
+
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            serve_backend_command(workers=workers)
+
     def test_spawns_and_parses_ready_line(self):
         supervisor = BackendSupervisor(
             2, _script_command(_WELL_BEHAVED), backoff_base=0.05
