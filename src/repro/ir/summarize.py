@@ -34,7 +34,7 @@ from ..usr import (
     usr_leaf,
     usr_union,
 )
-from ..lmad import point
+from ..lmad import interval, point
 from .ast import (
     ArrayRead,
     AssignArray,
@@ -240,15 +240,7 @@ class Summarizer:
             reads[arr] = usr_union(reads.get(arr, EMPTY), usr)
         if index is None:
             # Unknown write target: the whole array becomes RW.
-            decl = self.program.array_decl(stmt.array)
-            size = (
-                to_expr(decl.size, {}) if decl is not None else None
-            )
-            from ..lmad import interval
-
-            whole = usr_leaf(
-                interval(1, size if size is not None else sym("$unknown"))
-            )
+            whole = _whole_array_usr(self.program, stmt.array)
             out.arrays[stmt.array] = Summary.read_write(whole)
             out.approximate = True
         else:
@@ -293,11 +285,7 @@ class Summarizer:
             if idx is not None:
                 leaf = usr_leaf(point(idx))
             else:
-                from ..lmad import interval
-
-                decl = self.program.array_decl(e.array)
-                size = to_expr(decl.size, {}) if decl else sym("$unknown")
-                leaf = usr_leaf(interval(1, size))
+                leaf = _whole_array_usr(self.program, e.array)
             out[e.array] = usr_union(out.get(e.array, EMPTY), leaf)
         return out
 
@@ -801,8 +789,6 @@ def summarize_loop(
 
 
 def _whole_array_usr(program: Program, name: str):
-    from ..lmad import interval
-
     decl = program.array_decl(name)
     size = to_expr(decl.size, {}) if decl is not None else None
     return usr_leaf(interval(1, size if size is not None else sym("$unknown")))

@@ -280,7 +280,7 @@ class FrontTier(LineServer):
             if value < 1:
                 raise ValueError(f"{name} must be >= 1 (got {value})")
         self.backends = backends
-        self.replicas = max(1, min(replicas, backends))
+        self.replicas = min(replicas, backends)
         self.router = Router(backends, vnodes=vnodes)
         self.tracker = HotShardTracker(window_s=hot_window_s, hot_rps=hot_rps)
         self.startup_timeout_s = startup_timeout_s
