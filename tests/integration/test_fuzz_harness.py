@@ -107,9 +107,10 @@ class TestShrinker:
     def test_literal_pass_replaces_the_literal_it_enumerated(self):
         """``A[i + 2] = 100`` under an oracle that keeps the case while the
         stored literal is >= 50: the index literal shrinks to 1 and the
-        stored one to 50, in a handful of oracle calls.  (When the literal
-        pass enumerated ``expr`` before ``index`` but replaced ``index``
-        first, it never tried 50 and spent the whole budget.)"""
+        stored one to 50, in a handful of oracle calls.  Enumeration and
+        replacement must visit literals in one order; otherwise the pass
+        rewrites one literal while shrinking the value of another, never
+        tries 50, and spends the whole budget on no-op candidates."""
         source = (
             "program p\nparam N\narray A(20)\nmain\n"
             "do i = 1, N @ fuzz_loop\nA[i + 2] = 100\nend\nend\nend\n"
