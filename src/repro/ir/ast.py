@@ -256,7 +256,7 @@ class Program:
         ]
 
 
-# -- the IR's shape ----------------------------------------------------------------
+# -- the IR's shape -------------------------------------------------------------
 
 #: Each node class's operand fields -- those holding sub-expressions -- in
 #: evaluation order.  A field holds an expression, ``None`` or a tuple of

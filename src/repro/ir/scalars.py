@@ -16,7 +16,9 @@ counts as exposed unless a dominating write precedes it on every path.
 
 from __future__ import annotations
 
-from .ast import AssignScalar, Do, If, IRExpr, IRStmt, Var, While, walk_exprs, walk_stmts
+from .ast import (
+    AssignScalar, Do, If, IRExpr, IRStmt, Var, While, walk_exprs, walk_stmts,
+)
 
 __all__ = ["assigned_scalars", "read_before_write", "expr_scalar_reads"]
 

@@ -60,7 +60,10 @@ def _reference_stmts(body):
 
 
 def _nums(body):
-    return [e.value for s in walk_stmts(body) for e in walk_exprs(s) if isinstance(e, Num)]
+    return [
+        e.value for s in walk_stmts(body) for e in walk_exprs(s)
+        if isinstance(e, Num)
+    ]
 
 
 def _map_program(program, expr):
