@@ -16,8 +16,9 @@ Nothing here walks a statement or an expression.  :mod:`repro.ir.lower`
 writes each body (``Program.main``, a subroutine's), each labelled loop
 and each expression the machine needs itself (array extents, labelled
 loops' bounds and conditions, call arguments) as a Python function, in
-one variant for when an iteration record is active and one for when none
-is.  :meth:`Machine._code` compiles a variant the first time it is
+one variant for when an iteration record is active, one for when LRPD
+shadow marks are (:class:`Shadows`, the speculative backend's marked
+chunk) and one for when neither is.  :meth:`Machine._code` compiles a variant the first time it is
 *executed* -- never at analysis time -- and keeps it in
 ``Program._lowered``: the code lives as long as its program, and a
 program is lowered once however many machines run it (a process worker
@@ -46,7 +47,7 @@ from .lower import lower
 
 __all__ = [
     "Machine", "IterationRecord", "LoopTrace", "RunResult", "InterpError",
-    "copy_arrays", "changed_locations",
+    "MarkConflict", "Shadows", "copy_arrays", "changed_locations",
 ]
 
 _WHILE_FUEL = 10_000_000
@@ -54,6 +55,40 @@ _WHILE_FUEL = 10_000_000
 
 class InterpError(RuntimeError):
     """Raised on runtime errors (unbound names, bad indexes...)."""
+
+
+class MarkConflict(Exception):
+    """Raised by marking code at the first access that makes one
+    iteration of a marked run depend on another -- a read of a location
+    another wrote, a write of one another expose-read -- before the
+    value is read or the location written.  Its arguments are the base
+    array and the location."""
+
+
+class Shadows:
+    """The LRPD shadow marks of one marked run, kept by the marking
+    variant of the generated code (:mod:`repro.ir.lower`) while they
+    are the machine's ``_shadows``."""
+
+    __slots__ = ("arrays", "it", "rewritten", "traced")
+
+    #: what a stamp's low bits say the last iteration to touch a location did
+    READ, READ_BY_SEVERAL, WRITTEN, READ_THEN_WRITTEN = range(4)
+
+    def __init__(self, arrays: Iterable[str]):
+        #: base array -> {location: stamp}: the last iteration to touch
+        #: it, times 4, plus what it did (``READ`` ... above; ``READ_BY_
+        #: SEVERAL``: earlier iterations expose-read it too).  Arrays not
+        #: named are exempt from marking.
+        self.arrays: dict = {name: {} for name in arrays}
+        #: stamp base of the iteration being marked: 4 times its ordinal
+        #: (``None`` before the first)
+        self.it: Optional[int] = None
+        #: arrays a location of which two iterations wrote
+        self.rewritten: set = set()
+        #: every iteration's distinct written plus distinct expose-read
+        #: locations of the marked arrays, summed
+        self.traced = 0
 
 
 def copy_arrays(arrays: Mapping[str, Sequence[int]]) -> dict[str, list[int]]:
@@ -220,6 +255,7 @@ class Machine:
             LoopTrace(trace_label) if trace_label else None
         )
         self._active_record: Optional[IterationRecord] = None
+        self._shadows: Optional[Shadows] = None
         self.arrays: dict[str, list[int]] = {}
         for decl in program.arrays:
             size = self._eval(decl.size, _Frame(dict(self.params), {}))
@@ -305,16 +341,17 @@ class Machine:
         """The function generated for *node* (a statement tuple, a
         labelled loop or an expression; a loop's has ``assigns``, see
         :class:`~repro.ir.lower.Lowered`, as an attribute), in the
-        variant for whether a record is active;
+        variant for whether marks, else a record, are active;
         lowered on first use.  Threads racing to a first use may each
         lower it -- the results are interchangeable and the last one
         stored stays."""
         codes = self.program._lowered
-        key = (id(node), self._active_record is not None)
+        variant = _MARKING if self._shadows is not None else self._active_record is not None
+        key = (id(node), variant)
         entry = codes.get(key)
         if entry is None:
             # the entry holds *node*, so its id cannot be reused meanwhile
-            entry = codes[key] = (node, _generate(node, key[1]))
+            entry = codes[key] = (node, _generate(node, variant))
         return entry[1]
 
     def _exec_body(self, stmts: tuple[IRStmt, ...], frame: _Frame) -> None:
@@ -406,9 +443,14 @@ def _bad_access(machine: Machine, frame: _Frame, array: str, loc: int) -> None:
     raise InterpError(f"{name}[{loc}] out of bounds (size {size})")
 
 
+#: the key of the marking variant in ``Program._lowered`` (beside
+#: ``False`` and ``True``, whether a record is active)
+_MARKING = "marking"
+
 #: the globals of every generated function, beside its own ``K``
 _GLOBALS = {
     "InterpError": InterpError,
+    "Conflict": MarkConflict,
     "UNSET": object(),
     "NOBIND": (None, 0),
     "unbound": _unbound,
@@ -418,10 +460,11 @@ _GLOBALS = {
 
 
 @_profiling.timed("ir.lower")
-def _generate(node: Union[tuple, IRStmt, IRExpr], recording: bool) -> Callable:
-    """Lower *node* and compile the result: ``run(machine, frame)``, a
-    labelled loop's with the values to run after them."""
-    lowered = lower(node, recording)
+def _generate(node: Union[tuple, IRStmt, IRExpr], variant) -> Callable:
+    """Lower *node* in *variant* (``_MARKING``, or whether it records)
+    and compile the result: ``run(machine, frame)``, a labelled loop's
+    with the values to run after them."""
+    lowered = lower(node, variant is True, variant == _MARKING)
     namespace = dict(_GLOBALS, K=lowered.consts)
     exec(compile(lowered.source, "<lowered>", "exec"), namespace)
     run = namespace["run"]

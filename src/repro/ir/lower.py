@@ -40,11 +40,27 @@ the same under every hash seed.
   frame -- is bound again right after it.
 
 With *recording* the code also keeps ``m._active_record`` (``R``: work,
-writes, reduction updates, exposed reads); the machine picks the variant
-by whether a record is active when the unit is entered.  The text
-expects in its globals ``K`` (:attr:`Lowered.consts`), ``InterpError``,
-``UNSET`` (no such scalar in the frame), ``NOBIND`` (``(None, 0)``),
-``unbound(m, name)``, ``bad_access(m, f, array, loc)`` and ``fuel()``.
+writes, reduction updates, exposed reads).  With *marking* it keeps
+instead the LRPD shadow marks of ``m._shadows`` (``M``, a
+:class:`~repro.ir.interp.Shadows`): per base array a dict ``st<k>``
+(bound with the array; ``None`` for an array exempt from marking) from
+location to a stamp ``X + s``, ``X`` the iteration being marked (a
+multiple of 4, rising) and ``s`` what it did: 0 expose-read, 1
+expose-read after another iteration did, 2 wrote, 3 expose-read then
+wrote.  A read of a location another iteration wrote (flow) and a write
+of a location another iteration expose-read (anti) raise ``Conflict``
+before the value is read or the location written; a location written by
+two iterations only joins ``M.rewritten``; every iteration's first write
+of a location and first exposed read of it counts one in ``T``, flushed
+into ``M.traced`` like ``w``.  The loop unit entered while no iteration
+is marked (``M.it`` is ``None``) stamps its own iterations; a unit it
+reaches -- a labelled loop, a call, an expression -- stamps with the
+``X`` it finds.  The machine picks the variant by whether marks, else
+a record, are active when the unit is entered.  The text expects in its
+globals ``K`` (:attr:`Lowered.consts`), ``InterpError``, ``UNSET`` (no
+such scalar in the frame), ``NOBIND`` (``(None, 0)``), ``unbound(m,
+name)``, ``bad_access(m, f, array, loc)`` and ``fuel()``; marking code
+also ``Conflict``.
 """
 
 from __future__ import annotations
@@ -107,11 +123,13 @@ class Lowered(NamedTuple):
     assigns: Optional[tuple]
 
 
-def lower(node: Union[tuple, IRStmt, IRExpr], recording: bool) -> Lowered:
+def lower(
+    node: Union[tuple, IRStmt, IRExpr], recording: bool, marking: bool = False
+) -> Lowered:
     """*node* -- a statement tuple, a labelled loop or an expression --
     as source; with *recording* the code keeps the machine's active
-    iteration record."""
-    emitter = _Emitter(recording)
+    iteration record, with *marking* its LRPD shadow marks."""
+    emitter = _Emitter(recording, marking)
     counting = not isinstance(node, IRExpr)
     if isinstance(node, (Do, While)):
         emitter.loop_unit(node)
@@ -120,7 +138,11 @@ def lower(node: Union[tuple, IRStmt, IRExpr], recording: bool) -> Lowered:
         for stmt in node:
             emitter.statement(stmt)
     else:
-        emitter.emit(f"return {emitter.value(node)[0]}")
+        value = emitter.value(node)[0]
+        if marking:
+            value = emitter.pin(value)
+            emitter.emit("M.traced += T")
+        emitter.emit(f"return {value}")
     assigns = None if emitter.consts else tuple(emitter.assigns)
     return Lowered(emitter.source(counting), tuple(emitter.consts), assigns)
 
@@ -168,15 +190,19 @@ class Emitter:
 
 
 class _Emitter(Emitter):
-    def __init__(self, recording: bool):
+    def __init__(self, recording: bool, marking: bool = False):
         super().__init__("m, f")
         self.recording = recording
+        self.marking = marking
         self.arrays: list = []  # names, in order of first use
         self.scalars: list = []
         self.assigns: list = []  # arrays assigned to, in order of first assignment
         self.restarts = False  # may a scalar's value differ after the unit's text ran
         self.uses_fuel = False
-        self.flush = ["m.work += w"] + ["R.work += w"] * recording
+        self.flush = (
+            ["m.work += w"] + ["R.work += w"] * recording + ["M.traced += T"] * marking
+        )
+        self.reset = ["w = 0"] + ["T = 0"] * marking
 
     # -- plumbing ----------------------------------------------------------
     @staticmethod
@@ -189,10 +215,11 @@ class _Emitter(Emitter):
         self.emit(f"raise InterpError({message!r})")
 
     def source(self, counting: bool) -> str:
+        shadow = "; st{k} = SH.get(a{k})" if self.marking else ""
         binds = {
             _ARRAYS: ["MA = m.arrays"] + [
                 f"a{k}, o{k} = FA.get({name!r}, NOBIND); "
-                f"d{k} = MA.get(a{k}, ()); n{k} = len(d{k})"
+                f"d{k} = MA.get(a{k}, ()); n{k} = len(d{k})" + shadow.format(k=k)
                 for k, name in enumerate(self.arrays)
             ] if self.arrays else [],
             _SCALARS: [
@@ -204,6 +231,8 @@ class _Emitter(Emitter):
         if self.recording:
             head += ["R = m._active_record", "W = R.writes",
                      "E = R.exposed_reads", "U = R.updates"]
+        if self.marking:
+            head += ["M = m._shadows", "SH = M.arrays", "X = M.it", "T = 0"]
         if self.uses_fuel:
             head.append("FUEL = fuel()")
         head += binds[_ARRAYS] + binds[_SCALARS]
@@ -286,6 +315,16 @@ class _Emitter(Emitter):
             self.emit(f"s = W.get(a{k})")
             self.emit(f"if not s or {loc} not in s:")
             self.note("E", k, loc, 1)
+        if self.marking:  # untouched, or touched by earlier iterations only
+            self.mark(k, loc, [
+                "if s is None:",
+                f"    st{k}[{loc}] = X",
+                "    T += 1",
+                "elif s < X:",
+                f"    if s & 2: raise Conflict(a{k}, {loc})",  # flow
+                f"    st{k}[{loc}] = X + 1",
+                "    T += 1",
+            ])
         return f"d{k}[{loc} - 1]", False
 
     def locate(self, array: str, index: str) -> tuple:
@@ -294,6 +333,16 @@ class _Emitter(Emitter):
         loc = self.pin(f"o{k} + {index}")
         self.emit(f"if not 0 < {loc} <= n{k}: bad_access(m, f, {array!r}, {loc})")
         return loc, k
+
+    def mark(self, k: int, loc: str, lines: list) -> None:
+        """*lines*, with ``s`` the stamp of *loc*, under a test that
+        array slot *k* is marked at all."""
+        self.emit(f"if st{k} is not None:")
+        self.indent += 1
+        self.emit(f"s = st{k}.get({loc})")
+        for line in lines:
+            self.emit(line)
+        self.indent -= 1
 
     def note(self, marks: str, k: int, loc: str, deeper: int = 0) -> None:
         """Add *loc* to the record's *marks* of array slot *k*, creating
@@ -377,7 +426,7 @@ class _Emitter(Emitter):
         (``m.arrays``) or a body sharing this frame (scalars) may have
         replaced."""
         self.restarts |= scalars
-        for line in self.flush + ["w = 0", call, _ARRAYS] + [_SCALARS] * scalars:
+        for line in self.flush + self.reset + [call, _ARRAYS] + [_SCALARS] * scalars:
             self.emit(line)
 
     def _assign_scalar(self, stmt: AssignScalar) -> None:
@@ -398,6 +447,21 @@ class _Emitter(Emitter):
             self.note("W", k, loc)
             if stmt.is_update:
                 self.note("U", k, loc)
+        if self.marking:
+            self.mark(k, loc, [
+                "if s is None:",
+                f"    st{k}[{loc}] = X + 2",
+                "    T += 1",
+                "elif s < X:",  # anti, unless an earlier iteration only wrote it
+                f"    if s & 3 != 2: raise Conflict(a{k}, {loc})",
+                f"    M.rewritten.add(a{k})",
+                f"    st{k}[{loc}] = X + 2",
+                "    T += 1",
+                "elif s == X:",
+                f"    st{k}[{loc}] = X + 3",
+                "    T += 1",
+                f"elif s == X + 1: raise Conflict(a{k}, {loc})",  # anti
+            ])
         self.emit(f"d{k}[{loc} - 1] = {value}")
 
     def _if(self, stmt: If) -> None:
@@ -425,11 +489,15 @@ class _Emitter(Emitter):
         assigns no scalar needs, and gets, no such restart); with a
         ``costs`` list, every iteration appends the work it did, and
         beforehand to each *prefix* its scalar's value on entry.  The
-        function returns the last value it ran."""
+        function returns the last value it ran.  Marking, a unit entered
+        while no iteration is marked stamps its own: 0, 4, 8, ..."""
         self.params = "m, f, values, fresh, costs, civs"
         self.indent = 2  # inside ``def`` and ``try``
         self.block(stmt.body)
         head = [(2, "x = None"), (2, "for x in values:")]
+        if self.marking:
+            head[:0] = [(2, "top = X is None"), (2, "if top: X = -4")]
+            head.append((3, "if top: M.it = X = X + 4"))
         if self.restarts:
             head += [
                 (3, "if fresh is not None:"),

@@ -25,10 +25,17 @@ arrays (= dynamic last value), delta accumulation for reductions.
   memory where that is exact and the cheaper way (:func:`_diffable`),
   else from an access record; docs/ARCHITECTURE.md ("Copying a chunk
   out") says why, once;
+* :func:`execute_marked_chunk` -- the ``speculative`` backend's unit: a
+  chunk as above, run through the *marking* variant of the loop unit,
+  which stamps the LRPD shadow marks as it goes and raises
+  :class:`~repro.ir.interp.MarkConflict` at the first access that makes
+  one of the chunk's iterations depend on another.  One outcome, whose
+  marks are the chunk's distinct written and expose-read locations;
 * :func:`execute_positions` -- one outcome per *iteration*, each a chunk
   of one isolated from the rest, for the two callers that want that on
   purpose: the ``sequential`` reference backend (see its module for
-  why) and the ``speculative`` backend's per-iteration LRPD marks.
+  why) and the ``speculative`` backend's reference run, which judges a
+  chunk whose marks conflict by the per-iteration LRPD marks.
 
 Every snapshot is :func:`~repro.ir.interp.copy_arrays`, one flat C-level
 copy per array; ``task.pre_arrays`` itself is never written to.
@@ -42,7 +49,7 @@ from typing import Optional, Sequence
 
 from ...ir.ast import Program
 from ...ir.interp import (
-    IterationRecord, Machine, _Frame, changed_locations, copy_arrays,
+    IterationRecord, Machine, Shadows, _Frame, changed_locations, copy_arrays,
 )
 from .chunking import ChunkSpec, plan_chunks
 
@@ -54,6 +61,7 @@ __all__ = [
     "ExecutionBackend",
     "ChunkedBackend",
     "execute_chunk",
+    "execute_marked_chunk",
     "execute_positions",
     "merge_outcomes",
     "last_scalars",
@@ -94,6 +102,12 @@ class LoopTask:
     #: statements these iterations executed in the in-order run, if known
     work: Optional[float] = None
 
+    @property
+    def reductions(self) -> frozenset:
+        """The arrays merged as licensed reductions: their delta-merge
+        holds however iterations overlap, so LRPD marks exempt them."""
+        return frozenset(a for a, s in self.decisions.items() if s == "reduction")
+
 
 @dataclass
 class IterationOutcome:
@@ -114,8 +128,13 @@ class IterationOutcome:
     scalars: dict
     #: array -> sorted expose-read locations (read before any local
     #: write); only populated when the caller asked for them
-    #: (``record_exposed``) -- the speculative backend's shadow marks
+    #: (``record_exposed``, or a marked chunk) -- the speculative
+    #: backend's shadow marks
     exposed: dict = field(default_factory=dict)
+    #: a marked chunk's: arrays a location of which two of its
+    #: iterations wrote, and its traced-access count
+    rewritten: tuple = ()
+    traced: int = 0
 
 
 @dataclass
@@ -174,14 +193,18 @@ class ExecutionBackend:
 # -- shared iteration machinery ----------------------------------------------
 
 
-def _execute_groups(task: LoopTask, groups, isolate=None, record_exposed=False) -> list:
+def _execute_groups(
+    task: LoopTask, groups, isolate=None, record_exposed=False, marked=False
+) -> list:
     """One :class:`IterationOutcome` per group of positions, keyed by
     the group's last: a group runs in order, in place, through the
     loop's unit.  *isolate* starts every group from the pre-loop memory:
     a fresh copy of it (``"snapshot"``), or the one copy with the
     group's writes restored afterwards (``"undo"``; exact, writes being
     the only mutations).  Without it -- a chunk -- the group runs
-    unrecorded where :func:`_diffable` allows and is copied out by diff."""
+    unrecorded where :func:`_diffable` allows and is copied out by diff;
+    *marked*, under shadow marks, which are its write set but for the
+    licensed reductions, copied out by diff."""
     loop = task.program.find_loop(task.label)
     if loop is None:
         raise ValueError(f"no loop labelled {task.label!r}")
@@ -194,9 +217,13 @@ def _execute_groups(task: LoopTask, groups, isolate=None, record_exposed=False) 
         if isolate == "snapshot":
             machine.arrays = local = copy_arrays(pre_arrays)
         last = group[-1]
-        chunk = not (isolate or record_exposed)
+        chunk = not (isolate or record_exposed or marked)
         diffed = _diffable(task, machine, loop, len(group)) if chunk else None
         record = IterationRecord(iteration=iterations[last])
+        if marked:
+            exempt = task.reductions
+            diffed = [arr for arr in local if arr in exempt]
+            machine._shadows = shadows = Shadows(a for a in local if a not in exempt)
         machine.run_loop(
             loop, frame, [iterations[pos] for pos in group],
             record if diffed is None else None,
@@ -204,6 +231,14 @@ def _execute_groups(task: LoopTask, groups, isolate=None, record_exposed=False) 
             civs=[(name, iter([task.civ_values[name][pos] for pos in group]))
                   for name in task.civ_names],
         )
+        if marked:
+            for arr, stamps in shadows.arrays.items():
+                written = [loc for loc, s in stamps.items() if s & 2]
+                exposed = [loc for loc, s in stamps.items() if s & 3 != Shadows.WRITTEN]
+                if written:
+                    record.writes[arr] = written
+                if exposed:
+                    record.exposed_reads[arr] = exposed
         for arr in diffed or ():
             locs = changed_locations(local[arr], pre_arrays[arr])
             record.writes[arr] = locs
@@ -220,7 +255,9 @@ def _execute_groups(task: LoopTask, groups, isolate=None, record_exposed=False) 
                     for arr, locs in record.writes.items()
                 },
                 scalars=dict(frame.scalars),
-                exposed=_ordered(record.exposed_reads) if record_exposed else {},
+                exposed=_ordered(record.exposed_reads) if record_exposed or marked else {},
+                rewritten=tuple(sorted(shadows.rewritten)) if marked else (),
+                traced=shadows.traced if marked else 0,
             )
         )
         if isolate == "undo":
@@ -255,6 +292,14 @@ def execute_chunk(task: LoopTask, positions: Sequence[int]) -> IterationOutcome:
     """Run the contiguous, non-empty *positions* of *task* in order and
     in place: one outcome for the whole chunk."""
     return _execute_groups(task, (positions,))[0]
+
+
+def execute_marked_chunk(task: LoopTask, positions: Sequence[int]) -> IterationOutcome:
+    """Run the contiguous, non-empty *positions* of *task* in order and
+    in place under LRPD shadow marks: one outcome for the whole chunk,
+    or :class:`~repro.ir.interp.MarkConflict` at the first access by
+    which one of its iterations depends on another."""
+    return _execute_groups(task, (positions,), marked=True)[0]
 
 
 def execute_positions(

@@ -3,14 +3,17 @@
 Chunks are dispatched to a persistent pool of worker *processes*, so
 interpreter work genuinely runs in parallel on multi-core machines (no
 GIL).  A chunk goes out as its ``range`` of positions and comes back as
-one outcome (:func:`~repro.runtime.backends.base.execute_chunk`).  Every
-chunk submission carries the same setup blob -- the pickled task with
-its pre-loop memory, and the program as its own pickle -- tagged with a
-run token; a worker materializes the state on the first chunk it sees
-for a token and reuses it for the rest of the run, so under the default
-plan the memory reaches each worker once per run.  A worker also keeps
-the ``Program`` it unpickled under those bytes (same bounded cache), and
-with it the code it generated for it.
+one outcome (:func:`~repro.runtime.backends.base.execute_chunk`, or the
+unit the caller names -- the speculative backend's marked chunk).  A
+run's setup blob -- the pickled task with its pre-loop memory, and the
+program as its own pickle -- is tagged with a run token and rides with
+the first chunk of each worker the run may use; a worker materializes
+the state on the first chunk it sees for a token and reuses it for the
+rest of the run.  A worker that meets a token it has not materialized
+answers ``None``, and that chunk goes again with the blob -- so the
+memory reaches each worker about once per run, however many chunks the
+plan has.  A worker also keeps the ``Program`` it unpickled under those
+bytes (same bounded cache), and with it the code it generated for it.
 
 The pool is the only resource the backend holds.  It outlives
 individual runs (:class:`~repro.runtime.backends.threads.KeptPool`, the
@@ -29,7 +32,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from multiprocessing import get_all_start_methods, get_context
 
-from .base import ChunkedBackend, LoopTask, execute_chunk, execute_positions
+from .base import ChunkedBackend, LoopTask, execute_chunk
 from .threads import KeptPool, map_kept
 
 __all__ = ["ProcessBackend", "execute_chunks"]
@@ -55,9 +58,9 @@ _RUN_TOKENS = itertools.count()
 _WORKER_STATE: dict = {}
 
 
-def _materialize(token: int, setup_blob: bytes) -> dict:
+def _materialize(token: int, setup_blob) -> dict:
     state = _WORKER_STATE.get(token)
-    if state is not None:
+    if state is not None or setup_blob is None:
         return state
     setup = pickle.loads(setup_blob)
     task, blob = setup["task"], setup.pop("program")
@@ -69,41 +72,44 @@ def _materialize(token: int, setup_blob: bytes) -> dict:
     return setup
 
 
-def _worker_chunk(payload) -> list:
-    """Top-level chunk entry point (must be importable by workers)."""
+def _worker_chunk(payload):
+    """Top-level chunk entry point (must be importable by workers):
+    the run's unit of the chunk, or ``None`` for a run this worker has
+    no state of and was sent no blob for."""
     token, setup_blob, positions = payload
     state = _materialize(token, setup_blob)
-    if not state["marked"]:
-        return [execute_chunk(state["task"], positions)]
-    return execute_positions(
-        state["task"], positions, per_iteration_snapshot=False, record_exposed=True
-    )
+    if state is None:
+        return None
+    return state["unit"](state["task"], positions)
 
 
 # -- parent side -------------------------------------------------------------
 
 
 def execute_chunks(
-    task: LoopTask, chunks: list, jobs: int, marked: bool = False
+    task: LoopTask, chunks: list, jobs: int, unit=execute_chunk
 ) -> list:
-    """Run *chunks* of *task* on the persistent process pool.
-
-    Returns the outcomes in chunk order: one
-    :class:`~repro.runtime.backends.base.IterationOutcome` a chunk, or
-    with ``marked`` -- the speculative backend's optimistic run -- one an
-    iteration, each isolated and carrying its expose-read marks.  When
-    a worker has died the pool is replaced and the chunks, pure functions
-    of the task, run once more.
+    """``unit(task, chunk)`` of every chunk of *task*, in chunk order,
+    on the persistent process pool: by default one
+    :class:`~repro.runtime.backends.base.IterationOutcome` a chunk.
+    *unit* must be importable by the workers (a module-level function,
+    or a ``functools.partial`` of one).  The first ``min(jobs, chunks)``
+    payloads carry the setup blob, and a chunk a worker answers ``None``
+    goes again with it.  When a worker has died the pool is replaced and
+    the chunks, pure functions of the task, run once more.
     """
     token = next(_RUN_TOKENS)
     setup_blob = pickle.dumps({
         "task": replace(task, program=None),
         "program": pickle.dumps(task.program),
-        "marked": marked,
+        "unit": unit,
     })
-    payloads = [(token, setup_blob, c) for c in chunks]
-    results = map_kept(_pool, _worker_chunk, payloads, jobs)
-    return [o for chunk_result in results for o in chunk_result]
+    first = min(jobs, len(chunks))
+    payloads = [
+        (token, setup_blob if k < first else None, c) for k, c in enumerate(chunks)
+    ]
+    return map_kept(_pool, _worker_chunk, payloads, jobs,
+                    again=lambda payload: (token, setup_blob, payload[2]))
 
 
 class ProcessBackend(ChunkedBackend):

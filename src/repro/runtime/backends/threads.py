@@ -52,23 +52,39 @@ class KeptPool:
             return self.executor
 
 
-def map_kept(pool: Callable, fn: Callable, items: list, workers: int) -> list:
+def map_kept(
+    pool: Callable, fn: Callable, items: list, workers: int,
+    again: Optional[Callable] = None,
+) -> list:
     """``fn`` of every item, in order, on the executor ``pool(workers)``.
 
     Submitting under the lock keeps a concurrent replace from shutting
-    the executor down between look-up and submit.  An executor found
-    broken -- a process worker died -- is replaced, and the items, pure
-    functions of their inputs, run once more on the fresh one.
+    the executor down between look-up and submit.  With *again*, an item
+    whose result is ``None`` runs once more as ``again(item)`` before
+    any later result is looked at, so an error still surfaces from the
+    first item, in order, that raises.  An executor found broken -- a
+    process worker died -- is replaced, and the items, pure functions of
+    their inputs, run once more on the fresh one.
     """
-    try:
-        with _LOCK:
-            executor = pool(workers)
-            results = executor.map(fn, items)
-        return list(results)
-    except BrokenExecutor:
-        with _LOCK:
-            results = pool(workers, executor).map(fn, items)
-        return list(results)
+    broken = None
+    while True:
+        try:
+            with _LOCK:
+                executor = pool(workers) if broken is None else pool(workers, broken)
+                results = executor.map(fn, items)
+            out = []
+            for item, result in zip(items, results):
+                if result is None and again is not None:
+                    with _LOCK:
+                        executor = pool(workers)
+                        result = executor.submit(fn, again(item))
+                    result = result.result()
+                out.append(result)
+            return out
+        except BrokenExecutor:
+            if broken is not None:
+                raise
+            broken = executor
 
 
 _THREADS = KeptPool(

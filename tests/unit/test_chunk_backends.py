@@ -17,7 +17,7 @@ from repro.evaluation import profile
 from repro.ir import parse_program
 from repro.runtime.backends import ChunkSpec, LoopTask, get_backend, plan_chunks
 from repro.ir.interp import Machine
-from repro.runtime.backends import base, processes, threads
+from repro.runtime.backends import base, processes, speculative, threads
 from repro.runtime.backends.speculative import sequential_execute
 
 SAXPY = """
@@ -245,8 +245,8 @@ class TestProcessWire:
         outcomes = processes.execute_chunks(task, chunks, 2)
         assert len(outcomes) == len(chunks) == 8
         assert [o.position for o in outcomes] == [c[-1] for c in chunks]
-        marked = processes.execute_chunks(task, chunks, 2, marked=True)
-        assert [o.position for o in marked] == list(range(64))
+        isolated = processes.execute_chunks(task, chunks, 2, speculative._isolated)
+        assert [o.position for result in isolated for o in result] == list(range(64))
 
     def test_a_chunk_travels_as_its_range(self, monkeypatch):
         sent = []

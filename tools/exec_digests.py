@@ -31,7 +31,7 @@ The reports come out of Python code generated from each program
     python tools/exec_digests.py --lowered
 
 generates the code of every unit ``Machine`` can compile for the 26
-paper programs, the kernel sources and the ``mix`` programs -- both
+paper programs, the kernel sources and the ``mix`` programs -- all three
 variants, nothing executed -- and the decision step's USR units of every
 pinned plan (``repro.usr.lower``: the inspector's code for each
 exact-test USR, BOUNDS-COMP's for each array that needs it), and prints
@@ -113,7 +113,7 @@ def compute(runnable: list) -> dict:
 
 def generated_units(program):
     """``Lowered`` for every unit of *program* the machine can compile,
-    both variants, in program order: array extents, ``main``, subroutine
+    all three variants (plain, recording, marking), in program order: array extents, ``main``, subroutine
     bodies, then whatever generated code hands back to the machine
     (labelled loops' bounds and conditions, their bodies -- as the body
     unit the per-iteration reference of ``tests/property`` enters, and
@@ -129,6 +129,7 @@ def generated_units(program):
         plain = lower(node, False)
         yield plain
         yield lower(node, True)
+        yield lower(node, False, True)
         if isinstance(node, (Do, While)):
             continue  # what it hands back, its body (pending too) does
         for const in plain.consts:
