@@ -18,6 +18,7 @@ Usage::
     repro-eval fuzz --seeds 50 --jobs 2  # CI smoke configuration
     repro-eval fuzz --seeds 100 --shrink # minimize + store any failures
     repro-eval fuzz --seeds 100 --backend thread  # fuzz a real backend
+    repro-eval fuzz --backend speculative --chunk dynamic:1  # chunks of one
 
     repro-eval analyze prog.loop --loop L1         # human-readable plan
     repro-eval analyze prog.loop --loop L1 --json  # AnalyzeResponse JSON
@@ -100,6 +101,21 @@ _CACHE = (
 )
 _SCALE = _arg("--scale", type=int, default=1, help="dataset scale factor")
 _JOBS = _arg("--jobs", type=int, default=None, help="worker threads (default: CPU count)")
+
+
+def _chunk_spec(text: str) -> dict:
+    """``POLICY[:SIZE]`` as a chunk spec's wire form."""
+    from ..runtime.backends import ChunkSpec
+
+    policy, colon, size = text.partition(":")
+    try:
+        size = int(size) if colon else None
+    except ValueError:
+        pass  # the spec rejects it as it is
+    try:
+        return ChunkSpec(policy, size).to_json()
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _artifacts(args) -> int:
@@ -191,6 +207,7 @@ def _fuzz(args) -> int:
     report = run_fuzz(
         seeds=args.seeds, seed_start=args.seed_start, jobs=args.jobs,
         cache=None if args.no_cache else FuzzCache(args.cache_dir), backend=args.backend,
+        chunk=args.chunk,
     )
     print(format_fuzz_report(report))
     if args.shrink and report.failures:
@@ -370,6 +387,9 @@ COMMANDS = {
         _arg("--backend", default="sequential",
              help="execution backend for the oracle's execution view "
              "(default: sequential)"),
+        _arg("--chunk", type=_chunk_spec, default=None, metavar="POLICY[:SIZE]",
+             help="how the backend carves the iteration space: 'static' or "
+             "'dynamic', optionally with a chunk size (default: static)"),
     ]),
     "analyze": (_analyze, "Analyze one labelled loop of an IR program through "
                 "the repro.api engine and print the plan (or, with --json, the "

@@ -152,6 +152,12 @@ def format_fuzz_table(report) -> str:
         f"decision step: inspector reached {report.inspector_reached} time(s), "
         f"BOUNDS-COMP {report.bounds_comp_reached} (executed seeds only)"
     )
+    lines.append(
+        f"speculative marked run: inline {report.spec_inline}, "
+        f"thread pool {report.spec_thread}, process pool {report.spec_process}; "
+        f"committed in place {report.spec_in_place}, "
+        f"re-judged by the isolated run {report.spec_rejudged}"
+    )
     hist = report.classification_histogram()
     if hist:
         top = ", ".join(f"{label} x{n}" for label, n in hist[:10])

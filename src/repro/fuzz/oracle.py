@@ -377,6 +377,16 @@ class FuzzReport:
     #: ``runtime.inspector_reached`` / ``runtime.bounds_comp_reached``)
     inspector_reached: int = 0
     bounds_comp_reached: int = 0
+    #: the speculative backend's marked runs on the executed seeds, by
+    #: the route they took (``backends.spec_route_inline`` / ``_thread``
+    #: / ``_process``), and the runs that committed in place
+    #: (``backends.spec_in_place``) or had a conflict re-judged by the
+    #: isolated run (``backends.spec_rejudged``)
+    spec_inline: int = 0
+    spec_thread: int = 0
+    spec_process: int = 0
+    spec_in_place: int = 0
+    spec_rejudged: int = 0
 
     @property
     def counts(self) -> dict:
@@ -402,6 +412,18 @@ class FuzzReport:
     @property
     def ok(self) -> bool:
         return not self.failures
+
+
+#: FuzzReport field -> the profiler counter it reads
+_REACHED = {
+    "inspector_reached": "runtime.inspector_reached",
+    "bounds_comp_reached": "runtime.bounds_comp_reached",
+    "spec_inline": "backends.spec_route_inline",
+    "spec_thread": "backends.spec_route_thread",
+    "spec_process": "backends.spec_route_process",
+    "spec_in_place": "backends.spec_in_place",
+    "spec_rejudged": "backends.spec_rejudged",
+}
 
 
 def run_fuzz(
@@ -437,7 +459,6 @@ def run_fuzz(
                              backend_jobs, chunk)
         return result
 
-    reach = ("runtime.inspector_reached", "runtime.bounds_comp_reached")
     started = time.perf_counter()
     with _profiling.profiling(fresh=False):
         before = _profiling.snapshot().counts
@@ -445,9 +466,10 @@ def run_fuzz(
             one, range(seed_start, seed_start + seeds), jobs
         )
         after = _profiling.snapshot().counts
-    inspector, bounds = (after.get(name, 0) - before.get(name, 0) for name in reach)
+    reached = {field: after.get(name, 0) - before.get(name, 0)
+               for field, name in _REACHED.items()}
     return FuzzReport(results=results, elapsed_s=time.perf_counter() - started,
-                      inspector_reached=inspector, bounds_comp_reached=bounds)
+                      **reached)
 
 
 def format_fuzz_report(report: FuzzReport, verbose_failures: int = 5) -> str:

@@ -181,9 +181,13 @@ class SpeculativeBackend(ExecutionBackend):
         jobs = default_jobs(jobs)
         n = len(task.iterations)
         chunks = plan_chunks(n, jobs, chunk)
+        if not chunks:
+            return BackendRun(
+                arrays=copy_arrays(task.pre_arrays), final_scalars={}, chunks=0,
+                jobs=jobs, speculation=_document(True, (), (), 0),
+            )
         route, workers = self._route(n, chunks, jobs)
-        if chunks:
-            _profiling.count(f"backends.spec_route_{route}")
+        _profiling.count(f"backends.spec_route_{route}")
         try:
             outcomes = self._run(route, execute_marked_chunk, task, chunks, jobs, workers)
             judged = judge_chunks(outcomes, task.reductions)
@@ -206,8 +210,6 @@ class SpeculativeBackend(ExecutionBackend):
     def _route(n: int, chunks: list, jobs: int) -> tuple:
         """(``"inline"`` | ``"thread"`` | ``"process"``, participating
         workers) of the marked run of *n* iterations in *chunks*."""
-        if not chunks:
-            return "inline", jobs
         if (
             n >= PROCESS_MIN_ITERS
             and len(chunks) > 1

@@ -20,10 +20,15 @@ Two consumers share the marking analysis:
 * :func:`lrpd_test` -- the post-hoc view over a sequential
   :class:`~repro.ir.interp.LoopTrace` (the cost-model path, and the
   trace-side oracle the property suite compares against);
-* :func:`lrpd_marks` -- the generic core the *real* speculative
-  execution backend
+* :func:`lrpd_marks` -- the generic core, over per-iteration marks.  The
+  *real* speculative execution backend
   (:class:`~repro.runtime.backends.speculative.SpeculativeBackend`)
-  feeds with the shadow marks of its optimistic parallel run.
+  does not need it to commit: its chunks stamp their marks in generated
+  code, stop at the first conflict inside a chunk, and are judged
+  against each other by set intersection.  It is the backend's
+  reference, run on the marks of the per-iteration isolated run
+  whenever that judgement finds a conflict, so a rollback's document
+  is this function's.
 """
 
 from __future__ import annotations

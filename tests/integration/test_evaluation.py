@@ -227,6 +227,9 @@ _USAGE_ERRORS = [
     ["analyze", "-", "--loop", "nope", "--no-cache"],
     ["fuzz", "--seeds", "0"],
     ["fuzz", "--backend", "nope"],
+    ["fuzz", "--chunk", "guided"],
+    ["fuzz", "--chunk", "dynamic:0"],
+    ["fuzz", "--chunk", "dynamic:x"],
     ["serve", "--workers", "0"],
     ["serve", "--topology", "multiproc", "--queue-depth", "5"],
     ["serve", "--topology", "multiproc", "--max-inflight", "5"],

@@ -14,6 +14,7 @@ from repro.fuzz import (
     run_seed,
     shrink_case,
 )
+from repro.evaluation.cli import main
 from repro.fuzz.oracle import FAILING_OUTCOMES, OUTCOMES, CaseResult
 from repro.ir import parse_program
 from repro.ir.ast import AssignArray, BinOp, Num, Var
@@ -156,6 +157,27 @@ class TestFuzzDriverAndCache:
         report = run_fuzz(seeds=50, jobs=2, backend=backend)
         assert report.ok, format_fuzz_report(report)
         assert report.inspector_reached >= 1
+
+    def test_the_speculative_leg_reports_its_marked_runs(self, capsys):
+        """Seeds 0-49 on the speculative backend: every marked run took
+        a route, some committed in place and some conflicts went to the
+        isolated run; ``repro-eval fuzz`` prints the counts.  (All these
+        loops are short: the pooled routes are the gate matrix's to reach,
+        tests/property/test_speculation_backend_props.py.)"""
+        report = run_fuzz(seeds=50, jobs=2, backend="speculative", backend_jobs=2)
+        assert report.ok, format_fuzz_report(report)
+        routes = report.spec_inline + report.spec_thread + report.spec_process
+        assert routes >= report.spec_in_place + report.spec_rejudged > 0
+        assert report.spec_in_place >= 1 and report.spec_rejudged >= 1
+        assert (
+            f"speculative marked run: inline {report.spec_inline}, thread pool "
+            f"{report.spec_thread}, process pool {report.spec_process}; committed "
+            f"in place {report.spec_in_place}, re-judged by the isolated run "
+            f"{report.spec_rejudged}"
+        ) in format_fuzz_report(report)
+        assert main(["fuzz", "--seeds", "4", "--jobs", "2", "--no-cache",
+                     "--backend", "speculative", "--chunk", "dynamic:1"]) == 0
+        assert "speculative marked run: inline" in capsys.readouterr().out
 
     def test_verdicts_are_cached_and_stable(self, tmp_path):
         cache = FuzzCache(str(tmp_path))

@@ -266,6 +266,63 @@ class TestProcessWire:
         assert all(len(pickle.dumps(p[2])) < 64 for p in sent)
 
 
+    @pytest.mark.parametrize("policy", ["static", "dynamic"])
+    def test_the_setup_blob_goes_once_per_worker(self, policy, monkeypatch):
+        """An 8000-element saxpy at ``jobs=2``: the first chunk of each
+        worker carries the blob, a chunk that reached a worker without
+        it goes again with it, and the memory is what the loop computes.
+        The static plan has a chunk per worker, so every chunk has it."""
+        sent, resent = [], []
+        map_kept = processes.map_kept
+
+        def spy(pool, fn, items, workers, again):
+            sent.extend(items)
+            return map_kept(pool, fn, items, workers,
+                            lambda item: resent.append(again(item)) or resent[-1])
+
+        monkeypatch.setattr(processes, "map_kept", spy)
+        task = _saxpy_task(8000)
+        spec = ChunkSpec(policy)
+        run = get_backend("process").execute(task, jobs=2, chunk=spec)
+        assert run.arrays == sequential_execute(task)[0]
+        assert run.chunks == len(sent) == (8 if policy == "dynamic" else 2)
+        blobs = [p[1] for p in sent + resent if p[1] is not None]
+        assert len(blobs) == 2 + len(resent) and len(set(blobs)) == 1
+
+    def test_a_chunk_a_worker_has_no_state_for_goes_again(self, monkeypatch):
+        """Every chunk lands on a worker of its own: the six without the
+        blob answer ``None`` and are sent again, in chunk order."""
+        from concurrent.futures import Future
+
+        class FreshWorkers:  # the worker entry point, each call a new worker
+            def map(self, fn, payloads):
+                return [self.call(fn, payload) for payload in payloads]
+
+            def submit(self, fn, payload):
+                future = Future()
+                future.set_result(self.call(fn, payload))
+                return future
+
+            @staticmethod
+            def call(fn, payload):
+                processes._WORKER_STATE.clear()
+                return fn(payload)
+
+        monkeypatch.setattr(processes, "_pool", lambda jobs: FreshWorkers())
+        monkeypatch.setattr(processes, "_WORKER_STATE", {})
+        sent = []
+        map_kept = processes.map_kept
+        monkeypatch.setattr(processes, "map_kept", lambda pool, fn, items, workers, again: (
+            map_kept(pool, fn, items, workers, lambda item: sent.append(item[2]) or again(item))
+        ))
+        task = _saxpy_task(640)
+        chunks = plan_chunks(640, 2, ChunkSpec("dynamic"))
+        outcomes = processes.execute_chunks(task, chunks, 2)
+        assert sent == chunks[2:]
+        assert [o.position for o in outcomes] == [c[-1] for c in chunks]
+        merged = base.merge_outcomes(task.pre_arrays, outcomes, task.decisions)
+        assert merged == sequential_execute(task)[0]
+
     def test_a_worker_lowers_a_program_once_however_many_runs(self, monkeypatch):
         """A pickled program carries no generated code, and every run
         pickles its task again: the worker keeps the ``Program`` it

@@ -13,12 +13,16 @@ thousands) and ``coarse`` (98 outer trips of a 160-trip inner loop) --
 * ``capture``         ``HybridExecutor.capture_task`` (the ground truth)
 * ``chunk/thread``    the ``thread`` backend: 2 chunks, one outcome each
 * ``chunk/process``   the ``process`` backend: the same over the pool
+* ``marked chunk``    the ``speculative`` backend's unit, inline: every
+                      iteration in one chunk, in place, under LRPD marks
+                      (the plan's reductions exempt, as the backend has them)
 * ``iter/sequential`` the reference backend: every iteration isolated
 
 The ``loop unit`` is the floor everything is read against: ``capture``
 adds the machine, the whole-program run around the loop and the
 per-iteration costs, ``chunk/thread`` the per-iteration scalar restart,
-the copy-out and the merge.  ``plain body`` is what an iteration cost
+the copy-out and the merge, ``marked chunk`` the marks where
+``chunk/thread`` copies out.  ``plain body`` is what an iteration cost
 before the generated code owned the loop.  Single runs on this host
 step by up to 2x; the minimum of 7 is the stable number::
 
@@ -27,6 +31,7 @@ step by up to 2x; the minimum of 7 is the stable number::
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 import time
 
@@ -52,11 +57,16 @@ def ladder(item) -> tuple:
     from repro.api import Engine, EngineConfig
     from repro.ir.interp import IterationRecord, Machine, _Frame
     from repro.runtime.backends import get_backend
+    from repro.runtime.backends.base import execute_marked_chunk
     from repro.runtime.backends.speculative import sequential_execute
 
     compiled = Engine(EngineConfig(use_disk_cache=False)).compile(item.source)
     executor = compiled.executor(item.loop)
     task = executor.capture_task(item.params, item.arrays)
+    planned = compiled.execute(item.loop, item.params, item.arrays).decisions
+    marked = dataclasses.replace(
+        task, decisions={name: d.strategy for name, d in planned.items()}
+    )
     task.decisions = {name: "shared" for name in task.pre_arrays}
     loop = task.program.find_loop(task.label)
 
@@ -87,6 +97,9 @@ def ladder(item) -> tuple:
         "capture": best(lambda: executor.capture_task(item.params, item.arrays)),
         "chunk/thread": best(backend("thread")),
         "chunk/process": best(backend("process")),
+        "marked chunk": best(
+            lambda: execute_marked_chunk(marked, range(len(task.iterations)))
+        ),
         "iter/sequential": best(backend("sequential")),
     }, len(task.iterations)
 
