@@ -233,7 +233,7 @@ def _execute_groups(
         )
         if marked:
             for arr, stamps in shadows.arrays.items():
-                written = [loc for loc, s in stamps.items() if s & 2]
+                written = [loc for loc, s in stamps.items() if s & Shadows.WRITTEN]
                 exposed = [loc for loc, s in stamps.items() if s & 3 != Shadows.WRITTEN]
                 if written:
                     record.writes[arr] = written
