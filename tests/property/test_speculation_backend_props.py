@@ -25,6 +25,7 @@ import copy
 import pytest
 
 from repro.api import Engine, EngineConfig
+from repro.evaluation import profile
 from repro.fuzz import generate_case
 from repro.ir import Machine, parse_program
 from repro.runtime.backends import ChunkSpec, LoopTask
@@ -357,6 +358,21 @@ def test_the_gate_matrix_covers_commits_rollbacks_and_errors():
         "feeds_control": "raised", "out_of_bounds": "raised",
         "reduction": "commit",
     }
+
+
+def test_the_gate_matrix_reaches_every_route():
+    """A commit and a conflict at each route's trip counts, counted by
+    the profiler: inline up to 16 iterations, the thread pool between,
+    the process pool from 64."""
+    with profile.profiling():
+        for n in (15, 17, 64):
+            for shape in ("disjoint", "anti"):
+                backend_run(gate_task(shape, n), 2, ChunkSpec("static"))
+    counts = profile.snapshot().counts
+    assert {name: counts.get(f"backends.spec_{name}", 0) for name in (
+        "route_inline", "route_thread", "route_process", "in_place", "rejudged",
+    )} == {"route_inline": 2, "route_thread": 2, "route_process": 2,
+           "in_place": 3, "rejudged": 3}
 
 
 @pytest.mark.parametrize("schedule", GATE_SCHEDULES)

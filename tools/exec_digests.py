@@ -113,8 +113,9 @@ def compute(runnable: list) -> dict:
 
 def generated_units(program):
     """``Lowered`` for every unit of *program* the machine can compile,
-    all three variants (plain, recording, marking), in program order: array extents, ``main``, subroutine
-    bodies, then whatever generated code hands back to the machine
+    all three variants (plain, recording, marking), in program order:
+    array extents, ``main``, subroutine bodies, then whatever generated
+    code hands back to the machine
     (labelled loops' bounds and conditions, their bodies -- as the body
     unit the per-iteration reference of ``tests/property`` enters, and
     as the loop unit the machine runs -- call arguments, bodies nested
