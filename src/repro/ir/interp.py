@@ -47,7 +47,7 @@ from .lower import lower
 
 __all__ = [
     "Machine", "IterationRecord", "LoopTrace", "RunResult", "InterpError",
-    "MarkConflict", "Shadows", "copy_arrays", "changed_locations",
+    "MarkConflict", "Shadows", "copy_arrays", "changed_locations", "unit_assigns",
 ]
 
 _WHILE_FUEL = 10_000_000
@@ -228,6 +228,9 @@ class Machine:
     name to a sequence of ints, possibly shorter than declared) is
     copied once into fresh zero-padded lists and never written to, so
     callers hand their data over as it is instead of pre-copying it.
+    :meth:`adopting` is the one way to build a machine without that
+    copy, and :meth:`run` hands the memory over instead of copying it
+    back out.
     """
 
     def __init__(
@@ -239,6 +242,43 @@ class Machine:
         loop_executor: Optional[Callable] = None,
         loop_executor_label: Optional[str] = None,
     ):
+        self._start(program, params, trace_label, loop_executor, loop_executor_label)
+        self.arrays: dict[str, list[int]] = {}
+        for decl in program.arrays:
+            size = self._eval(decl.size, _Frame(dict(self.params), {}))
+            provided = arrays.get(decl.name) if arrays else None
+            data = list(provided) if provided is not None else []
+            if len(data) > max(size, 0):
+                raise ValueError(
+                    f"array {decl.name!r} is declared with extent {size} "
+                    f"but {len(data)} values were supplied"
+                )
+            data.extend([0] * (size - len(data)))
+            self.arrays[decl.name] = data
+
+    @classmethod
+    def adopting(
+        cls, program: Program, params: Mapping[str, int], arrays: dict[str, list[int]]
+    ) -> "Machine":
+        """A machine that works on *arrays* themselves, not on a copy:
+        memory already laid out as a machine lays it out (a copy of
+        another machine's), whose lists take every write the machine
+        makes.  The ``thread`` backend's in-place chunks share one such
+        target."""
+        machine = cls.__new__(cls)
+        machine._start(program, params)
+        machine.arrays = arrays
+        return machine
+
+    def _start(
+        self,
+        program: Program,
+        params: Optional[Mapping[str, int]],
+        trace_label: Optional[str] = None,
+        loop_executor: Optional[Callable] = None,
+        loop_executor_label: Optional[str] = None,
+    ) -> None:
+        """Everything but the memory."""
         #: optional hook: called as ``loop_executor(machine, stmt, frame)``
         #: instead of the built-in sequential execution when the loop with
         #: ``loop_executor_label`` is reached (the parallel runtime uses
@@ -256,27 +296,17 @@ class Machine:
         )
         self._active_record: Optional[IterationRecord] = None
         self._shadows: Optional[Shadows] = None
-        self.arrays: dict[str, list[int]] = {}
-        for decl in program.arrays:
-            size = self._eval(decl.size, _Frame(dict(self.params), {}))
-            provided = arrays.get(decl.name) if arrays else None
-            data = list(provided) if provided is not None else []
-            if len(data) > max(size, 0):
-                raise ValueError(
-                    f"array {decl.name!r} is declared with extent {size} "
-                    f"but {len(data)} values were supplied"
-                )
-            data.extend([0] * (size - len(data)))
-            self.arrays[decl.name] = data
 
     # -- public API -------------------------------------------------------
     def run(self) -> RunResult:
-        """Execute main to completion."""
+        """Execute main to completion and hand the memory over: the
+        result's ``arrays`` are the machine's own, not a copy, so the
+        machine is done with once it has run."""
         frame = _Frame(dict(self.params), {name: (name, 0) for name in self.arrays})
         self._exec_body(self.program.main, frame)
         return RunResult(
             scalars=dict(frame.scalars),
-            arrays=copy_arrays(self.arrays),
+            arrays=self.arrays,
             work=self.work,
             trace=self.trace,
             loop_work=dict(self.loop_work),
@@ -345,14 +375,8 @@ class Machine:
         lowered on first use.  Threads racing to a first use may each
         lower it -- the results are interchangeable and the last one
         stored stays."""
-        codes = self.program._lowered
         variant = _MARKING if self._shadows is not None else self._active_record is not None
-        key = (id(node), variant)
-        entry = codes.get(key)
-        if entry is None:
-            # the entry holds *node*, so its id cannot be reused meanwhile
-            entry = codes[key] = (node, _generate(node, variant))
-        return entry[1]
+        return _compiled(self.program, node, variant)
 
     def _exec_body(self, stmts: tuple[IRStmt, ...], frame: _Frame) -> None:
         self._code(stmts)(self, frame)
@@ -420,6 +444,25 @@ class Machine:
         inner = dict(self.params)
         inner.update(scalars)
         self._exec_body(callee.body, _Frame(inner, arrays))
+
+
+def _compiled(program: Program, node, variant) -> Callable:
+    """The function generated for *node* of *program* in *variant*,
+    kept in ``Program._lowered``; lowered on first use."""
+    codes = program._lowered
+    key = (id(node), variant)
+    entry = codes.get(key)
+    if entry is None:
+        # the entry holds *node*, so its id cannot be reused meanwhile
+        entry = codes[key] = (node, _generate(node, variant))
+    return entry[1]
+
+
+def unit_assigns(program: Program, loop: IRStmt) -> Optional[tuple]:
+    """What labelled *loop*'s plain loop unit assigns, by frame name:
+    all it can write -- or ``None`` when it hands something back to the
+    machine and can write more (:class:`~repro.ir.lower.Lowered`)."""
+    return _compiled(program, loop, False).assigns
 
 
 # -- what the generated code calls -----------------------------------------------

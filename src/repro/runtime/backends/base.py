@@ -47,9 +47,11 @@ import os
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from ... import profiling as _profiling
 from ...ir.ast import Program
 from ...ir.interp import (
     IterationRecord, Machine, Shadows, _Frame, changed_locations, copy_arrays,
+    unit_assigns,
 )
 from .chunking import ChunkSpec, plan_chunks
 
@@ -61,6 +63,7 @@ __all__ = [
     "ExecutionBackend",
     "ChunkedBackend",
     "execute_chunk",
+    "execute_in_place",
     "execute_marked_chunk",
     "execute_positions",
     "merge_outcomes",
@@ -217,20 +220,17 @@ def _execute_groups(
         if isolate == "snapshot":
             machine.arrays = local = copy_arrays(pre_arrays)
         last = group[-1]
-        chunk = not (isolate or record_exposed or marked)
-        diffed = _diffable(task, machine, loop, len(group)) if chunk else None
+        diffed = None
+        if not (isolate or record_exposed or marked):  # a chunk
+            route, arrays = _copy_out(task, loop, len(group))
+            _profiling.count(f"backends.chunk_{route}")
+            diffed = arrays if route == "diff" else None
         record = IterationRecord(iteration=iterations[last])
         if marked:
             exempt = task.reductions
             diffed = [arr for arr in local if arr in exempt]
             machine._shadows = shadows = Shadows(a for a in local if a not in exempt)
-        machine.run_loop(
-            loop, frame, [iterations[pos] for pos in group],
-            record if diffed is None else None,
-            fresh=task.pre_scalars,  # every iteration starts from the entry scalars
-            civs=[(name, iter([task.civ_values[name][pos] for pos in group]))
-                  for name in task.civ_names],
-        )
+        _run_group(machine, loop, frame, task, group, record if diffed is None else None)
         if marked:
             for arr, stamps in shadows.arrays.items():
                 written = [loc for loc, s in stamps.items() if s & Shadows.WRITTEN]
@@ -268,30 +268,68 @@ def _execute_groups(
     return outcomes
 
 
+def _run_group(machine: Machine, loop, frame: _Frame, task: LoopTask, group, record) -> None:
+    """Run the iterations at positions *group* of *task* in order
+    through the loop's unit, under *record* (``None``: the plain unit)."""
+    machine.run_loop(
+        loop, frame, [task.iterations[pos] for pos in group], record,
+        fresh=task.pre_scalars,  # every iteration starts from the entry scalars
+        civs=[(name, iter([task.civ_values[name][pos] for pos in group]))
+              for name in task.civ_names],
+    )
+
+
 def _ordered(marks: dict) -> dict:
     return {arr: sorted(locs) for arr, locs in marks.items()}
 
 
-def _diffable(task: LoopTask, machine: Machine, loop, trips: int) -> Optional[list]:
-    """The arrays a chunk of *trips* iterations of *task* can have
-    written, when diffing those against the pre-loop memory is an exact
-    copy-out and cheaper than a record (docs/ARCHITECTURE.md, "Copying a
-    chunk out"): the loop's unit hands nothing back, all it assigns is
-    ``shared`` or ``reduction``, and that is at most 16 elements per
-    statement of the chunk's share of ``task.work``.  ``None``: record."""
-    assigns = machine._code(loop).assigns  # None: it does hand something back
-    bases = {task.frame_arrays.get(name, (None, 0))[0]: None for name in assigns or ()}
-    exact = all(task.decisions.get(arr) in ("shared", "reduction") for arr in bases)
+def _copy_out(task: LoopTask, loop, trips: int, in_place: bool = False) -> tuple:
+    """How a chunk of *trips* iterations of *task* hands back what it
+    wrote -- the one copy-out choice (docs/ARCHITECTURE.md, "Copying a
+    chunk out") -- as ``(route, the base arrays the loop's unit assigns)``:
+
+    * ``"in_place"``: *in_place* (the caller's chunks can share one
+      target) and all those arrays are ``shared``, so no location one
+      chunk writes is touched by another: the chunks write the target
+      and nothing is copied out;
+    * ``"diff"``: all are ``shared`` or ``reduction`` and hold at most
+      16 elements per statement of the chunk's share of ``task.work``:
+      diffing them against the pre-loop memory is exact and cheaper
+      than a record;
+    * ``"record"``: otherwise, and whenever the unit hands something
+      back to the machine -- what it can write is then more than it
+      assigns."""
+    assigns = unit_assigns(task.program, loop)
+    bases = list(dict.fromkeys(
+        task.frame_arrays.get(name, (None, 0))[0] for name in assigns or ()))
+    strategies = {task.decisions.get(arr) for arr in bases}
+    if assigns is None or not strategies <= {"shared", "reduction"}:
+        return "record", bases
+    if in_place and strategies <= {"shared"}:
+        return "in_place", bases
     elements = sum(len(task.pre_arrays.get(arr, ())) for arr in bases)
     share = trips / max(len(task.iterations), 1)
     cheap = task.work is None or elements <= 16 * task.work * share
-    return list(bases) if assigns is not None and exact and cheap else None
+    return ("diff" if cheap else "record"), bases
 
 
 def execute_chunk(task: LoopTask, positions: Sequence[int]) -> IterationOutcome:
     """Run the contiguous, non-empty *positions* of *task* in order and
     in place: one outcome for the whole chunk."""
     return _execute_groups(task, (positions,))[0]
+
+
+def execute_in_place(task: LoopTask, positions: Sequence[int], target: dict) -> dict:
+    """Run the contiguous, non-empty *positions* of *task* in order
+    through the plain loop unit on *target* itself -- the one copy of
+    the pre-loop memory that every chunk of the run writes, for a task
+    :func:`_copy_out` sends ``"in_place"`` -- and return the frame
+    scalars after the last.  Nothing is recorded, diffed or merged."""
+    loop = task.program.find_loop(task.label)
+    frame = _Frame(dict(task.pre_scalars), task.frame_arrays)
+    _run_group(Machine.adopting(task.program, task.params, target), loop, frame,
+               task, positions, None)
+    return frame.scalars
 
 
 def execute_marked_chunk(task: LoopTask, positions: Sequence[int]) -> IterationOutcome:

@@ -26,7 +26,13 @@ import threading
 from concurrent.futures import BrokenExecutor, Executor, ThreadPoolExecutor
 from typing import Callable, Optional
 
-from .base import ChunkedBackend, LoopTask, execute_chunk
+from ... import profiling as _profiling
+from ...ir.interp import copy_arrays
+from .base import (
+    BackendRun, ChunkedBackend, LoopTask, _copy_out, default_jobs, execute_chunk,
+    execute_in_place,
+)
+from .chunking import plan_chunks
 
 __all__ = ["KeptPool", "ThreadBackend", "map_chunks", "map_kept"]
 
@@ -109,6 +115,23 @@ def map_chunks(run_chunk: Callable, chunks: list, workers: int) -> list:
 
 class ThreadBackend(ChunkedBackend):
     name = "thread"
+
+    def execute(self, task, jobs=None, chunk=None) -> BackendRun:
+        loop = task.program.find_loop(task.label)
+        if loop is None or _copy_out(task, loop, len(task.iterations), True)[0] != "in_place":
+            return super().execute(task, jobs, chunk)
+        jobs = default_jobs(jobs)
+        chunks = plan_chunks(len(task.iterations), jobs, chunk)
+        _profiling.count("backends.chunk_in_place", len(chunks))
+        target = copy_arrays(task.pre_arrays)
+        workers = min(jobs, len(chunks))
+        scalars = map_chunks(lambda c: execute_in_place(task, c, target), chunks, workers)
+        return BackendRun(
+            arrays=target,
+            final_scalars=dict(scalars[-1]) if scalars else {},
+            chunks=len(chunks),
+            jobs=workers or jobs,
+        )
 
     def run_chunks(self, task: LoopTask, chunks: list, jobs: int) -> list:
         return map_chunks(

@@ -325,16 +325,17 @@ class HybridExecutor:
 
     # -- sequential capture -----------------------------------------------------
     def _loop_task(
-        self, machine: Machine, stmt, frame, iterations, civ_values, decisions
+        self, machine: Machine, stmt, frame, pre_arrays, iterations, civ_values,
+        decisions,
     ) -> LoopTask:
-        """Freeze the loop's entry state -- *machine* and *frame* as
-        they stand when *stmt* is reached, memory snapshotted -- as a
+        """The loop's entry state -- *machine* and *frame* as they stand
+        when *stmt* is reached, with *pre_arrays* for memory -- as a
         backend-executable task over the given iterations."""
         return LoopTask(
             program=self.program,
             label=self.plan.label,
             params=dict(machine.params),
-            pre_arrays=copy_arrays(machine.arrays),
+            pre_arrays=pre_arrays,
             pre_scalars=dict(frame.scalars),
             frame_arrays=dict(frame.arrays),
             iterations=iterations,
@@ -349,7 +350,11 @@ class HybridExecutor:
         unit, keeping each iteration's work (the plain and the recording
         variant count the same) and, with *recording*, its access record."""
         civs = {info.name: [] for info in self.plan.civs}
-        entry = _LoopEntry(self._loop_task(machine, stmt, frame, [], civs, {}), [], [])
+        # a snapshot: the predicates read it after the run has moved on
+        snapshot = copy_arrays(machine.arrays)
+        entry = _LoopEntry(
+            self._loop_task(machine, stmt, frame, snapshot, [], civs, {}), [], []
+        )
         values = machine.iteration_values(stmt, frame)
         watch = {"costs": entry.costs, "civs": civs.items()}
         if recording:
@@ -561,9 +566,11 @@ class HybridExecutor:
                     "parallel re-run than in the sequential run"
                 )
             iterations = entry.task.iterations
+            # the machine's own memory: a backend never writes pre_arrays,
+            # and the machine takes the backend's arrays in its place
             task = self._loop_task(
-                machine, stmt, frame, iterations, entry.task.civ_values,
-                strategies,
+                machine, stmt, frame, machine.arrays, iterations,
+                entry.task.civ_values, strategies,
             )
             task.work = sum(entry.costs)
             backend = self._resolve_backend(task)

@@ -13,7 +13,7 @@ more than once and a while loop are all in the curated set.
 
 A chunk is copied out by diffing the arrays its loop assigns against the
 pre-loop memory wherever the task allows it, from its access record
-elsewhere (``base._diffable`` decides).  ``test_copy_out_*`` run every
+elsewhere (``base._copy_out`` decides).  ``test_copy_out_*`` run every
 validated task both ways -- the record forced by switching the diff off
 -- and require the same merged arrays and final scalars from both, equal
 to the reference's, at chunk sizes 1, 2 and n.
@@ -26,7 +26,6 @@ import pytest
 from repro.api import Engine, EngineConfig
 from repro.fuzz import generate_case, load_corpus_case
 from repro.ir.interp import copy_arrays
-from repro.ir.interp import Machine
 from repro.runtime.backends import CHUNK_POLICIES, ChunkSpec, get_backend, plan_chunks
 from repro.runtime.backends import base
 
@@ -169,16 +168,14 @@ def _assert_copy_outs_agree(runs, monkeypatch) -> int:
     diffed = 0
     for task, arrays, scalars in runs:
         loop = task.program.find_loop(task.label)
-        diffable = base._diffable(
-            task, Machine(task.program, task.params), loop, len(task.iterations)
-        )
-        if diffable is not None:  # never an array merged by last value
-            assert all(task.decisions[arr] in ("shared", "reduction") for arr in diffable)
+        route, assigned = base._copy_out(task, loop, len(task.iterations))
+        if route == "diff":  # never an array merged by last value
+            assert all(task.decisions[arr] in ("shared", "reduction") for arr in assigned)
             diffed += 1
         for size in {1, 2, max(len(task.iterations), 1)}:
             by_diff = _by_chunks(task, size)
             with monkeypatch.context() as patch:
-                patch.setattr(base, "_diffable", lambda *args: None)
+                patch.setattr(base, "_copy_out", lambda *args: ("record", []))
                 by_record = _by_chunks(task, size)
             assert by_diff == by_record == (arrays, scalars), (task.label, size)
     return diffed

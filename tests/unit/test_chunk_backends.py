@@ -100,9 +100,7 @@ class TestCopyOut:
     other way."""
 
     def _path(self, task):
-        loop = task.program.find_loop("l")
-        return "record" if base._diffable(
-            task, Machine(task.program, task.params), loop, 2) is None else "diff"
+        return base._copy_out(task, task.program.find_loop("l"), 2)[0]
 
     def test_a_shared_write_that_stores_the_pre_loop_value_back(self):
         task = _task("    A[i] = 5\n", {"A": [5, 0, 5, 1]}, {"A": "shared"}, [1, 2, 3, 4])
@@ -142,7 +140,8 @@ class TestCopyOut:
         """Last-value semantics: chunk 2 leaves ``T[1]`` at its pre-loop
         value, and that -- not chunk 1's 2 -- is the loop's.  A diff sees
         no change in chunk 2, which is why ``private`` keeps the record
-        (the same task wrongly called ``shared`` shows the loss)."""
+        (the same task wrongly called ``shared`` shows the loss on
+        ``process``, which diffs it; ``thread`` runs it in place)."""
         body = "    T[1] = 4 - i\n    OUT[i] = T[1]\n"
         pre = {"T": [0], "OUT": [9, 9, 9, 9]}
         task = _task(body, pre, {"T": "private", "OUT": "shared"}, [1, 2, 3, 4])
@@ -153,7 +152,7 @@ class TestCopyOut:
         undecided = dataclasses.replace(task, decisions={"OUT": "shared"})
         assert self._path(undecided) == "record" and _carved(undecided, 2)["T"] == [0]
         wrong = dataclasses.replace(task, decisions={"T": "shared", "OUT": "shared"})
-        assert self._path(wrong) == "diff" and _carved(wrong, 2)["T"] == [2]
+        assert self._path(wrong) == "diff" and _carved(wrong, 2, "process")["T"] == [2]
 
     def test_a_short_chunk_over_a_long_array_keeps_its_record(self):
         """Both copy-outs are exact here; comparing 4096 elements to
