@@ -158,6 +158,11 @@ def format_fuzz_table(report) -> str:
         f"committed in place {report.spec_in_place}, "
         f"re-judged by the isolated run {report.spec_rejudged}"
     )
+    lines.append(
+        f"chunks copied out: in place {report.chunk_in_place}, "
+        f"by diff {report.chunk_diff}, by record {report.chunk_record} "
+        "(counted in this process)"
+    )
     hist = report.classification_histogram()
     if hist:
         top = ", ".join(f"{label} x{n}" for label, n in hist[:10])

@@ -387,6 +387,12 @@ class FuzzReport:
     spec_process: int = 0
     spec_in_place: int = 0
     spec_rejudged: int = 0
+    #: chunks of the executed seeds by how they were copied out
+    #: (``backends.chunk_in_place`` / ``_diff`` / ``_record``): counted
+    #: where the chunk ran, so a process worker's own are not here
+    chunk_in_place: int = 0
+    chunk_diff: int = 0
+    chunk_record: int = 0
 
     @property
     def counts(self) -> dict:
@@ -423,6 +429,9 @@ _REACHED = {
     "spec_process": "backends.spec_route_process",
     "spec_in_place": "backends.spec_in_place",
     "spec_rejudged": "backends.spec_rejudged",
+    "chunk_in_place": "backends.chunk_in_place",
+    "chunk_diff": "backends.chunk_diff",
+    "chunk_record": "backends.chunk_record",
 }
 
 

@@ -14,7 +14,12 @@ isolated iteration cannot see an earlier one's write, so the merged
 memory differs from the in-order run's and the executor's (and the fuzz
 oracle's) memory comparison sees the dependence the plan let through.
 A chunk that runs in place would hide it, which is why this backend, not
-a chunked one, is the default and the fuzz default.
+a chunked one, is the default and the fuzz default.  On ``thread`` an
+all-``shared`` task's chunks write one target in place, so a wrong
+``shared`` claim there can leave the in-order run's memory behind; the
+fuzz oracle's trace leg (``classify_outcome``: a claimed-``shared``
+array whose trace has a cross-iteration dependence) still calls it
+unsound, which ``tests/unit/test_chunk_backends.py`` pins.
 """
 
 from __future__ import annotations

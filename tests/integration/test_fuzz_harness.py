@@ -179,6 +179,21 @@ class TestFuzzDriverAndCache:
                      "--backend", "speculative", "--chunk", "dynamic:1"]) == 0
         assert "speculative marked run: inline" in capsys.readouterr().out
 
+    def test_the_thread_leg_runs_chunks_in_place(self, capsys):
+        """Seeds 0-49 on ``thread``: the all-``shared`` tasks' chunks
+        write one target in place, the others are diffed or recorded,
+        and ``repro-eval fuzz`` prints the counts."""
+        report = run_fuzz(seeds=50, jobs=2, backend="thread", backend_jobs=2)
+        assert report.ok, format_fuzz_report(report)
+        assert report.chunk_in_place >= 1 and report.chunk_record >= 1
+        assert (
+            f"chunks copied out: in place {report.chunk_in_place}, by diff "
+            f"{report.chunk_diff}, by record {report.chunk_record}"
+        ) in format_fuzz_report(report)
+        assert main(["fuzz", "--seeds", "4", "--jobs", "2", "--no-cache",
+                     "--backend", "thread", "--chunk", "dynamic:1"]) == 0
+        assert "chunks copied out: in place" in capsys.readouterr().out
+
     def test_verdicts_are_cached_and_stable(self, tmp_path):
         cache = FuzzCache(str(tmp_path))
         cold = run_fuzz(seeds=6, jobs=2, cache=cache)

@@ -14,11 +14,13 @@ import pytest
 
 from repro.api import Engine, EngineConfig
 from repro.evaluation import profile
+from repro.fuzz.oracle import classify_outcome
 from repro.ir import parse_program
 from repro.runtime.backends import ChunkSpec, LoopTask, get_backend, plan_chunks
 from repro.ir.interp import Machine
 from repro.runtime.backends import base, processes, speculative, threads
 from repro.runtime.backends.speculative import sequential_execute
+from repro.runtime.executor import ArrayDecision, HybridExecutor
 
 SAXPY = """
 program saxpy
@@ -71,6 +73,29 @@ class TestIsolationStaysInTheReference:
         assert isolated == {"A": [8, 6, 7, 8]} != in_order
         one_chunk = get_backend("thread").execute(task, jobs=1).arrays
         assert one_chunk == in_order
+
+    def test_a_wrong_shared_claim_run_in_place_is_unsound_by_the_trace(self, monkeypatch):
+        """The same loop with every decision forced to ``shared`` goes
+        in place on ``thread``; one chunk of it is the in-order loop, so
+        the executor's memory comparison passes.  The oracle still
+        calls it unsound: its trace leg sees the claim of independence
+        fail."""
+        compiled = Engine(EngineConfig(use_disk_cache=False)).compile(FLOW)
+        plan = compiled.plan("l")
+        monkeypatch.setattr(
+            HybridExecutor, "_decide_array",
+            lambda self, array, *rest: ArrayDecision(array, "shared", "static"),
+        )
+        with profile.profiling():
+            report = compiled.execute(
+                "l", {}, {"A": [5]}, plan=plan, backend="thread", jobs=1
+            )
+            assert profile.snapshot().counts.get("backends.chunk_in_place") == 1
+        assert report.parallel and report.correct and report.backend_used == "thread"
+        trace = Machine(compiled.program, {}, {"A": [5]}, trace_label="l").run().trace
+        outcome, detail = classify_outcome(plan, trace, report)
+        assert outcome == "unsound"
+        assert detail.startswith("A: claimed fully independent (via static")
 
 
 def _task(body, pre, decisions, iterations, extra="") -> LoopTask:
