@@ -22,9 +22,13 @@ arrays (= dynamic last value), delta accumulation for reductions.
   loop unit and come back as **one** outcome -- a chunk is one iteration
   of the coarsened loop and the rules apply to it verbatim.  It is
   copied out by diffing the arrays the loop assigns against the pre-loop
-  memory where that is exact and the cheaper way (:func:`_diffable`),
-  else from an access record; docs/ARCHITECTURE.md ("Copying a chunk
-  out") says why, once;
+  memory where that is exact and the cheaper way, else from an access
+  record; :func:`_copy_out` is the one place that chooses, and
+  docs/ARCHITECTURE.md ("Copying a chunk out") says why, once;
+* :func:`execute_in_place` -- the ``thread`` backend's unit for a task
+  whose loop assigns only ``shared`` arrays: the chunk runs the plain
+  loop unit on the run's one target, which every chunk writes, and
+  hands back only its scalars -- no outcome, no merge;
 * :func:`execute_marked_chunk` -- the ``speculative`` backend's unit: a
   chunk as above, run through the *marking* variant of the loop unit,
   which stamps the LRPD shadow marks as it goes and raises
@@ -38,7 +42,11 @@ arrays (= dynamic last value), delta accumulation for reductions.
   chunk whose marks conflict by the per-iteration LRPD marks.
 
 Every snapshot is :func:`~repro.ir.interp.copy_arrays`, one flat C-level
-copy per array; ``task.pre_arrays`` itself is never written to.
+copy per array.  ``task.pre_arrays`` itself is never written to, and a
+second execute of a task returns what the first did
+(``tests/property/test_shared_chunk_props.py`` holds every backend to
+both): that is what lets the executor hand a backend the re-run
+machine's live memory rather than a snapshot of it.
 """
 
 from __future__ import annotations
@@ -85,7 +93,8 @@ class LoopTask:
     label: str
     #: program parameters visible to the interpreter
     params: dict
-    #: machine-level array memory at loop entry (read-only for backends)
+    #: machine-level array memory at loop entry (read-only for backends:
+    #: in the executor's parallel re-run it is the suspended machine's own)
     pre_arrays: dict
     #: frame scalars at loop entry
     pre_scalars: dict
@@ -205,7 +214,8 @@ def _execute_groups(
     a fresh copy of it (``"snapshot"``), or the one copy with the
     group's writes restored afterwards (``"undo"``; exact, writes being
     the only mutations).  Without it -- a chunk -- the group runs
-    unrecorded where :func:`_diffable` allows and is copied out by diff;
+    unrecorded where :func:`_copy_out` says ``"diff"`` and is copied
+    out by diff;
     *marked*, under shadow marks, which are its write set but for the
     licensed reductions, copied out by diff."""
     loop = task.program.find_loop(task.label)

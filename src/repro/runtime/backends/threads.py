@@ -1,14 +1,22 @@
 """The thread-pool backend, and the kept pool both pool backends run on.
 
 Chunks of the iteration space are executed by a pool of threads, each
-worker running its chunk in order and in place
-(:func:`~repro.runtime.backends.base.execute_chunk`) on the chunk's own
-flat copy of the pre-loop memory (made by its
-:class:`~repro.ir.interp.Machine`); one more copy is the merge target --
-chunks + 1 O(memory) copies and *chunks* outcomes a run, nothing per
-iteration.  Workers share the read-only pre-state, so the only
-cross-thread traffic is the immutable task and the returned outcomes --
-safe under the package's GIL-guarded conventions.
+worker running its chunk in order through the loop's unit.  Where every
+array the unit assigns is decided ``shared``
+(:func:`~repro.runtime.backends.base._copy_out` says ``"in_place"``),
+the run copies the pre-loop memory once into a target and every chunk
+writes that target itself
+(:func:`~repro.runtime.backends.base.execute_in_place`): a ``shared``
+location is written by one iteration and touched by no other, so the
+chunks' writes are disjoint, each list store is atomic under the GIL,
+and nothing is recorded, diffed or merged -- one O(memory) copy a run,
+the last chunk's scalars the final ones.  Any other task runs each chunk
+on its own flat copy of the pre-loop memory
+(:func:`~repro.runtime.backends.base.execute_chunk`), and one more copy
+is the merge target -- chunks + 1 O(memory) copies and *chunks*
+outcomes a run, nothing per iteration; a ``reduction``'s
+read-modify-write could lose an update across a GIL switch if chunks
+shared a target.  ``task.pre_arrays`` is read, never written.
 
 On CPython the interpreter work itself serializes on the GIL; the
 backend wins real parallel speedups on GIL-free builds.

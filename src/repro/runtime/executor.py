@@ -34,8 +34,12 @@ when an exact fallback actually reaches it.
 
 The caller's arrays are never written to and never kept: each
 whole-program run hands them to a :class:`~repro.ir.interp.Machine`,
-which makes the one copy it works on; docs/ARCHITECTURE.md counts the
-O(memory) copies of one execute.
+which makes the one copy it works on and hands that copy over as its
+result.  The capture snapshots the memory at loop entry, since the
+predicates read it after the run has moved on; the parallel re-run does
+not, and hands the backend the machine's live memory as
+``LoopTask.pre_arrays``, which no backend writes.  docs/ARCHITECTURE.md
+counts the O(memory) copies of one execute.
 """
 
 from __future__ import annotations
@@ -552,8 +556,9 @@ class HybridExecutor:
         report: ExecutionReport,
     ) -> dict[str, list[int]]:
         """Re-run the whole program, delegating the target loop to the
-        selected execution backend (iteration-isolated memory, per-array
-        merge rules) and recording the real wall-clock cost.  The
+        selected execution backend, which returns the loop's final
+        memory for the machine to go on with, and recording the real
+        wall-clock cost.  The
         *n*-th time the loop is reached runs the iterations the *n*-th
         entry of the sequential run made, from the re-run's own state."""
         remaining = iter(entries)

@@ -11,8 +11,11 @@ thousands) and ``coarse`` (98 outer trips of a 160-trip inner loop) --
 * ``recording body``  the same under one ``IterationRecord``
 * ``in-order``        ``sequential_execute`` (``bench/``'s honest baseline)
 * ``capture``         ``HybridExecutor.capture_task`` (the ground truth)
-* ``chunk/thread``    the ``thread`` backend: 2 chunks, one outcome each
-* ``chunk/process``   the ``process`` backend: the same over the pool
+* ``chunk/thread``    the ``thread`` backend: 2 chunks; every array is
+                      called ``shared`` here, so on all four kernels they
+                      write one target in place, with no outcome or merge
+* ``chunk/process``   the ``process`` backend: 2 chunks over the pool,
+                      one outcome each, merged
 * ``marked chunk``    the ``speculative`` backend's unit, inline: every
                       iteration in one chunk, in place, under LRPD marks
                       (the plan's reductions exempt, as the backend has them)
@@ -20,9 +23,10 @@ thousands) and ``coarse`` (98 outer trips of a 160-trip inner loop) --
 
 The ``loop unit`` is the floor everything is read against: ``capture``
 adds the machine, the whole-program run around the loop and the
-per-iteration costs, ``chunk/thread`` the per-iteration scalar restart,
-the copy-out and the merge, ``marked chunk`` the marks where
-``chunk/thread`` copies out.  ``plain body`` is what an iteration cost
+per-iteration costs, ``chunk/thread`` the per-iteration scalar restart
+and the one copy of the pre-loop memory (``chunk/process`` the copy-out
+and the merge too), ``marked chunk`` the marks and a diff of the
+reductions.  ``plain body`` is what an iteration cost
 before the generated code owned the loop.  Single runs on this host
 step by up to 2x; the minimum of 7 is the stable number::
 
