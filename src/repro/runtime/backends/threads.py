@@ -133,7 +133,9 @@ class ThreadBackend(ChunkedBackend):
         _profiling.count("backends.chunk_in_place", len(chunks))
         target = copy_arrays(task.pre_arrays)
         workers = min(jobs, len(chunks))
-        scalars = map_chunks(lambda c: execute_in_place(task, c, target), chunks, workers)
+        scalars = map_chunks(
+            lambda c: execute_in_place(task, c, target), chunks, workers
+        ) if chunks else []
         return BackendRun(
             arrays=target,
             final_scalars=dict(scalars[-1]) if scalars else {},

@@ -18,13 +18,14 @@ the machine's own memory, not over a snapshot of it.
 """
 
 import pickle
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.api import Engine, EngineConfig
 from repro.fuzz import generate_case
 from repro.fuzz.oracle import fuzz_engine
-from repro.runtime.backends import BACKENDS, ChunkSpec, get_backend
+from repro.runtime.backends import BACKENDS, ChunkSpec, get_backend, threads
 
 TRIPS = (1, 2, 15, 16, 17, 64, 65)
 
@@ -97,6 +98,20 @@ def _assert_thread_is_the_reference(task):
 @pytest.mark.parametrize("shape", sorted(_SHAPES))
 def test_thread_is_the_reference_on_all_shared_shapes(shape, trips):
     _assert_thread_is_the_reference(_shape_task(shape, trips))
+
+
+@pytest.mark.parametrize(
+    "shape", ("disjoint_writes", "reads_a_never_assigned_array",
+              "stores_the_pre_loop_value_back")
+)  # the other two index their arrays after the loop
+def test_a_loop_of_no_trips_asks_no_pool_for_workers(shape, monkeypatch):
+    """No iteration, no chunk: the run is the pre-loop memory, and a
+    pool not yet made is not asked for zero workers."""
+    monkeypatch.setattr(threads, "_THREADS", threads.KeptPool(ThreadPoolExecutor))
+    task = _shape_task(shape, 0)
+    run = get_backend("thread").execute(task, jobs=2)
+    assert run.arrays == task.pre_arrays and run.final_scalars == {}
+    assert threads._THREADS.executor is None
 
 
 def test_the_shapes_write_what_they_are_meant_to():
