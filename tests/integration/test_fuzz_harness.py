@@ -182,13 +182,12 @@ class TestFuzzDriverAndCache:
     def test_the_thread_leg_runs_chunks_in_place(self, capsys):
         """Seeds 0-49 on ``thread``: the all-``shared`` tasks' chunks
         write one target in place, the others are diffed or recorded,
-        and ``repro-eval fuzz`` prints the counts."""
+        and ``repro-eval fuzz`` prints the counts: each entry of each
+        seed's loop runs its backend exactly once, so they are fixed."""
         report = run_fuzz(seeds=50, jobs=2, backend="thread", backend_jobs=2)
         assert report.ok, format_fuzz_report(report)
-        assert report.chunk_in_place >= 1 and report.chunk_record >= 1
         assert (
-            f"chunks copied out: in place {report.chunk_in_place}, by diff "
-            f"{report.chunk_diff}, by record {report.chunk_record}"
+            "chunks copied out: in place 25, by diff 4, by record 4"
         ) in format_fuzz_report(report)
         assert main(["fuzz", "--seeds", "4", "--jobs", "2", "--no-cache",
                      "--backend", "thread", "--chunk", "dynamic:1"]) == 0

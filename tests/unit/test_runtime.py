@@ -12,6 +12,7 @@ import pytest
 from repro.api import Engine, EngineConfig, default_engine
 from repro.evaluation import profile
 from repro.fuzz import generate_case, run_case
+from repro.fuzz.oracle import classify_outcome
 from repro.ir import parse_program
 from repro.ir.interp import (
     InterpError,
@@ -29,7 +30,7 @@ from repro.runtime import (
     lrpd_test,
     schedule_parallel,
 )
-from repro.runtime.backends import BACKENDS, plan_chunks
+from repro.runtime.backends import BACKENDS, available_backends, plan_chunks
 from repro.runtime.backends.base import (
     execute_chunk,
     execute_positions,
@@ -511,6 +512,183 @@ class TestLoopReentry:
         assert r.correct and not r.parallel
         assert r.decisions["A"].strategy == "dependent"
         assert r.inspector_overhead > 0  # the exact test settled it
+
+
+def _bench_tools():
+    """``tools/exec_digests.py`` and ``bench/benchinputs.py``, importable."""
+    from pathlib import Path
+
+    root = Path(__file__).parents[2]
+    for path in (root / "tools", root / "bench"):
+        if str(path) not in sys.path:
+            sys.path.insert(0, str(path))
+    import benchinputs
+    import exec_digests
+
+    return exec_digests, benchinputs
+
+
+# The flow-dependent loop of tests/unit/test_chunk_backends.py, which a
+# mislabelled plan calls shared: the reference backend's isolated
+# iterations leave A wrong, and the suffix either overwrites it or not.
+MISLABELLED_FLOW = (
+    "program p\narray A(4)\nmain\n  do i = 1, 3 @ l\n"
+    "    A[1] = A[1] + i\n    A[i + 1] = A[1]\n  end\n{suffix}end\n"
+)
+OVERWRITE_SUFFIX = "  do j = 1, 4\n    A[j] = j\n  end\n"
+
+
+def _pinned_case(name):
+    """``(source, label, params, arrays, backend, strategy, options,
+    mislabelled)`` of the pinned execute *name*."""
+    sources = {"reenter_varying": REENTER_VARYING, "reenter_fixed": REENTER_FIXED,
+               "reenter_predicate": REENTER_PREDICATE}
+    shape, _, backend = name.partition("@")
+    if shape in sources:
+        inputs = ({"A": [0] * 64} if shape == "reenter_predicate"
+                  else {"B": [1, 2, 3, 4, 5, 6]})
+        return sources[shape], "tgt", {"N": 6}, inputs, backend, "inspector", {}, False
+    if shape == "entered_twice":
+        source = REENTER_VARYING.replace("@ tgt", "@ target")
+        return (source, "target", {"N": 6}, {"B": [1, 2, 3, 4, 5, 6]}, backend,
+                "inspector", {}, False)
+    if shape.startswith("mislabelled"):
+        suffix = OVERWRITE_SUFFIX if shape == "mislabelled_overwritten" else ""
+        return (MISLABELLED_FLOW.format(suffix=suffix), "l", {}, {"A": [5]}, backend,
+                "inspector", {}, True)
+    _, benchinputs = _bench_tools()
+    (item,) = [i for i in benchinputs.load_pool("mix") if i.name == shape]
+    return (item.source, item.loop, item.params, item.arrays, backend, item.strategy,
+            item.options, False)
+
+
+#: sha256 of every ExecutionReport field but ``wall_s`` (the definition of
+#: tools/exec_digests.py) for executes the golden exec digests do not
+#: reach: loops entered twice, loops whose in-order and parallel exit
+#: states differ in a scalar the program never reads again, and plans
+#: that mislabel a flow-dependent array shared
+PINNED_REPORTS = {
+    "entered_twice@sequential":
+        "e7d5e4c5926eeb60f5adbe65b1abbe892f319cd9956946c6e8da1dcbb66f5c14",
+    "entered_twice@thread":
+        "04228ed94c2d0af03aa7dffb235a8ea033400d3952991fee51ce2ecadb47ba8d",
+    "mislabelled_overwritten@process":
+        "c7f74d03ed4f4ca38d23efad2ff0a01c00a3ca0fcf6c4769567eba983852fa18",
+    "mislabelled_overwritten@sequential":
+        "52a458f6f4ea851314336c54a6dd0a00a4921cc337f97160d0a470baddf44ee7",
+    "mislabelled_shows@process":
+        "b7ec644c428d021ab3cc83a82ad2783c5d6fc865ad703d61cad07f1fa407cef1",
+    "mislabelled_shows@sequential":
+        "722ad5c2aebaa930858edd08394a2b9a092f7f79daa4466f8775c1961dfe65c1",
+    "mix007@thread":
+        "1f83a2e73219354ee6ab9a68003d7a04ad96fec862fd604f8b725351ad3fe31e",
+    "mix021@thread":
+        "abf2732d5fbf27d7ce3c1beb06ed15876f821969a46db338d7d0464d00caa049",
+    "mix025@thread":
+        "15d925649afdab465744e3800f249ad96d6a13e6fca646494066a0eecf81d56a",
+    "reenter_fixed@numpy":
+        "4494a36cd8aa4413b84319f038fb0ce8c6eeefff284b4a6e3f5118d85a41d1c0",
+    "reenter_fixed@process":
+        "1d7d9f3730d442b2c46e3c9fa5597ab449d447f57fc5ee02210695b74f929732",
+    "reenter_fixed@sequential":
+        "c0e72625715d77c1374d3fc5b628062bf81938922da8b79155785afa2d15a8d7",
+    "reenter_fixed@speculative":
+        "b07737aeef0da9d43e1adf8d152dcf95f03edc659f1dc47a6842bd7d3754c7ab",
+    "reenter_fixed@thread":
+        "7d76494ad5e6d4be5eb433cefc773cf655789ba87296f2a86f6ed2c1922e7442",
+    "reenter_predicate@numpy":
+        "c1743242596e1a6589fc583c37f5a39330e5fd4db97f5ec9fd07b61104da1942",
+    "reenter_predicate@process":
+        "0430ea2a1d5a4fa7826a984b7ac0491fc4ec788e94bf0705d0349c21c1609b1a",
+    "reenter_predicate@sequential":
+        "3262a0b3e58167d0a322de1fff789b37dea0c68d554b9f7f17b9082d3319c6ea",
+    "reenter_predicate@speculative":
+        "7f4eb6777baa58a47703bda869d8e113594d5912b072f7f1673cc1b7379fdb88",
+    "reenter_predicate@thread":
+        "df37798d999a158be02038b0a9886f37701af8abb0f2ad9a9a6c923aa8b7a4f9",
+    "reenter_varying@numpy":
+        "07347a14553aab39f575bf1dc52ccd7a0762a25f77ae7328cc47d144ef94cf5e",
+    "reenter_varying@process":
+        "515d36ec1e6b1fa9b3d3a3efcc5db0aaac81198bdf116c2c79fdff1ac84bcf64",
+    "reenter_varying@sequential":
+        "34659e727b4a1bb3c349c342b03e1ca507788874b16db25828ed67b365435994",
+    "reenter_varying@speculative":
+        "010f8e8e1559ab22cb557eb41c4900ab886dbab93efdd26eed91d42cdd0ed1d4",
+    "reenter_varying@thread":
+        "81109e25e9d8560106b94ab6d26375612bcfc28257e397781027a73b14b3bb40",
+}
+
+
+class TestPinnedReports:
+    """Every report of an execute whose loop is entered more than once,
+    or whose parallel run leaves the loop in another state than the
+    in-order run did, stays what it is, byte for byte."""
+
+    @pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+    def test_report_digest(self, name, monkeypatch):
+        source, label, params, arrays, backend, strategy, options, mislabelled = (
+            _pinned_case(name))
+        if backend not in available_backends():
+            pytest.skip(f"{backend} is not available here")
+        if mislabelled:
+            monkeypatch.setattr(
+                HybridExecutor, "_decide_array",
+                lambda self, array, *rest: ArrayDecision(array, "shared", "static"),
+            )
+        compiled = Engine(EngineConfig(use_disk_cache=False)).compile(source)
+        report = compiled.execute(label, params, arrays, backend=backend, jobs=2,
+                                  exact_strategy=strategy, **options)
+        exec_digests, _ = _bench_tools()
+        assert exec_digests._sha(exec_digests.report_text(report)) == PINNED_REPORTS[name]
+
+    def test_the_mislabelled_plans_end_both_ways(self, monkeypatch):
+        """One wrong loop result is overwritten by the program's suffix,
+        the other shows in the final memory."""
+        monkeypatch.setattr(
+            HybridExecutor, "_decide_array",
+            lambda self, array, *rest: ArrayDecision(array, "shared", "static"),
+        )
+        ends = []
+        for suffix in (OVERWRITE_SUFFIX, ""):
+            compiled = Engine(EngineConfig(use_disk_cache=False)).compile(
+                MISLABELLED_FLOW.format(suffix=suffix))
+            report = compiled.execute("l", {}, {"A": [5]}, backend="sequential")
+            ends.append((report.parallel, report.correct))
+        assert ends == [(True, True), (True, False)]
+
+
+# ``t`` is live after the loop, and the last iteration leaves it
+# unassigned; no iteration reads it before writing it.
+LIVE_OUT_SCALAR = """
+program p
+param N
+array A(N), B(N)
+main
+  t = 0
+  do i = 1, N @ tgt
+    if (A[i] > 0) then
+      t = A[i]
+    end
+    B[i] = A[i] + 1
+  end
+  B[1] = t
+end
+"""
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "a backend's final scalars are the last iteration's, which restarts "
+    "from the entry scalars, so a live-out scalar the last iteration does "
+    "not assign loses its value; the plan counts only exposed reads as "
+    "scalar dependences"))
+@pytest.mark.parametrize("backend", ["sequential", "thread", "process", "speculative"])
+def test_a_live_out_scalar_the_last_iteration_skips_is_kept(backend):
+    compiled = Engine(EngineConfig(use_disk_cache=False)).compile(LIVE_OUT_SCALAR)
+    arrays = {"A": [5, 0, 7, 0, 0, 0, 0, 0]}
+    report = compiled.execute("tgt", {"N": 8}, arrays, backend=backend, jobs=2)
+    trace = Machine(compiled.program, {"N": 8}, arrays, trace_label="tgt").run().trace
+    outcome, _ = classify_outcome(compiled.plan("tgt"), trace, report)
+    assert report.correct and outcome != "unsound"
 
 
 def _untimed(report):
