@@ -48,6 +48,7 @@ from .lower import lower
 __all__ = [
     "Machine", "IterationRecord", "LoopTrace", "RunResult", "InterpError",
     "MarkConflict", "Shadows", "copy_arrays", "changed_locations", "unit_assigns",
+    "unit_bases",
 ]
 
 _WHILE_FUEL = 10_000_000
@@ -463,6 +464,18 @@ def unit_assigns(program: Program, loop: IRStmt) -> Optional[tuple]:
     all it can write -- or ``None`` when it hands something back to the
     machine and can write more (:class:`~repro.ir.lower.Lowered`)."""
     return _compiled(program, loop, False).assigns
+
+
+def unit_bases(program: Program, loop: IRStmt, frame_arrays: Mapping) -> Optional[list]:
+    """The base arrays labelled *loop*'s plain loop unit assigns, its
+    :func:`unit_assigns` resolved through *frame_arrays* (name ->
+    ``(base, offset)``) and in order, once each -- or ``None`` when what
+    it can write is not known that way (it hands something back to the
+    machine, or a name it assigns is not bound in the frame)."""
+    assigns = unit_assigns(program, loop)
+    if assigns is None or any(name not in frame_arrays for name in assigns):
+        return None
+    return list(dict.fromkeys(frame_arrays[name][0] for name in assigns))
 
 
 # -- what the generated code calls -----------------------------------------------

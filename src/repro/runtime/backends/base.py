@@ -45,8 +45,12 @@ Every snapshot is :func:`~repro.ir.interp.copy_arrays`, one flat C-level
 copy per array.  ``task.pre_arrays`` itself is never written to, and a
 second execute of a task returns what the first did
 (``tests/property/test_shared_chunk_props.py`` holds every backend to
-both): that is what lets the executor hand a backend the re-run
-machine's live memory rather than a snapshot of it.
+both): that is what lets the executor hand a backend the capture's
+loop-entry snapshot and check each run against the loop's exit state,
+and its arbiter hand one the re-run machine's live memory rather than a
+snapshot of it.  A run's memory may share the lists of the arrays the
+loop does not assign with ``task.pre_arrays`` (the ``thread`` backend's
+in-place target does).
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ from ... import profiling as _profiling
 from ...ir.ast import Program
 from ...ir.interp import (
     IterationRecord, Machine, Shadows, _Frame, changed_locations, copy_arrays,
-    unit_assigns,
+    unit_bases,
 )
 from .chunking import ChunkSpec, plan_chunks
 
@@ -94,7 +98,8 @@ class LoopTask:
     #: program parameters visible to the interpreter
     params: dict
     #: machine-level array memory at loop entry (read-only for backends:
-    #: in the executor's parallel re-run it is the suspended machine's own)
+    #: in the executor it is the capture's loop-entry snapshot, in its
+    #: arbiter the suspended machine's own)
     pre_arrays: dict
     #: frame scalars at loop entry
     pre_scalars: dict
@@ -296,7 +301,9 @@ def _ordered(marks: dict) -> dict:
 def _copy_out(task: LoopTask, loop, trips: int, in_place: bool = False) -> tuple:
     """How a chunk of *trips* iterations of *task* hands back what it
     wrote -- the one copy-out choice (docs/ARCHITECTURE.md, "Copying a
-    chunk out") -- as ``(route, the base arrays the loop's unit assigns)``:
+    chunk out") -- as ``(route, the base arrays the loop's unit assigns)``,
+    the latter ``None`` where :func:`~repro.ir.interp.unit_bases` does
+    not know them:
 
     * ``"in_place"``: *in_place* (the caller's chunks can share one
       target) and all those arrays are ``shared``, so no location one
@@ -309,11 +316,9 @@ def _copy_out(task: LoopTask, loop, trips: int, in_place: bool = False) -> tuple
     * ``"record"``: otherwise, and whenever the unit hands something
       back to the machine -- what it can write is then more than it
       assigns."""
-    assigns = unit_assigns(task.program, loop)
-    bases = list(dict.fromkeys(
-        task.frame_arrays.get(name, (None, 0))[0] for name in assigns or ()))
-    strategies = {task.decisions.get(arr) for arr in bases}
-    if assigns is None or not strategies <= {"shared", "reduction"}:
+    bases = unit_bases(task.program, loop, task.frame_arrays)
+    strategies = {task.decisions.get(arr) for arr in bases or ()}
+    if bases is None or not strategies <= {"shared", "reduction"}:
         return "record", bases
     if in_place and strategies <= {"shared"}:
         return "in_place", bases

@@ -4,14 +4,16 @@ Chunks of the iteration space are executed by a pool of threads, each
 worker running its chunk in order through the loop's unit.  Where every
 array the unit assigns is decided ``shared``
 (:func:`~repro.runtime.backends.base._copy_out` says ``"in_place"``),
-the run copies the pre-loop memory once into a target and every chunk
-writes that target itself
+the run copies those arrays into a target that shares every other list
+with the pre-loop memory -- the plain unit writes nothing it does not
+assign -- and every chunk writes that target itself
 (:func:`~repro.runtime.backends.base.execute_in_place`): a ``shared``
 location is written by one iteration and touched by no other, so the
 chunks' writes are disjoint, each list store is atomic under the GIL,
-and nothing is recorded, diffed or merged -- one O(memory) copy a run,
-the last chunk's scalars the final ones.  Any other task runs each chunk
-on its own flat copy of the pre-loop memory
+and nothing is recorded, diffed or merged -- one copy of the assigned
+arrays a run, the last chunk's scalars the final ones, and the
+executor's exit check compares the shared lists by identity.  Any other
+task runs each chunk on its own flat copy of the pre-loop memory
 (:func:`~repro.runtime.backends.base.execute_chunk`), and one more copy
 is the merge target -- chunks + 1 O(memory) copies and *chunks*
 outcomes a run, nothing per iteration; a ``reduction``'s
@@ -126,12 +128,17 @@ class ThreadBackend(ChunkedBackend):
 
     def execute(self, task, jobs=None, chunk=None) -> BackendRun:
         loop = task.program.find_loop(task.label)
-        if loop is None or _copy_out(task, loop, len(task.iterations), True)[0] != "in_place":
+        route, assigned = (
+            _copy_out(task, loop, len(task.iterations), True) if loop else ("", ()))
+        if route != "in_place":
             return super().execute(task, jobs, chunk)
         jobs = default_jobs(jobs)
         chunks = plan_chunks(len(task.iterations), jobs, chunk)
         _profiling.count("backends.chunk_in_place", len(chunks))
-        target = copy_arrays(task.pre_arrays)
+        # the plain unit writes nothing but what it assigns: the other
+        # arrays stay the pre-loop memory's own lists
+        target = dict(task.pre_arrays)
+        target.update(copy_arrays({arr: target[arr] for arr in assigned}))
         workers = min(jobs, len(chunks))
         scalars = map_chunks(
             lambda c: execute_in_place(task, c, target), chunks, workers

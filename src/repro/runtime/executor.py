@@ -14,7 +14,10 @@ executor reproduces what the paper's generated OpenMP code does:
 5. execute the loop -- in parallel under the per-array transforms
    (shared / privatized-with-last-value / reduction) when validated,
    sequentially otherwise -- and *check the result against the
-   sequential ground truth*;
+   sequential ground truth* at the loop's exit: memory and the scalars
+   the program goes on with, per entry into the loop; only when an
+   entry's differ is the whole program re-run, by the *arbiter*, to
+   see whether the difference reaches the final memory;
 6. report timings from the simulated multiprocessor, including the
    runtime-test overhead that the paper's RTov columns measure.
 
@@ -23,8 +26,9 @@ reference backend each in isolation from the pre-loop memory, the pool
 backends a chunk at a time), then per-array merge rules reconstruct the
 final state (direct writes for shared arrays, ordered write-back for
 privatized arrays = dynamic last value, delta accumulation for
-reductions).  A wrong analysis therefore produces a wrong final memory
-and is caught by the ground-truth comparison.
+reductions).  A wrong analysis therefore produces a wrong memory at
+the loop's exit, which the arbiter follows to the program's end and
+compares with the ground truth's.
 
 The ground-truth run executes the target loop's generated loop unit
 (:meth:`~repro.ir.interp.Machine.run_loop`) and keeps each iteration's
@@ -36,10 +40,12 @@ The caller's arrays are never written to and never kept: each
 whole-program run hands them to a :class:`~repro.ir.interp.Machine`,
 which makes the one copy it works on and hands that copy over as its
 result.  The capture snapshots the memory at loop entry, since the
-predicates read it after the run has moved on; the parallel re-run does
-not, and hands the backend the machine's live memory as
-``LoopTask.pre_arrays``, which no backend writes.  docs/ARCHITECTURE.md
-counts the O(memory) copies of one execute.
+predicates and the backend read it after the run has moved on, and at
+the loop's exit copies only the arrays the loop assigns: the others are
+the snapshot's lists.  The arbiter does not snapshot, and hands the
+backend the machine's live memory as ``LoopTask.pre_arrays``, which no
+backend writes.  docs/ARCHITECTURE.md counts the O(memory) copies of one
+execute.
 """
 
 from __future__ import annotations
@@ -52,7 +58,9 @@ from typing import Optional
 from .. import profiling as _profiling
 from ..core.analyzer import ArrayPlan, LoopPlan
 from ..ir.ast import AssignScalar, Do, Program, While, walk_stmts
-from ..ir.interp import IterationRecord, LoopTrace, Machine, RunResult, copy_arrays
+from ..ir.interp import (
+    IterationRecord, LoopTrace, Machine, RunResult, copy_arrays, unit_bases,
+)
 from ..ir.scalars import _stmt_reads, expr_scalar_reads
 from ..pdag import EvalStats
 from ..usr import usr_recurrence
@@ -178,12 +186,17 @@ class ExecutionReport:
 class _LoopEntry:
     """One entry into the target loop during the sequential run: its
     frozen entry state with the iterations and CIV prefixes it went on
-    to produce, each iteration's work and -- from a recording capture
-    only -- each iteration's access record."""
+    to produce, each iteration's work, -- from a recording capture
+    only -- each iteration's access record and -- from the capture of
+    :meth:`HybridExecutor.run` only -- the state the loop left: memory
+    (the arrays it assigns copied, the others the entry snapshot's own
+    lists) and the frame's scalars."""
 
     task: LoopTask
     costs: list[float]
     records: list[IterationRecord]
+    exit_arrays: Optional[dict] = None
+    exit_scalars: Optional[dict] = None
 
     def env(self, plan: LoopPlan) -> dict:
         """The runtime environment predicates see at this entry: the
@@ -239,9 +252,9 @@ class HybridExecutor:
     def run(self, params: dict, arrays: dict) -> ExecutionReport:
         label = self.plan.label
         # 1. Sequential ground-truth run (also captures, per entry into
-        #    the target loop, the pre-loop state, per-iteration work and
-        #    CIV prefix values).
-        entries, seq_result = self._capture(params, arrays)
+        #    the target loop, the pre-loop state, per-iteration work,
+        #    CIV prefix values and the state the loop left).
+        entries, seq_result = self._capture(params, arrays, exits=True)
         seq_arrays = seq_result.arrays
         iter_costs = [c for entry in entries for c in entry.costs]
         seq_work = float(sum(iter_costs))
@@ -317,14 +330,13 @@ class HybridExecutor:
 
         # 4. Parallel overlay execution + ground-truth validation.
         strategies = {name: d.strategy for name, d in decisions.items()}
-        par_arrays = self._parallel_execute(
-            params, arrays, entries, strategies, report
+        report.correct = self._parallel_execute(
+            params, arrays, entries, strategies, report, seq_arrays
         )
         # A validated loop's speculative run always commits (the
         # predicates that validated it are sound); guard anyway so a
         # rollback is never misreported as a parallel execution.
         report.parallel = report.speculation_rollbacks == 0
-        report.correct = par_arrays == seq_arrays
         return report
 
     # -- sequential capture -----------------------------------------------------
@@ -349,10 +361,13 @@ class HybridExecutor:
             decisions=decisions,
         )
 
-    def _capturing_seq(self, machine: Machine, stmt, frame, recording) -> _LoopEntry:
+    def _capturing_seq(
+        self, machine: Machine, stmt, frame, recording, exits
+    ) -> _LoopEntry:
         """Run one entry of the target loop in order, through its loop
         unit, keeping each iteration's work (the plain and the recording
-        variant count the same) and, with *recording*, its access record."""
+        variant count the same), with *recording* its access record and
+        with *exits* the state the loop left."""
         civs = {info.name: [] for info in self.plan.civs}
         # a snapshot: the predicates read it after the run has moved on
         snapshot = copy_arrays(machine.arrays)
@@ -369,6 +384,15 @@ class HybridExecutor:
         entry.task.iterations += values if isinstance(stmt, Do) else range(1, trips + 1)
         for name, prefix in civs.items():  # final CIV values (the paper's CIV@5)
             prefix.append(frame.scalars.get(name, 0))
+        if exits:
+            assigned = unit_bases(self.program, stmt, frame.arrays)
+            if assigned is None:
+                entry.exit_arrays = copy_arrays(machine.arrays)
+            else:  # the loop wrote no other array
+                entry.exit_arrays = dict(snapshot)
+                entry.exit_arrays.update(
+                    copy_arrays({arr: machine.arrays[arr] for arr in assigned}))
+            entry.exit_scalars = dict(frame.scalars)
         return entry
 
     def _run_program(self, params: dict, arrays: dict, hook) -> RunResult:
@@ -379,14 +403,15 @@ class HybridExecutor:
         ).run()
 
     def _capture(
-        self, params: dict, arrays: dict, recording: bool = False
+        self, params: dict, arrays: dict, recording: bool = False,
+        exits: bool = False,
     ) -> tuple[list, RunResult]:
         """The in-order run of the whole program with the target loop
         captured: (one :class:`_LoopEntry` per time it was entered, the
         run's result)."""
         entries: list[_LoopEntry] = []
         result = self._run_program(params, arrays, lambda m, s, f: entries.append(
-            self._capturing_seq(m, s, f, recording)
+            self._capturing_seq(m, s, f, recording, exits)
         ))
         if not entries:
             raise ValueError(f"target loop {self.plan.label!r} never executed")
@@ -547,6 +572,19 @@ class HybridExecutor:
                 set(report.speculation_privatized) | set(doc["privatized"])
             )
 
+    def _run_backend(self, task: LoopTask, report: ExecutionReport):
+        """Run *task* on the backend that will take it, folding the run
+        into *report*."""
+        backend = self._resolve_backend(task)
+        started = time.perf_counter()
+        run = backend.execute(task, jobs=self.jobs, chunk=self.chunk)
+        report.wall_s += time.perf_counter() - started
+        report.backend_used = backend.name
+        report.jobs = max(report.jobs, run.jobs)
+        report.chunks += run.chunks
+        self._note_speculation(report, run)
+        return run
+
     def _parallel_execute(
         self,
         params: dict,
@@ -554,44 +592,77 @@ class HybridExecutor:
         entries: list,
         strategies: dict[str, str],
         report: ExecutionReport,
-    ) -> dict[str, list[int]]:
+        seq_arrays: dict,
+    ) -> bool:
+        """Run every entry's iterations on the selected backend from the
+        entry's captured state, recording the real wall-clock cost, and
+        say whether the program then ends with *seq_arrays*, the
+        in-order run's final memory.
+
+        Each run is checked at the loop's exit: its memory against the
+        entry's exit memory, and the frame the program would go on with
+        against the entry's exit scalars.  The program is deterministic,
+        so when every entry matches, going on from each would replay the
+        in-order run, and it ends right.  At the first entry that does
+        not, :meth:`_arbiter` re-runs the program to settle it."""
+        runs = []
+        for entry in entries:
+            task = entry.task
+            task.decisions, task.work = strategies, sum(entry.costs)
+            run = self._run_backend(task, report)
+            runs.append(run)
+            scalars = _continue(dict(task.pre_scalars), task, run)
+            if run.arrays != entry.exit_arrays or scalars != entry.exit_scalars:
+                _profiling.count("runtime.arbiter_runs")
+                return self._arbiter(
+                    params, arrays, entries, runs, strategies, report
+                ) == seq_arrays
+            _profiling.count("runtime.entries_verified")
+        return True
+
+    def _arbiter(
+        self,
+        params: dict,
+        arrays: dict,
+        entries: list,
+        runs: list,
+        strategies: dict[str, str],
+        report: ExecutionReport,
+    ) -> dict:
         """Re-run the whole program, delegating the target loop to the
         selected execution backend, which returns the loop's final
-        memory for the machine to go on with, and recording the real
-        wall-clock cost.  The
-        *n*-th time the loop is reached runs the iterations the *n*-th
-        entry of the sequential run made, from the re-run's own state."""
+        memory for the machine to go on with; return the final memory.
+        The *n*-th time the loop is reached runs the iterations the
+        *n*-th entry of the sequential run made: the first ``len(runs)``
+        times by handing over *runs* -- made from the captured states,
+        which the re-run reproduces up to the first entry whose exit
+        differed -- and later ones on the backend, from the re-run's
+        own state.  Each entry's backend thus runs once."""
         remaining = iter(entries)
+        made = iter(runs)
 
-        def parallel_hook(machine: Machine, stmt, frame):
+        def arbiter_hook(machine: Machine, stmt, frame):
             entry = next(remaining, None)
             if entry is None:
                 raise RuntimeError(
                     f"loop {self.plan.label!r} entered more often in the "
-                    "parallel re-run than in the sequential run"
+                    "arbiter's re-run than in the sequential run"
                 )
-            iterations = entry.task.iterations
-            # the machine's own memory: a backend never writes pre_arrays,
-            # and the machine takes the backend's arrays in its place
-            task = self._loop_task(
-                machine, stmt, frame, machine.arrays, iterations,
-                entry.task.civ_values, strategies,
-            )
-            task.work = sum(entry.costs)
-            backend = self._resolve_backend(task)
-            started = time.perf_counter()
-            run = backend.execute(task, jobs=self.jobs, chunk=self.chunk)
-            report.wall_s += time.perf_counter() - started
-            report.backend_used = backend.name
-            report.jobs = max(report.jobs, run.jobs)
-            report.chunks += run.chunks
-            self._note_speculation(report, run)
+            task, run = entry.task, next(made, None)
+            if run is None:
+                # the machine's own memory: a backend never writes
+                # pre_arrays, and the machine takes the backend's arrays
+                # in its place
+                task = self._loop_task(
+                    machine, stmt, frame, machine.arrays, task.iterations,
+                    task.civ_values, strategies,
+                )
+                task.work = sum(entry.costs)
+                run = self._run_backend(task, report)
             machine.arrays = run.arrays
-            frame.scalars.update(run.final_scalars)
-            if task.index_name is not None and iterations:
-                frame.scalars[task.index_name] = iterations[-1]
+            _continue(frame.scalars, task, run)
 
-        return self._run_program(params, arrays, parallel_hook).arrays
+        return self._run_program(params, arrays, arbiter_hook).arrays
 
     def _speculative_fallback(
         self,
@@ -610,15 +681,14 @@ class HybridExecutor:
             name: ("private" if d.strategy == "dependent" else d.strategy)
             for name, d in decisions.items()
         }
-        par_arrays = self._parallel_execute(
-            params, arrays, entries, strategies, report
+        report.correct = self._parallel_execute(
+            params, arrays, entries, strategies, report, seq_arrays
         )
         committed = (
             report.speculation_commits > 0
             and report.speculation_rollbacks == 0
         )
         report.parallel = committed
-        report.correct = par_arrays == seq_arrays
         for name, d in decisions.items():
             if d.strategy != "dependent":
                 continue
@@ -657,6 +727,16 @@ class HybridExecutor:
         if total == 0:
             return 0.1
         return max(0.05, min(1.0, in_slice / total))
+
+
+def _continue(scalars: dict, task: LoopTask, run) -> dict:
+    """Update *scalars*, the frame's at the entry of *task*, to the ones
+    the program goes on with after *run* of it, and return them: the
+    last iteration's scalars, and a DO loop's index at its last value."""
+    scalars.update(run.final_scalars)
+    if task.index_name is not None and task.iterations:
+        scalars[task.index_name] = task.iterations[-1]
+    return scalars
 
 
 def _civ_names(plan: LoopPlan) -> frozenset[str]:

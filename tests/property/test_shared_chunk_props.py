@@ -13,8 +13,10 @@ seeds 0-59 validate.
 
 Every backend leaves ``task.pre_arrays`` byte for byte as it found
 them and runs the same task twice to the same :class:`BackendRun`.
-The executor relies on it: the parallel re-run builds its task over
-the machine's own memory, not over a snapshot of it.
+The executor relies on it: it checks each run of a captured task against
+the loop's exit state, which shares the snapshot's lists, and its
+arbiter builds a task over the machine's own memory, not over a
+snapshot of it.
 """
 
 import pickle

@@ -98,6 +98,18 @@ class TestIsolationStaysInTheReference:
         assert detail.startswith("A: claimed fully independent (via static")
 
 
+def test_the_in_place_target_copies_only_the_arrays_the_loop_assigns():
+    """``thread``'s in-place run of an all-``shared`` task copies what
+    the unit assigns and shares every other list with the pre-loop
+    memory, which it leaves as it found it."""
+    task = _saxpy_task()
+    run = get_backend("thread").execute(task, jobs=2)
+    assert run.arrays["X"] is task.pre_arrays["X"]
+    assert run.arrays["Y"] is not task.pre_arrays["Y"]
+    assert task.pre_arrays["Y"] == [1] * 64
+    assert run.arrays["Y"] == [1 + 3 * x for x in range(64)]
+
+
 def _task(body, pre, decisions, iterations, extra="") -> LoopTask:
     """A hand-built task over ``do i = ... @ l`` with *body*."""
     decls = ", ".join(f"{name}({len(values)})" for name, values in pre.items())

@@ -376,9 +376,9 @@ class TestOnDemandRecords:
         calls = []
         capture = ex._capture
 
-        def counting(params, arrays, recording=False):
+        def counting(params, arrays, recording=False, exits=False):
             calls.append(recording)
-            return capture(params, arrays, recording or always_record)
+            return capture(params, arrays, recording or always_record, exits)
 
         ex._capture = counting
         return _untimed(ex.run({"N": 8}, arrays)), calls
@@ -391,7 +391,7 @@ class TestOnDemandRecords:
         ex._capture = lambda *a, **k: calls.append(k) or capture(*a, **k)
         r = ex.run({"N": 8, "OFF": 100}, {})
         assert r.parallel and r.decisions["A"].via == "predicate"
-        assert calls == [{}]
+        assert calls == [{"exits": True}]
 
     def test_an_inspector_validated_execute_captures_once(self):
         report, calls = self._run(LRPD_INDEPENDENT)
@@ -657,6 +657,83 @@ class TestPinnedReports:
         assert ends == [(True, True), (True, False)]
 
 
+# ``t`` is dead after the loop, and the last iteration leaves it
+# unassigned: a backend's frame then differs from the in-order run's at
+# the loop's exit, and the final memory does not.
+DEAD_SCALAR = """
+program p
+param N
+array A(N), B(N)
+main
+  do k = 1, 2
+    do i = 1, N @ l
+      if (i < N) then
+        t = i
+      end
+      A[i] = B[i] + k
+    end
+  end
+end
+"""
+
+
+class TestExitCheck:
+    """A parallel run is checked at the loop's exit; the whole program
+    runs again, as the arbiter, only when an entry's exit state differs,
+    and each entry's backend runs once either way."""
+
+    @staticmethod
+    def _run(source, backend, arrays, params=None, label="tgt"):
+        """(report without ``wall_s``, whole-program runs, backend runs,
+        entries verified, arbiter runs)."""
+        prog = _build(source)
+        ex = HybridExecutor(
+            prog, default_engine().compile(prog).plan(label), backend=backend, jobs=2
+        )
+        programs, backends = [], []
+        run_program, run_backend = ex._run_program, ex._run_backend
+        ex._run_program = lambda *a: programs.append(1) or run_program(*a)
+        ex._run_backend = lambda *a: backends.append(1) or run_backend(*a)
+        with profile.profiling():
+            report = ex.run(params or {"N": 6}, arrays)
+            counts = profile.snapshot().counts
+        return (_untimed(report), len(programs), len(backends),
+                counts.get("runtime.entries_verified", 0),
+                counts.get("runtime.arbiter_runs", 0))
+
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_matching_exits_run_the_program_once(self, backend):
+        report, programs, backends, verified, arbiters = self._run(
+            REENTER_VARYING, backend, {"B": [1, 2, 3, 4, 5, 6]})
+        assert report.parallel and report.correct
+        assert (programs, backends, verified, arbiters) == (1, 2, 2, 0)
+
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_a_dead_scalar_goes_to_the_arbiter_at_the_first_entry(self, backend):
+        report, programs, backends, verified, arbiters = self._run(
+            DEAD_SCALAR, backend, {"B": [1, 2, 3, 4, 5, 6]}, label="l")
+        assert report.parallel and report.correct
+        # the first entry's run is handed over, the second's made anew
+        assert (programs, backends, verified, arbiters) == (2, 2, 0, 1)
+
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    @pytest.mark.parametrize("source, arrays, label", [
+        (REENTER_VARYING, {"B": [1, 2, 3, 4, 5, 6]}, "tgt"),
+        (REENTER_FIXED, {"B": [1, 2, 3, 4, 5, 6]}, "tgt"),
+        (DEAD_SCALAR, {"B": [1, 2, 3, 4, 5, 6]}, "l"),
+    ], ids=["varying", "fixed", "dead-scalar"])
+    def test_the_report_is_the_one_a_full_re_run_gives(
+        self, backend, source, arrays, label, monkeypatch
+    ):
+        checked = self._run(source, backend, arrays, label=label)[0]
+        monkeypatch.setattr(
+            HybridExecutor, "_parallel_execute",
+            lambda self, params, arrays, entries, strategies, report, seq: (
+                self._arbiter(params, arrays, entries, [], strategies, report) == seq),
+        )
+        assert self._run(source, backend, arrays, label=label)[0] == checked
+
+
 # ``t`` is live after the loop, and the last iteration leaves it
 # unassigned; no iteration reads it before writing it.
 LIVE_OUT_SCALAR = """
@@ -676,19 +753,21 @@ end
 """
 
 
-@pytest.mark.xfail(strict=True, reason=(
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "a backend's final scalars are the last iteration's, which restarts "
     "from the entry scalars, so a live-out scalar the last iteration does "
     "not assign loses its value; the plan counts only exposed reads as "
     "scalar dependences"))
-@pytest.mark.parametrize("backend", ["sequential", "thread", "process", "speculative"])
-def test_a_live_out_scalar_the_last_iteration_skips_is_kept(backend):
+def test_a_live_out_scalar_the_last_iteration_skips_is_kept():
     compiled = Engine(EngineConfig(use_disk_cache=False)).compile(LIVE_OUT_SCALAR)
     arrays = {"A": [5, 0, 7, 0, 0, 0, 0, 0]}
-    report = compiled.execute("tgt", {"N": 8}, arrays, backend=backend, jobs=2)
     trace = Machine(compiled.program, {"N": 8}, arrays, trace_label="tgt").run().trace
-    outcome, _ = classify_outcome(compiled.plan("tgt"), trace, report)
-    assert report.correct and outcome != "unsound"
+    ends = {}
+    for backend in ("sequential", "thread", "process", "speculative"):
+        report = compiled.execute("tgt", {"N": 8}, arrays, backend=backend, jobs=2)
+        outcome, _ = classify_outcome(compiled.plan("tgt"), trace, report)
+        ends[backend] = (report.correct, outcome)
+    assert all(correct and outcome != "unsound" for correct, outcome in ends.values()), ends
 
 
 def _untimed(report):
@@ -840,7 +919,7 @@ class TestGeneratedCode:
 
     def test_arrays_rebound_by_the_loop_hook_are_seen_at_once(self):
         """The hook swaps ``machine.arrays`` for fresh lists (what the
-        parallel re-run does with the backend's result): the statement
+        executor's arbiter does with the backend's result): the statement
         after the loop, after the call around it and after the loop
         around that all read the new memory, and write into it."""
         def hook(machine, stmt, frame):
