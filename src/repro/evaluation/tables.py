@@ -163,6 +163,10 @@ def format_fuzz_table(report) -> str:
         f"by diff {report.chunk_diff}, by record {report.chunk_record} "
         "(counted in this process)"
     )
+    lines.append(
+        f"loop exits: {report.entries_verified} entries matched the in-order "
+        f"run, {report.arbiter_runs} execute(s) re-run whole to settle a mismatch"
+    )
     hist = report.classification_histogram()
     if hist:
         top = ", ".join(f"{label} x{n}" for label, n in hist[:10])

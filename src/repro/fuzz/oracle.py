@@ -393,6 +393,12 @@ class FuzzReport:
     chunk_in_place: int = 0
     chunk_diff: int = 0
     chunk_record: int = 0
+    #: loop entries of the executed seeds whose parallel run was checked
+    #: at the loop's exit and matched (``runtime.entries_verified``), and
+    #: the executes a mismatch sent to the whole-program re-run that
+    #: settles them (``runtime.arbiter_runs``)
+    entries_verified: int = 0
+    arbiter_runs: int = 0
 
     @property
     def counts(self) -> dict:
@@ -432,6 +438,8 @@ _REACHED = {
     "chunk_in_place": "backends.chunk_in_place",
     "chunk_diff": "backends.chunk_diff",
     "chunk_record": "backends.chunk_record",
+    "entries_verified": "runtime.entries_verified",
+    "arbiter_runs": "runtime.arbiter_runs",
 }
 
 

@@ -193,6 +193,19 @@ class TestFuzzDriverAndCache:
                      "--backend", "thread", "--chunk", "dynamic:1"]) == 0
         assert "chunks copied out: in place" in capsys.readouterr().out
 
+    def test_the_thread_leg_checks_loop_exits_and_re_runs_some(self):
+        """Seeds 0-49 on ``thread``: most parallel runs match the
+        in-order run's state at the loop's exit, at least one execute
+        goes to the whole-program re-run, none is unsound, and
+        ``repro-eval fuzz`` prints the counts."""
+        report = run_fuzz(seeds=50, jobs=2, backend="thread", backend_jobs=2)
+        assert report.counts["unsound"] == 0, format_fuzz_report(report)
+        assert report.arbiter_runs >= 1 and report.entries_verified >= 1
+        assert (
+            f"loop exits: {report.entries_verified} entries matched the in-order "
+            f"run, {report.arbiter_runs} execute(s) re-run whole"
+        ) in format_fuzz_report(report)
+
     def test_verdicts_are_cached_and_stable(self, tmp_path):
         cache = FuzzCache(str(tmp_path))
         cold = run_fuzz(seeds=6, jobs=2, cache=cache)
