@@ -129,7 +129,8 @@ class ThreadBackend(ChunkedBackend):
     def execute(self, task, jobs=None, chunk=None) -> BackendRun:
         loop = task.program.find_loop(task.label)
         route, assigned = (
-            _copy_out(task, loop, len(task.iterations), True) if loop else ("", ()))
+            _copy_out(task, loop, len(task.iterations), True)
+            if loop is not None else ("", ()))
         if route != "in_place":
             return super().execute(task, jobs, chunk)
         jobs = default_jobs(jobs)

@@ -186,9 +186,9 @@ class ExecutionReport:
 class _LoopEntry:
     """One entry into the target loop during the sequential run: its
     frozen entry state with the iterations and CIV prefixes it went on
-    to produce, each iteration's work, -- from a recording capture
-    only -- each iteration's access record and -- from the capture of
-    :meth:`HybridExecutor.run` only -- the state the loop left: memory
+    to produce and each iteration's work; from a recording capture
+    only, each iteration's access record; from the capture of
+    :meth:`HybridExecutor.run` only, the state the loop left: memory
     (the arrays it assigns copied, the others the entry snapshot's own
     lists) and the frame's scalars."""
 

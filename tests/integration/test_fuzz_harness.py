@@ -181,30 +181,25 @@ class TestFuzzDriverAndCache:
 
     def test_the_thread_leg_runs_chunks_in_place(self, capsys):
         """Seeds 0-49 on ``thread``: the all-``shared`` tasks' chunks
-        write one target in place, the others are diffed or recorded,
-        and ``repro-eval fuzz`` prints the counts: each entry of each
-        seed's loop runs its backend exactly once, so they are fixed."""
+        write one target in place, the others are diffed or recorded;
+        most parallel runs match the in-order run's state at the loop's
+        exit, at least one execute goes to the whole-program re-run, and
+        none is unsound.  ``repro-eval fuzz`` prints the counts; the
+        chunks' are fixed, each entry of each seed's loop running its
+        backend exactly once."""
         report = run_fuzz(seeds=50, jobs=2, backend="thread", backend_jobs=2)
         assert report.ok, format_fuzz_report(report)
-        assert (
-            "chunks copied out: in place 25, by diff 4, by record 4"
-        ) in format_fuzz_report(report)
-        assert main(["fuzz", "--seeds", "4", "--jobs", "2", "--no-cache",
-                     "--backend", "thread", "--chunk", "dynamic:1"]) == 0
-        assert "chunks copied out: in place" in capsys.readouterr().out
-
-    def test_the_thread_leg_checks_loop_exits_and_re_runs_some(self):
-        """Seeds 0-49 on ``thread``: most parallel runs match the
-        in-order run's state at the loop's exit, at least one execute
-        goes to the whole-program re-run, none is unsound, and
-        ``repro-eval fuzz`` prints the counts."""
-        report = run_fuzz(seeds=50, jobs=2, backend="thread", backend_jobs=2)
-        assert report.counts["unsound"] == 0, format_fuzz_report(report)
         assert report.arbiter_runs >= 1 and report.entries_verified >= 1
+        text = format_fuzz_report(report)
+        assert "chunks copied out: in place 25, by diff 4, by record 4" in text
         assert (
             f"loop exits: {report.entries_verified} entries matched the in-order "
             f"run, {report.arbiter_runs} execute(s) re-run whole"
-        ) in format_fuzz_report(report)
+        ) in text
+        assert main(["fuzz", "--seeds", "4", "--jobs", "2", "--no-cache",
+                     "--backend", "thread", "--chunk", "dynamic:1"]) == 0
+        out = capsys.readouterr().out
+        assert "chunks copied out: in place" in out and "loop exits:" in out
 
     def test_verdicts_are_cached_and_stable(self, tmp_path):
         cache = FuzzCache(str(tmp_path))
