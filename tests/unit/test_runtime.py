@@ -538,6 +538,13 @@ MISLABELLED_FLOW = (
 OVERWRITE_SUFFIX = "  do j = 1, 4\n    A[j] = j\n  end\n"
 
 
+def _mislabel_every_array_shared(monkeypatch):
+    monkeypatch.setattr(
+        HybridExecutor, "_decide_array",
+        lambda self, array, *rest: ArrayDecision(array, "shared", "static"),
+    )
+
+
 def _pinned_case(name):
     """``(source, label, params, arrays, backend, strategy, options,
     mislabelled)`` of the pinned execute *name*."""
@@ -631,10 +638,7 @@ class TestPinnedReports:
         if backend not in available_backends():
             pytest.skip(f"{backend} is not available here")
         if mislabelled:
-            monkeypatch.setattr(
-                HybridExecutor, "_decide_array",
-                lambda self, array, *rest: ArrayDecision(array, "shared", "static"),
-            )
+            _mislabel_every_array_shared(monkeypatch)
         compiled = Engine(EngineConfig(use_disk_cache=False)).compile(source)
         report = compiled.execute(label, params, arrays, backend=backend, jobs=2,
                                   exact_strategy=strategy, **options)
@@ -644,10 +648,7 @@ class TestPinnedReports:
     def test_the_mislabelled_plans_end_both_ways(self, monkeypatch):
         """One wrong loop result is overwritten by the program's suffix,
         the other shows in the final memory."""
-        monkeypatch.setattr(
-            HybridExecutor, "_decide_array",
-            lambda self, array, *rest: ArrayDecision(array, "shared", "static"),
-        )
+        _mislabel_every_array_shared(monkeypatch)
         ends = []
         for suffix in (OVERWRITE_SUFFIX, ""):
             compiled = Engine(EngineConfig(use_disk_cache=False)).compile(
